@@ -89,7 +89,6 @@ from .sampler import (
 )
 from .schemes import (
     SchemeKind,
-    compensated_sum,
     rectangle_vix2,
     scheme_vix2,
     trapezoid_vix2,
@@ -132,7 +131,6 @@ __all__ = [
     "batch_sizes",
     # schemes
     "SchemeKind",
-    "compensated_sum",
     "rectangle_vix2",
     "trapezoid_vix2",
     "scheme_vix2",

@@ -29,7 +29,9 @@ from datetime import datetime, timezone
 from .errors import NumericError, UsageError
 from .estimators import mc_price, mlmc_plan, mlmc_price
 from .experiments import (
+    FAMILIES,
     PRESET_NAMES,
+    Z95,
     mse_cost_curve,
     preset,
     strong_error_curve,
@@ -47,8 +49,6 @@ MANIFEST_SCHEMA_VERSION = 1
 _COMMANDS = ("price", "strong-error", "weak-error", "mse-cost", "covariance-check")
 _SCHEMES = {"rect": SchemeKind.RECTANGLE, "trap": SchemeKind.TRAPEZOID}
 _PAYOFFS = {"call": PayoffKind.CALL, "put": PayoffKind.PUT, "future": PayoffKind.FUTURE}
-_FAMILIES = ("mc-rect", "ml-rect", "ml-trap")
-_Z95 = 1.959963984540054
 
 # Stream namespace for the covariance spot-check's random parameter draws
 # (disjoint from the estimator domains 1-4).
@@ -220,7 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_payoff_flags(p)
     _add_preset_flag(p)
     _add_common_flags(p)
-    p.add_argument("--family", choices=_FAMILIES, help="estimator family")
+    p.add_argument("--family", choices=FAMILIES, help="estimator family")
     p.add_argument("--epsilons", help="comma-separated RMSE targets")
     p.add_argument("--n-mse", dest="n_mse", type=int, help="replications per target")
     p.add_argument(
@@ -552,8 +552,8 @@ def validate(config: RunConfig) -> RunConfig:
     elif config.command == "mse-cost":
         _validate_model(errors, config)
         _validate_payoff(errors, config)
-        if config.family not in _FAMILIES:
-            errors.append(f"family: choose from {_FAMILIES}, got {config.family!r}")
+        if config.family not in FAMILIES:
+            errors.append(f"family: choose from {FAMILIES}, got {config.family!r}")
         if not config.epsilons:
             errors.append("epsilons: required (comma-separated targets)")
         elif any(e <= 0 for e in config.epsilons):
@@ -719,7 +719,7 @@ def _run_price(config: RunConfig):
             "epsilon": plan.epsilon,
             "constants_source": plan.constants_source,
         }
-    hw = _Z95 * est.std_error
+    hw = Z95 * est.std_error
     header = [
         "estimator",
         "scheme",

@@ -47,7 +47,8 @@ __all__ = [
     "PRESET_NAMES",
 ]
 
-_Z95 = 1.959963984540054  # two-sided 95% normal quantile
+Z95 = 1.959963984540054  # two-sided 95% normal quantile
+FAMILIES = ("mc-rect", "ml-rect", "ml-trap")
 
 # Experiment identifiers inside the DOMAIN_EXPERIMENT stream namespace.
 _EXP_STRONG = 1
@@ -202,7 +203,7 @@ def strong_error_curve(
         mean_sq = s2 / M
         var_sq = max(s4 - s2 * s2 / M, 0.0) / (M - 1)
         err = math.sqrt(mean_sq)
-        hw_mean_sq = _Z95 * math.sqrt(var_sq / M)
+        hw_mean_sq = Z95 * math.sqrt(var_sq / M)
         halfwidths.append(hw_mean_sq / (2.0 * err) if err > 0 else 0.0)
         errors.append(err)
 
@@ -273,7 +274,7 @@ def weak_error_curve(
         estimates.append(est.value)
         std_errors.append(est.std_error)
         errors.append(abs(est.value - reference_price))
-        halfwidths.append(_Z95 * est.std_error)
+        halfwidths.append(Z95 * est.std_error)
 
     positive = [e for e in errors if e > 0]
     protocol = {
@@ -339,9 +340,6 @@ def _mse_point_ml(
     return plan.cost, sq_errors, plan
 
 
-_FAMILIES = ("mc-rect", "ml-rect", "ml-trap")
-
-
 def mse_cost_curve(
     estimator_family: str,
     epsilons,
@@ -362,9 +360,9 @@ def mse_cost_curve(
     `N_mse` independent replications; the MSE half-width is the normal
     95% interval for the mean of the squared errors.
     """
-    if estimator_family not in _FAMILIES:
+    if estimator_family not in FAMILIES:
         raise UsageError(
-            f"unknown estimator family {estimator_family!r}; choose from {_FAMILIES}"
+            f"unknown estimator family {estimator_family!r}; choose from {FAMILIES}"
         )
     epsilons = tuple(float(e) for e in epsilons)
     if len(epsilons) == 0 or any(e <= 0 for e in epsilons):
@@ -409,7 +407,7 @@ def mse_cost_curve(
         spread = math.fsum((s - mse) ** 2 for s in sq_errors) / (N_mse - 1)
         costs.append(cost)
         mses.append(mse)
-        halfwidths.append(_Z95 * math.sqrt(spread / N_mse))
+        halfwidths.append(Z95 * math.sqrt(spread / N_mse))
 
     protocol = {
         "experiment": "mse-cost",

@@ -1,34 +1,32 @@
 """Gauss hypergeometric function 2F1 on the nonpositive real axis.
 
-The covariance closed form of the model needs 2F1(a, b; c; x) with
-a = 1/2 - H, b = 1/2 + H, c = 3/2 + H and x in (-inf, 0].  Adjacent grid
-points push |x| up to roughly n * T / Delta, so the evaluation strategy
-switches between two convergent representations:
+The covariance closed form needs 2F1(a, b; c; x) with a = 1/2 - H,
+b = 1/2 + H, c = 3/2 + H and x in (-inf, 0]; |x| reaches about
+n * T / Delta.  Values come from ``scipy.special.hyp2f1``.  For large |x|
+scipy uses the 1/x transformation, whose two terms cancel as a - b nears
+a nonzero integer: against mpmath at 40 digits its relative error grows
+like 2e-17 / |a - b + 1| (H near 1/2) and 2e-15 / |a - b + 2| (H near 1).
+Within 3e-5 of |a - b| = 1, or within 3e-3 of |a - b| = 2 and beyond, the
+value is taken through the Pfaff transformation instead, whose argument
+x / (x - 1) lies in [0, 1).  That route is about 35 times slower, so the
+first band is narrow enough to leave H = 0.4999 on the direct call.
 
-- moderate |x|: the Pfaff transformation maps the argument into [0, 1)
-  and the power series is summed with a term-ratio stopping rule;
-- large |x|: a 1/x inversion expresses the value through two power
-  series in 1/x, which converge the faster the larger |x| is.
-
-The crossover sits where both series converge equally fast, at
-|x| equal to the golden ratio.  Relative accuracy target: 1e-12.
+On the covariance family the relative error against mpmath is at most
+1e-12 for H in [3e-4, 1 - 1e-9] and x in -logspace(-10, 8), band edges
+included.  As a - b nears 0 the direct call degrades like 2e-16 / H
+(6e-11 at H = 1e-6); within 1e-9 of H = 1 the Pfaff route reaches 1e-8.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import integrate
-from scipy.special import gammaln, gammasgn
+from scipy import special
 
-from .errors import NumericError, UsageError
+from .errors import UsageError
 
-_SERIES_RTOL = 1e-15
-_MAX_TERMS = 200_000
-# |x/(x-1)| = |1/x| exactly at |x| = (1+sqrt(5))/2.
-_INVERSION_CUTOFF = 1.6180339887498949
-# |a - b| closer than this to an integer makes the inversion coefficients
-# blow up; those rare corners integrate the Euler representation instead.
-_NEAR_INTEGER = 1e-3
+# Half-widths of the Pfaff bands around |a - b| = 1 and |a - b| >= 2.
+_PFAFF_BAND_ONE = 3e-5
+_PFAFF_BAND_TWO = 3e-3
 
 __all__ = ["hyp2f1"]
 
@@ -39,123 +37,31 @@ def hyp2f1(a: float, b: float, c: float, x):
     Parameters
     ----------
     a, b, c : float
-        Function parameters; `c` must be positive and must not be a
-        nonpositive integer offset of the series (c > 0 suffices here).
+        Function parameters; `c` must be positive.
     x : float or array_like
-        Argument(s), each <= 0.
+        Argument(s), each finite and <= 0.
 
     Returns
     -------
     float or numpy.ndarray
-        Function value(s), with relative accuracy around 1e-12; a scalar
-        input returns a scalar.
+        Function value(s) in the shape of `x`; a scalar input returns a
+        scalar.  The module docstring gives the route and its accuracy.
 
     Raises
     ------
     UsageError
-        If ``c <= 0`` or any argument is positive.
-    NumericError
-        If a series fails to converge within the term cap; the message
-        carries the offending (a, b, c, x).
+        If ``c <= 0`` or any argument is positive or not finite.
     """
     if c <= 0:
         raise UsageError(f"hyp2f1 requires c > 0, got c={c}")
     x_arr = np.asarray(x, dtype=float)
-    scalar = x_arr.ndim == 0
-    x_arr = np.atleast_1d(x_arr).astype(float)
     if np.any(x_arr > 0) or not np.all(np.isfinite(x_arr)):
-        bad = x_arr[(x_arr > 0) | ~np.isfinite(x_arr)][0]
+        bad = x_arr[(x_arr > 0) | ~np.isfinite(x_arr)].flat[0]
         raise UsageError(f"hyp2f1 supports only finite x <= 0, got x={bad}")
-
-    out = np.ones_like(x_arr)
-    if a != 0.0 and b != 0.0:
-        small = (x_arr < 0) & (np.abs(x_arr) <= _INVERSION_CUTOFF)
-        large = np.abs(x_arr) > _INVERSION_CUTOFF
-        if small.any():
-            out[small] = _pfaff(a, b, c, x_arr[small])
-        if large.any():
-            out[large] = _inversion(a, b, c, x_arr[large])
-    return float(out[0]) if scalar else out
-
-
-def _gauss_series(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
-    """Sum the 2F1 power series at |z| < 1 with a term-ratio stopping rule.
-
-    An element stops once its term is below _SERIES_RTOL relative to the
-    running sum on two consecutive iterations (guards the single sign
-    change that occurs when a or b is negative).
-    """
-    total = np.ones_like(z)
-    term = np.ones_like(z)
-    active = np.ones(z.shape, dtype=bool)
-    quiet = np.zeros(z.shape, dtype=np.int8)
-    for k in range(_MAX_TERMS):
-        term = term * ((a + k) * (b + k) / ((c + k) * (1.0 + k))) * z
-        total = np.where(active, total + term, total)
-        negligible = np.abs(term) <= _SERIES_RTOL * np.abs(total)
-        quiet = np.where(negligible, quiet + 1, 0)
-        active &= quiet < 2
-        if not active.any():
-            break
+    k = round(a - b)
+    band = _PFAFF_BAND_ONE if abs(k) == 1 else _PFAFF_BAND_TWO
+    if k != 0 and abs(a - b - k) < band:
+        out = (1.0 - x_arr) ** (-a) * special.hyp2f1(a, c - b, c, x_arr / (x_arr - 1.0))
     else:
-        worst = z[active][np.argmax(np.abs(z[active]))]
-        raise NumericError(
-            "hypergeometric series did not converge within "
-            f"{_MAX_TERMS} terms for a={a}, b={b}, c={c}, z={worst}"
-        )
-    return total
-
-
-def _pfaff(a: float, b: float, c: float, x: np.ndarray) -> np.ndarray:
-    """2F1 via the Pfaff transformation, argument mapped to [0, 1)."""
-    w = x / (x - 1.0)
-    return (1.0 - x) ** (-a) * _gauss_series(a, c - b, c, w)
-
-
-def _gamma_ratio(num: tuple, den: tuple) -> float:
-    """Product of Gamma over numerator args divided by denominator args."""
-    log = sum(gammaln(t) for t in num) - sum(gammaln(t) for t in den)
-    sign = np.prod([gammasgn(t) for t in num + den])
-    return float(sign * np.exp(log))
-
-
-def _inversion(a: float, b: float, c: float, x: np.ndarray) -> np.ndarray:
-    """2F1 via the 1/x inversion, valid for x < -1 and a - b not integer."""
-    d = a - b
-    if abs(d - round(d)) < _NEAR_INTEGER:
-        return np.array([_euler_integral(a, b, c, xi) for xi in x])
-    coef1 = _gamma_ratio((c, b - a), (b, c - a))
-    coef2 = _gamma_ratio((c, a - b), (a, c - b))
-    z = 1.0 / x
-    s1 = _gauss_series(a, a - c + 1.0, a - b + 1.0, z)
-    s2 = _gauss_series(b, b - c + 1.0, b - a + 1.0, z)
-    mx = -x
-    return coef1 * mx ** (-a) * s1 + coef2 * mx ** (-b) * s2
-
-
-def _euler_integral(a: float, b: float, c: float, x: float) -> float:
-    """2F1 by adaptive quadrature of the Euler representation.
-
-    Valid for c > b > 0.  The substitution t = tau**(1/b) removes the
-    endpoint singularity of t**(b-1) at t = 0.  Only used in the rare
-    corner where the inversion coefficients are ill-conditioned.
-    """
-    if not c > b > 0:
-        raise NumericError(
-            f"Euler integral fallback needs c > b > 0, got a={a}, b={b}, c={c}, x={x}"
-        )
-    inv_b = 1.0 / b
-
-    def integrand(tau: float) -> float:
-        t = tau ** inv_b
-        return inv_b * (1.0 - t) ** (c - b - 1.0) * (1.0 - x * t) ** (-a)
-
-    value, abserr = integrate.quad(
-        integrand, 0.0, 1.0, epsabs=1e-15, epsrel=1e-13, limit=300
-    )
-    value *= _gamma_ratio((c,), (b, c - b))
-    if abserr > 1e-11 * max(1.0, abs(value)):
-        raise NumericError(
-            f"Euler integral for 2F1 did not reach tolerance at a={a}, b={b}, c={c}, x={x}"
-        )
-    return value
+        out = special.hyp2f1(a, b, c, x_arr)
+    return float(out) if x_arr.ndim == 0 else out

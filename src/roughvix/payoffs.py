@@ -30,7 +30,7 @@ from scipy.special import erfc
 
 from .errors import HypothesisError, UsageError
 from .model import GaussianSpec
-from .schemes import SchemeKind, compensated_sum
+from .schemes import SchemeKind, row_mean
 
 __all__ = [
     "PayoffKind",
@@ -198,12 +198,10 @@ def geometric_vix2(values: np.ndarray, scheme: SchemeKind = SchemeKind.RECTANGLE
     are the scheme's quadrature weights, matching :func:`cv_moments`.
     The rectangle (the default) averages rows 1..n.
     """
-    n = values.shape[0] - 1
     if scheme is SchemeKind.RECTANGLE:
-        return np.exp(compensated_sum(values[1:]) / n)
+        return np.exp(row_mean(values[1:]))
     if scheme is SchemeKind.TRAPEZOID:
-        ends = 0.5 * (values[0] + values[-1])
-        return np.exp((compensated_sum(values[1:-1]) + ends) / n)
+        return np.exp(0.5 * (row_mean(values[1:]) + row_mean(values[:-1])))
     raise UsageError(f"unknown scheme kind: {scheme!r}")
 
 

@@ -2,9 +2,9 @@
 
 VIX^2 is the window average ``(1/Delta) * int_T^{T+Delta} exp(X_T^u) du``;
 the rectangle scheme applies the right-point rule on the uniform grid and
-the trapezoidal scheme the trapezoid rule.  Sums over grid points are
-compensated (Neumaier) so that rounding stays far below the quadrature
-error being studied, even at thousands of points.
+the trapezoidal scheme the trapezoid rule.  Grid averages add the rows
+in order, one column per draw, so a draw's value does not depend on its
+batch; rounding stays far below the quadrature error being studied.
 """
 
 from __future__ import annotations
@@ -32,21 +32,21 @@ class SchemeKind(Enum):
     TRAPEZOID = "trap"
 
 
-def compensated_sum(values: np.ndarray) -> np.ndarray:
-    """Neumaier-compensated sum along axis 0.
+def row_mean(values: np.ndarray) -> np.ndarray:
+    """Mean along axis 0: the first row plus the mean deviation from it.
 
-    For a 1-D input returns a scalar ndarray; for shape (k, m) returns the
-    m column sums.  The loop runs over axis 0 only, so batched inputs stay
-    vectorized.
+    For a 1-D input returns a scalar; for shape (k, m) returns the m
+    column means.  The deviations are added in row order, one column per
+    draw: ``np.sum`` would switch to pairwise summation for a 1-D input or
+    a width-1 batch, so a column's bits would depend on the batch width.
+    The shift makes equal rows average to exactly that row, so a flat
+    model gives the same value on every grid.
     """
-    total = np.zeros(values.shape[1:], dtype=float)
-    comp = np.zeros_like(total)
-    for row in values:
-        partial = total + row
-        swap = np.abs(total) >= np.abs(row)
-        comp += np.where(swap, (total - partial) + row, (row - partial) + total)
-        total = partial
-    return total + comp
+    first = values[0]
+    total = np.zeros_like(first)
+    for row in values[1:]:
+        total += row - first
+    return first + total / values.shape[0]
 
 
 def _exp_values(sample: GaussianSample) -> np.ndarray:
@@ -66,7 +66,7 @@ def rectangle_vix2(sample: GaussianSample):
     Returns a float for a single draw, an array for a batched sample.
     """
     e = _exp_values(sample)
-    out = compensated_sum(e[1:]) / sample.grid_n
+    out = row_mean(e[1:])
     return float(out) if out.ndim == 0 else out
 
 
@@ -76,7 +76,7 @@ def trapezoid_vix2(sample: GaussianSample):
     Identically the mean of the left- and right-point rectangle rules.
     """
     e = _exp_values(sample)
-    out = (compensated_sum(e[1:]) + compensated_sum(e[:-1])) / (2 * sample.grid_n)
+    out = 0.5 * (row_mean(e[1:]) + row_mean(e[:-1]))
     return float(out) if out.ndim == 0 else out
 
 

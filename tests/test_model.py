@@ -170,7 +170,11 @@ def test_covariance_is_symmetric_in_arguments():
     assert covariance_entry(u, v, PA) == covariance_entry(v, u, PA)
 
 
-@pytest.mark.parametrize("H", [0.05, 0.15, 0.25, 0.35, 0.45])
+@pytest.mark.parametrize(
+    "H",
+    [0.05, 0.15, 0.25, 0.35, 0.45, 1e-6, 1e-4, 0.005, 0.4999, 0.5 - 1e-8,
+     0.5 + 1e-8, 0.5 - 1e-13, 0.5 + 1e-13, 0.75, 0.99, 0.99999, 0.9999999],
+)
 def test_closed_form_matches_quadrature(H):
     params = ModelParams(H=H, eta=0.8, T=0.4, Delta=0.2, x0=0.0)
     offsets = [(0.0, 1.0), (0.1, 0.9), (0.3, 0.35), (0.5, 0.5), (0.99, 1.0)]

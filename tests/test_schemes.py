@@ -9,7 +9,7 @@ from roughvix import (
     GaussianSample,
     SchemeKind,
     UsageError,
-    compensated_sum,
+    geometric_vix2,
     rectangle_vix2,
     scheme_vix2,
     trapezoid_vix2,
@@ -22,17 +22,36 @@ def _sample(values):
     return GaussianSample(values=arr, grid_n=arr.shape[0] - 1)
 
 
-def test_compensated_sum_matches_fsum_on_adversarial_input():
-    values = np.array([1e16, 1.0, -1e16, 1.0, 1e-8, 3.0, -2.0])
-    assert compensated_sum(values) == math.fsum(values)
+def _within_bound(value, *summed):
+    """`value` against the mean of the exact averages of the `summed` rows.
+
+    Each average is shifted by its first value: over k rows it is within
+    (k+2) * 2**-53 * (1 + shift/mean) of the exact one, relative, and the
+    trapezoid's mean of two averages adds one rounding.
+    """
+    exact = [math.fsum(v) / len(v) for v in summed]
+    bound = max((len(v) + 3) * 2.0**-53 * (1.0 + v[0] / m) for v, m in zip(summed, exact))
+    return abs(value / (sum(exact) / len(exact)) - 1.0) <= bound
 
 
-def test_compensated_sum_is_columnwise():
-    values = np.array([[1e16, 1.0], [1.0, 2.0], [-1e16, 3.0]])
-    out = compensated_sum(values)
-    assert out.shape == (2,)
-    assert out[0] == math.fsum(values[:, 0])
-    assert out[1] == math.fsum(values[:, 1])
+def test_scheme_sums_match_fsum_on_positive_input():
+    n = 400
+    x = np.random.default_rng(3).normal(0.0, 2.0, size=n + 1)
+    e = np.exp(x)
+    assert _within_bound(rectangle_vix2(_sample(x)), e[1:])
+    assert _within_bound(trapezoid_vix2(_sample(x)), e[:-1], e[1:])
+
+
+def test_scheme_sums_are_columnwise():
+    n = 64
+    x = np.random.default_rng(4).normal(0.0, 2.0, size=(n + 1, 3))
+    e = np.exp(x)
+    rect = rectangle_vix2(_sample(x))
+    trap = trapezoid_vix2(_sample(x))
+    assert rect.shape == trap.shape == (3,)
+    for j in range(3):
+        assert _within_bound(rect[j], e[1:, j])
+        assert _within_bound(trap[j], e[:-1, j], e[1:, j])
 
 
 def test_rectangle_uses_right_endpoints():
@@ -46,8 +65,8 @@ def test_trapezoid_is_mean_of_left_and_right_rectangles():
     x = rng.normal(size=(9, 7))
     sample = _sample(x)
     e = np.exp(x)
-    left = compensated_sum(e[:-1]) / 8
-    right = compensated_sum(e[1:]) / 8
+    left = np.mean(e[:-1], axis=0)
+    right = np.mean(e[1:], axis=0)
     np.testing.assert_allclose(
         trapezoid_vix2(sample), (left + right) / 2.0, rtol=1e-15
     )
@@ -78,13 +97,24 @@ def test_small_case_against_exact_sum():
 
 
 def test_batched_values_reduce_per_column():
-    x = np.random.default_rng(1).normal(size=(6, 4))
-    out = rectangle_vix2(_sample(x))
-    assert out.shape == (4,)
-    for j in range(4):
-        assert out[j] == pytest.approx(
-            rectangle_vix2(_sample(x[:, j])), rel=1e-15
-        )
+    # At 40 rows NumPy's pairwise summation, which np.sum uses for a 1-D
+    # draw or a width-1 batch, differs from row order in the last bits, so
+    # equality pins the row order: a column's value is the same whatever
+    # the width of its batch.
+    x = np.random.default_rng(1).normal(size=(40, 5))
+    reducers = [
+        rectangle_vix2,
+        trapezoid_vix2,
+        lambda s: geometric_vix2(s.values, SchemeKind.RECTANGLE),
+        lambda s: geometric_vix2(s.values, SchemeKind.TRAPEZOID),
+    ]
+    for reduce in reducers:
+        out = reduce(_sample(x))
+        assert out.shape == (5,)
+        for j in range(5):
+            column = x[:, j]
+            assert reduce(_sample(column[:, None]))[0] == out[j]
+            assert reduce(_sample(column)) == out[j]
 
 
 def test_vix_is_square_root_with_validation():
