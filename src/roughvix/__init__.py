@@ -11,7 +11,7 @@ Building blocks:
 
 * :mod:`~roughvix.model` — grids, mean vector, covariance matrix, and a
   quadrature oracle for validating the closed form.
-* :mod:`~roughvix.sampler` — Cholesky factorization with deterministic
+* :mod:`~roughvix.sampler` — low-rank pivoted Cholesky factor, deterministic
   counter-based streams and coarse-grid restriction for coupling.
 * :mod:`~roughvix.schemes` — rectangle and trapezoid VIX^2 integration.
 * :mod:`~roughvix.payoffs` — call/put/future payoffs and the lognormal

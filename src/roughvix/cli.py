@@ -20,6 +20,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -39,12 +40,12 @@ from .experiments import (
 )
 from .model import ModelParams, X0Curve, covariance_entry, covariance_quadrature_oracle
 from .payoffs import Payoff, PayoffKind
-from .sampler import stream_for
+from .sampler import RANK_TOL, factor_for, stream_for
 from .schemes import SchemeKind
 
 __all__ = ["RunConfig", "parse_config", "validate", "run", "main"]
 
-MANIFEST_SCHEMA_VERSION = 1
+MANIFEST_SCHEMA_VERSION = 2
 
 _COMMANDS = ("price", "strong-error", "weak-error", "mse-cost", "covariance-check")
 _SCHEMES = {"rect": SchemeKind.RECTANGLE, "trap": SchemeKind.TRAPEZOID}
@@ -90,7 +91,6 @@ class RunConfig:
     output: str | None = None
     format: str = "csv"
     paper_scale: bool = False
-    workers: int = 1
     preset: str | None = None
 
     def to_dict(self) -> dict:
@@ -139,7 +139,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", help="results file path (default derived name)")
     p.add_argument("--format", choices=("csv", "json"), help="results format")
     p.add_argument("--config", help="config file (JSON or key=value lines)")
-    p.add_argument("--workers", type=int, help="worker count (accepted; runs serial)")
 
 
 def _add_payoff_flags(p: argparse.ArgumentParser) -> None:
@@ -350,7 +349,7 @@ def _preset_values(name: str, command: str, paper_scale: bool) -> dict:
 
 _FIELD_TYPES = {f.name: f for f in dataclasses.fields(RunConfig)}
 
-_INT_FIELDS = ("n", "M", "n0", "n_ref", "n_mse", "pairs", "seed", "workers")
+_INT_FIELDS = ("n", "M", "n0", "n_ref", "n_mse", "pairs", "seed")
 _FLOAT_FIELDS = (
     "H",
     "eta",
@@ -488,8 +487,6 @@ def validate(config: RunConfig) -> RunConfig:
 
     if not (0 <= config.seed < 2**64):
         errors.append(f"seed: must fit in 64 bits, got {config.seed}")
-    if config.workers < 1:
-        errors.append(f"workers: must be >= 1, got {config.workers}")
     if config.format not in ("csv", "json"):
         errors.append(f"format: must be csv or json, got {config.format!r}")
     if config.x0_interp not in ("step", "linear"):
@@ -657,7 +654,35 @@ def _config_hash(config: RunConfig) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def _write_manifest(path: str, config: RunConfig, outputs: list, summary: dict, wall: float) -> None:
+def _sampled_grids(config: RunConfig, summary: dict) -> list:
+    """Grid sizes the run's results were sampled on (pilot probes aside)."""
+    if config.command == "price":
+        return summary["plan"]["n_levels"] if "plan" in summary else [config.n]
+    if config.command == "strong-error":
+        return [config.n_ref]
+    if config.command == "weak-error":
+        return sorted(set(config.n_values))
+    if config.command == "mse-cost":
+        if config.family == "mc-rect":
+            return sorted({math.ceil(1.0 / e) for e in config.epsilons})
+        levels = max(plan["L"] for plan in summary["plans"])
+        return [config.n0 * 2**level for level in range(levels + 1)]
+    return []
+
+
+def _factor_record(config: RunConfig, summary: dict) -> dict:
+    """The factorization's stopping tolerance and its rank on each sampled grid."""
+    grids = _sampled_grids(config, summary)
+    params = _build_params(config) if grids else None
+    return {
+        "rank_tol": RANK_TOL,
+        "ranks": [{"n": n, "rank": factor_for(params, n).rank} for n in grids],
+    }
+
+
+def _write_manifest(
+    path: str, config: RunConfig, outputs: list, summary: dict, factor: dict, wall: float
+) -> None:
     manifest = {
         "schema_version": MANIFEST_SCHEMA_VERSION,
         "command": config.command,
@@ -667,6 +692,7 @@ def _write_manifest(path: str, config: RunConfig, outputs: list, summary: dict, 
         "outputs": [os.path.basename(p) for p in outputs],
         "wall_clock_seconds": wall,
         "summary": summary,
+        "factor": factor,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -892,7 +918,8 @@ def run(config: RunConfig) -> int:
     results_path = _resolve_output(config)
     manifest_path = results_path + ".manifest.json"
     _write_results(results_path, config.format, header, rows)
-    _write_manifest(manifest_path, config, [results_path], summary, wall)
+    factor = _factor_record(config, summary)
+    _write_manifest(manifest_path, config, [results_path], summary, factor, wall)
     print(f"{config.command}: {line}, wall={wall:.2f}s -> {results_path}")
     if failure is not None:
         raise failure

@@ -29,4 +29,9 @@ class NumericError(RoughVixError, RuntimeError):
 
 
 class FactorizationError(NumericError):
-    """Cholesky factorization failed even after the jitter retry."""
+    """The covariance is indefinite beyond rounding.
+
+    Raised when a residual variance of the pivoted Cholesky
+    factorization falls below ``-1e-10`` times the largest variance: no
+    factor could then reproduce the matrix to the package's accuracy.
+    """

@@ -17,8 +17,11 @@ rectangle scheme and ``ceil(M0 * 2**(-(2+H) l))`` for the trapezoid
 ``Lambda`` does not apply (H >= 1/2, non-constant initial curve, or a
 non-Lipschitz payoff), the constants are estimated from a pilot run.
 
-Cost is accounted in normalized units: one unit per scalar multiply in
-the ``L @ G`` product, i.e. ``n^2`` per sample at grid size ``n``.
+Cost is accounted in the paper's normalized units: ``n^2`` per sample at
+grid size ``n``, the scalar multiplies of a dense ``L @ G`` product.  The
+low-rank factor does ``(n+1) r`` of them, so these units count work the
+sampler no longer does; they are kept because the paper's cost model and
+its acceptance studies are stated in them.
 """
 
 from __future__ import annotations

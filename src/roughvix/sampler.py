@@ -1,9 +1,13 @@
 """Exact simulation of the log-forward-variance Gaussian vector.
 
-Sampling is Cholesky-based: a sample is ``mean + L @ G`` with ``G`` a
-vector of independent standard normals.  Fine and coarse grids are
-coupled by index restriction — the coarse vector is exactly the fine
-vector at every second grid point.
+A sample is ``mean + F @ G`` with ``G`` a vector of ``r`` independent
+standard normals and ``F`` the ``(n+1) x r`` pivoted Cholesky factor of
+the covariance.  The rough-kernel covariance has a numerical rank of
+about 15 whatever n, so the factorization stops once every residual
+variance is at rounding level (Harbrecht, Peters & Schneider 2012,
+Appl. Numer. Math. 62) and a draw needs ``r`` normals, not ``n+1``.
+Fine and coarse grids are coupled by index restriction — the coarse
+vector is exactly the fine vector at every second grid point.
 
 Reproducibility contract
 ------------------------
@@ -12,9 +16,9 @@ counter-based generator seeded by ``SeedSequence(root_seed, spawn_key=key)``
 where `key` is a tuple of small integers identifying its role (documented
 in docs/formats.md).  Standard normals are produced by inverse-CDF from
 53-bit uniforms, so a stream's output is a pure function of (seed, key)
-and the draw count.  Work is split into fixed-size batches that depend
-only on the grid size, never on scheduling, so results are bit-identical
-across runs and worker counts.
+and the draw count.  A draw consumes ``r`` normals, the factor's rank.
+Work is split into fixed-size batches that depend only on the grid size,
+so results are bit-identical across runs.
 """
 
 from __future__ import annotations
@@ -39,7 +43,13 @@ __all__ = [
     "batch_sizes",
 ]
 
-_JITTER_SCALE = 1e-12
+# Pivoted Cholesky stops once the largest residual variance is at most
+# RANK_TOL * max diag(C).  1e-14 keeps max|F F^T - C| at rounding level
+# (<= 1e-14 max|C| at the ref-b law, n = 250...2000) with r = 14-16.
+RANK_TOL = 1e-14
+# A residual variance below -_INDEFINITE_TOL * max diag(C) is no rounding
+# noise: no factor could then reproduce C to the 1e-10 the package promises.
+_INDEFINITE_TOL = 1e-10
 # Target elements per sample block: bounds peak memory regardless of n.
 _BLOCK_BUDGET = 2**24
 
@@ -52,23 +62,26 @@ DOMAIN_EXPERIMENT = 4
 
 @dataclass(frozen=True, eq=False)
 class CholeskyFactor:
-    """Lower-triangular factor of a covariance matrix.
+    """Low-rank factor of a covariance matrix, from pivoted Cholesky.
 
     Attributes
     ----------
     L : numpy.ndarray
-        Lower-triangular matrix with ``L @ L.T`` reconstructing the
-        covariance up to rounding.
+        ``(n+1) x r`` matrix with ``L @ L.T`` reconstructing the
+        covariance up to rounding.  Its columns are in pivot order, so
+        it is not triangular; ``r = 0`` for a zero covariance.
     source_key : tuple
         Identifier of what was factored (parameter set and grid size, or
         a caller-supplied tag).
-    jittered : bool
-        True if the documented jitter retry was needed.
     """
 
     L: np.ndarray
     source_key: tuple
-    jittered: bool = False
+
+    @property
+    def rank(self) -> int:
+        """Number of columns, i.e. standard normals per draw."""
+        return self.L.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,42 +97,54 @@ class GaussianSample:
 
 
 def cholesky_factor(cov: np.ndarray, source_key: tuple = ()) -> CholeskyFactor:
-    """Factor a symmetric PSD matrix, retrying once with diagonal jitter.
+    """Pivoted Cholesky factor of a symmetric PSD matrix, stopped at rounding level.
 
-    The covariance is a Gram matrix, hence PSD in exact arithmetic;
-    rounding can still make the floating-point matrix slightly
-    indefinite.  On failure, ``1e-12 * trace/(n+1)`` is added to the
-    diagonal and the factorization retried once.
+    Each step takes the largest residual variance as pivot and subtracts
+    its column's contribution from the residual diagonal.  It stops when
+    that variance is at most ``RANK_TOL * max diag(cov)``.  The entries
+    of the remaining Schur complement are bounded by its diagonal
+    (Cauchy–Schwarz), so dropping it leaves ``max|L L^T - cov|`` at that
+    level.  A zero matrix (e.g. zero vol-of-vol) gives a factor with no
+    columns.
 
     Raises
     ------
     FactorizationError
-        If the matrix is indefinite even after the jitter retry.
+        If a residual variance falls below ``-1e-10 * max diag(cov)``,
+        i.e. the matrix is indefinite beyond rounding.
     """
-    try:
-        return CholeskyFactor(np.linalg.cholesky(cov), source_key, jittered=False)
-    except np.linalg.LinAlgError:
-        pass
-    if not np.any(cov):
-        # Degenerate but valid: the zero matrix factors as L = 0 (a
-        # deterministic model, e.g. zero vol-of-vol).
-        return CholeskyFactor(np.zeros_like(cov), source_key, jittered=False)
-    jitter = _JITTER_SCALE * np.trace(cov) / cov.shape[0]
-    bumped = cov + jitter * np.eye(cov.shape[0])
-    try:
-        return CholeskyFactor(np.linalg.cholesky(bumped), source_key, jittered=True)
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationError(
-            f"covariance matrix is not positive semidefinite even after "
-            f"jitter {jitter:.3e} (key={source_key})"
-        ) from exc
+    cov = np.asarray(cov, dtype=float)
+    residual = np.diag(cov).copy()
+    dim = residual.shape[0]
+    scale = float(np.max(residual, initial=0.0))
+    rows = np.empty((min(dim, 32), dim))  # rows of L.T, grown by doubling
+    rank = 0
+    while True:
+        worst = int(np.argmin(residual))
+        if residual[worst] < -_INDEFINITE_TOL * scale:
+            raise FactorizationError(
+                f"covariance matrix is not positive semidefinite: residual "
+                f"variance {residual[worst]:.3e} at index {worst} after {rank} "
+                f"pivots (max diagonal {scale:.3e}, key={source_key})"
+            )
+        pivot = int(np.argmax(residual))
+        if rank == dim or residual[pivot] <= RANK_TOL * scale:
+            break
+        if rank == rows.shape[0]:
+            rows = np.concatenate([rows, np.empty_like(rows)])
+        column = (cov[pivot] - rows[:rank, pivot] @ rows[:rank]) / np.sqrt(residual[pivot])
+        rows[rank] = column
+        residual -= column * column
+        residual[pivot] = 0.0
+        rank += 1
+    return CholeskyFactor(np.ascontiguousarray(rows[:rank].T), source_key)
 
 
 _factor_cache: dict = {}
 
 
 def factor_for(params: ModelParams, n: int) -> CholeskyFactor:
-    """Cached Cholesky factor of the covariance for (`params`, `n`)."""
+    """Cached pivoted Cholesky factor of the covariance for (`params`, `n`)."""
     key = (params, n)
     hit = _factor_cache.get(key)
     if hit is None:
@@ -154,10 +179,13 @@ def sample_fine(
 ) -> GaussianSample:
     """Draw from ``N(mean, L L^T)`` as ``mean + L @ G``.
 
+    ``G`` holds the factor's rank ``r`` standard normals per draw, taken
+    from `stream` as an ``(r,)`` vector, or an ``(r, size)`` block.
+
     Parameters
     ----------
     factor : CholeskyFactor
-        Factor whose dimension matches `mean`.
+        Factor whose row count matches `mean`.
     mean : numpy.ndarray
         Mean vector of length n+1.
     stream : numpy.random.Generator
@@ -167,11 +195,11 @@ def sample_fine(
         ``(n+1, size)``.
     """
     dim = mean.shape[0]
-    if factor.L.shape != (dim, dim):
+    if factor.L.shape[0] != dim:
         raise UsageError(
             f"factor dimension {factor.L.shape} does not match mean length {dim}"
         )
-    shape = (dim,) if size is None else (dim, size)
+    shape = (factor.rank,) if size is None else (factor.rank, size)
     normals = _standard_normals(stream, shape)
     values = factor.L @ normals
     values += mean if size is None else mean[:, None]

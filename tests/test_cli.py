@@ -233,10 +233,43 @@ def test_manifest_round_trips_the_exact_config(tmp_path):
     config = parse_config(args)
     assert main(args) == 0
     manifest = json.loads((tmp_path / "curve.csv.manifest.json").read_text())
-    assert manifest["schema_version"] == 1
+    assert manifest["schema_version"] == 2
     assert RunConfig.from_dict(manifest["config"]) == config
     assert manifest["outputs"] == ["curve.csv"]
     assert "fitted_slope" in manifest["summary"]
+    # The strong-error study samples only the n_ref = 512 grid.
+    assert manifest["factor"]["rank_tol"] == 1e-14
+    (grid,) = manifest["factor"]["ranks"]
+    assert grid["n"] == 512 and 1 <= grid["rank"] <= 20
+
+
+@pytest.mark.parametrize(
+    "args, grids",
+    [
+        (["price", "--n", "10", "--M", "100"], [10]),
+        # L = 2 at this epsilon, n0 = 6.
+        (["price", "--estimator", "mlmc", "--epsilon", "0.001"], [6, 12, 24]),
+        (["weak-error", "--n-values", "8,4,8", "--M", "100",
+          "--reference-price", "0.1"], [4, 8]),
+        (["mse-cost", "--family", "mc-rect", "--epsilons", "0.1,0.05",
+          "--n-mse", "2", "--reference-price", "0.1"], [10, 20]),
+        # L = 1 and 2: the union of the plans' grids.
+        (["mse-cost", "--family", "ml-trap", "--epsilons", "0.002,0.001",
+          "--n-mse", "2", "--reference-price", "0.1"], [6, 12, 24]),
+    ],
+)
+def test_manifest_records_the_rank_of_each_sampled_grid(tmp_path, args, grids):
+    out = tmp_path / "res.csv"
+    command, *rest = args
+    code = main(
+        [command, *BASE_MODEL, "--payoff", "call", "--strike", "0.1", *rest,
+         "--output", str(out)]
+    )
+    assert code == 0
+    manifest = json.loads((tmp_path / "res.csv.manifest.json").read_text())
+    ranks = manifest["factor"]["ranks"]
+    assert [grid["n"] for grid in ranks] == grids
+    assert all(1 <= grid["rank"] <= grid["n"] + 1 for grid in ranks)
 
 
 def test_json_results_format(tmp_path):

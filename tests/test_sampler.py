@@ -4,17 +4,22 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from roughvix import (
     FactorizationError,
     GaussianSample,
     ModelParams,
+    SchemeKind,
     UsageError,
     batch_size,
     batch_sizes,
     cholesky_factor,
+    covariance_matrix,
+    cv_moments,
     factor_for,
     gaussian_spec,
+    grid_for,
     restrict_to_coarse,
     sample_fine,
     stream_for,
@@ -28,41 +33,84 @@ PB = ModelParams(H=0.1, eta=0.5, T=0.5, Delta=1.0 / 12.0, x0=X0)
 
 
 def test_cholesky_reconstructs_the_matrix():
-    # The rough-kernel covariance is numerically near-singular (adjacent
-    # grid points are almost perfectly correlated), so the jitter retry is
-    # allowed to engage; reconstruction accuracy is what matters.
-    spec = gaussian_spec(PB, 32)
-    factor = cholesky_factor(np.array(spec.cov))
+    # The rough-kernel covariance has a small numerical rank (10-16 here)
+    # at every n, so the pivoted factor is thin and still reproduces the
+    # matrix at rounding level.
+    for n in (32, 250, 1000):
+        cov = covariance_matrix(grid_for(PB, n), PB)
+        factor = cholesky_factor(cov)
+        assert factor.L.shape == (n + 1, factor.rank)
+        assert factor.rank <= 20
+        recon = factor.L @ factor.L.T
+        assert np.max(np.abs(recon - cov)) <= 1e-13 * np.max(np.abs(cov))
+
+
+# Every law of the documented domain at n = 1000 factors to 1e-10.  T, Delta
+# = 1e-6 is left out: there the closed-form entries themselves are only
+# accurate to about 3e-11 relative.
+@pytest.mark.parametrize(
+    "H, T, Delta",
+    [
+        (H, T, Delta)
+        for H in (0.005, 0.05, 0.3, 0.4999, 0.75, 0.99)
+        for T, Delta in ((0.5, 1.0 / 12.0), (1e-4, 1.0 / 12.0), (0.5, 1e-6))
+    ]
+    + [(0.1, 1e-4, 1.0 / 12.0)],
+)
+def test_factor_reconstructs_across_the_domain(H, T, Delta):
+    params = ModelParams(H=H, eta=0.5, T=T, Delta=Delta, x0=X0)
+    cov = covariance_matrix(grid_for(params, 1000), params)
+    factor = cholesky_factor(cov)
     recon = factor.L @ factor.L.T
-    assert np.max(np.abs(recon - spec.cov)) <= 1e-10 * np.max(np.abs(spec.cov))
+    assert np.max(np.abs(recon - cov)) <= 1e-10 * np.max(np.abs(cov))
 
 
-def test_well_conditioned_matrix_needs_no_jitter():
+def test_well_conditioned_matrix_factors_at_full_rank():
     cov = np.array([[2.0, 0.5, 0.1], [0.5, 1.5, 0.3], [0.1, 0.3, 1.0]])
     factor = cholesky_factor(cov)
-    assert not factor.jittered
+    assert factor.rank == 3
     np.testing.assert_allclose(factor.L @ factor.L.T, cov, rtol=0, atol=1e-15)
 
 
 def test_zero_matrix_factors_to_zero():
     factor = cholesky_factor(np.zeros((4, 4)))
-    np.testing.assert_array_equal(factor.L, np.zeros((4, 4)))
-    assert not factor.jittered
+    assert factor.L.shape == (4, 0)
+    assert factor.rank == 0
 
 
-def test_singular_psd_matrix_takes_the_jitter_path():
+def test_rank_one_matrix_gives_rank_one():
     v = np.array([1.0, 2.0, 3.0])
     rank_one = np.outer(v, v)
     factor = cholesky_factor(rank_one)
-    assert factor.jittered
+    assert factor.rank == 1
     recon = factor.L @ factor.L.T
-    assert np.max(np.abs(recon - rank_one)) <= 1e-9 * np.max(rank_one)
+    assert np.max(np.abs(recon - rank_one)) <= 1e-15 * np.max(rank_one)
 
 
 def test_indefinite_matrix_is_rejected():
     indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
     with pytest.raises(FactorizationError):
         cholesky_factor(indefinite)
+
+
+def test_cv_moments_match_the_sampled_law():
+    # The control variate's exact moments come from C; the sampled law is
+    # F F^T.  Its variance of the weighted average, |F^T a|^2 / d^2, must
+    # agree, or the control variate would be biased.
+    n = 250
+    spec = gaussian_spec(PB, n)
+    F = factor_for(PB, n).L
+    trapezoid = np.full(n + 1, 2.0)
+    trapezoid[0] = trapezoid[-1] = 1.0
+    rectangle = np.ones(n + 1)
+    rectangle[0] = 0.0
+    for scheme, a, d in (
+        (SchemeKind.RECTANGLE, rectangle, n),
+        (SchemeKind.TRAPEZOID, trapezoid, 2 * n),
+    ):
+        sampled = np.sum((F.T @ a) ** 2) / d**2
+        exact = cv_moments(spec, n, scheme).sigma_n ** 2
+        assert abs(sampled - exact) <= 1e-12 * exact
 
 
 def test_factor_cache_returns_same_object():
@@ -96,6 +144,20 @@ def test_sample_shapes():
     assert single.grid_n == 6
     batch = sample_fine(factor, spec.mean, stream_for(0, 9), size=5)
     assert batch.values.shape == (7, 5)
+
+
+def test_sample_consumes_rank_normals_per_draw():
+    # Stream contract: a batch of m draws takes an (r, m) block of
+    # inverse-CDF normals from 53-bit integers, r being the factor's rank.
+    n, m = 40, 6
+    spec = gaussian_spec(PB, n)
+    factor = factor_for(PB, n)
+    sample = sample_fine(factor, spec.mean, stream_for(5, 1, 0), size=m)
+    raw = stream_for(5, 1, 0).integers(0, 1 << 53, size=(factor.rank, m), dtype=np.uint64)
+    normals = ndtri((raw.astype(np.float64) + 0.5) * 2.0**-53)
+    expected = factor.L @ normals + spec.mean[:, None]
+    np.testing.assert_array_equal(sample.values, expected)
+    assert factor.rank < n + 1
 
 
 def test_sample_dimension_mismatch_rejected():
