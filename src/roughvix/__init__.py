@@ -9,10 +9,11 @@ exactly — no time-stepping bias beyond the integral discretization.
 
 Building blocks:
 
-* :mod:`~roughvix.model` — grids, mean vector, covariance matrix, and a
+* :mod:`~roughvix.model` — grids, mean vector, covariance matrix, its
+  low-rank pivoted Cholesky factor, the one cache of the law, and a
   quadrature oracle for validating the closed form.
-* :mod:`~roughvix.sampler` — low-rank pivoted Cholesky factor, deterministic
-  counter-based streams and coarse-grid restriction for coupling.
+* :mod:`~roughvix.sampler` — deterministic counter-based streams, draws
+  from the factor, and coarse-grid restriction for coupling.
 * :mod:`~roughvix.schemes` — rectangle and trapezoid VIX^2 integration.
 * :mod:`~roughvix.payoffs` — call/put/future payoffs and the lognormal
   control variate built from the geometric average.
@@ -51,10 +52,12 @@ from .experiments import (
 )
 from .hypergeometric import hyp2f1
 from .model import (
+    CholeskyFactor,
     Grid,
     GaussianSpec,
     ModelParams,
     X0Curve,
+    cholesky_factor,
     covariance_entry,
     covariance_matrix,
     covariance_quadrature_oracle,
@@ -77,11 +80,9 @@ from .payoffs import (
     payoff_eval,
 )
 from .sampler import (
-    CholeskyFactor,
     GaussianSample,
     batch_size,
     batch_sizes,
-    cholesky_factor,
     factor_for,
     restrict_to_coarse,
     sample_fine,
@@ -118,11 +119,11 @@ __all__ = [
     "covariance_quadrature_oracle",
     "lambda_integral",
     "gaussian_spec",
+    "CholeskyFactor",
+    "cholesky_factor",
     "hyp2f1",
     # sampler
-    "CholeskyFactor",
     "GaussianSample",
-    "cholesky_factor",
     "factor_for",
     "stream_for",
     "sample_fine",

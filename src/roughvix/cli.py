@@ -38,9 +38,15 @@ from .experiments import (
     strong_error_curve,
     weak_error_curve,
 )
-from .model import ModelParams, X0Curve, covariance_entry, covariance_quadrature_oracle
+from .model import (
+    RANK_TOL,
+    ModelParams,
+    X0Curve,
+    covariance_entry,
+    covariance_quadrature_oracle,
+)
 from .payoffs import Payoff, PayoffKind
-from .sampler import RANK_TOL, factor_for, stream_for
+from .sampler import factor_for, stream_for
 from .schemes import SchemeKind
 
 __all__ = ["RunConfig", "parse_config", "validate", "run", "main"]
@@ -285,26 +291,12 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
-_PRESET_COMMAND = {
-    "fig1": "strong-error",
-    "fig1-h01": "strong-error",
-    "fig1-h02": "strong-error",
-    "fig1-h03": "strong-error",
-    "fig2": "weak-error",
-    "fig3": "mse-cost",
-    "ref-a": "price",
-    "ref-b": "price",
-}
-
-_SCHEME_NAMES = {SchemeKind.RECTANGLE: "rect", SchemeKind.TRAPEZOID: "trap"}
-
-
 def _preset_values(name: str, command: str, paper_scale: bool) -> dict:
-    if _PRESET_COMMAND[name] != command:
-        raise UsageError(
-            f"preset {name!r} belongs to the {_PRESET_COMMAND[name]!r} command"
-        )
     proto = preset(name, paper_scale)
+    if proto["experiment"] != command:
+        raise UsageError(
+            f"preset {name!r} belongs to the {proto['experiment']!r} command"
+        )
     params = proto["params"]
     values = {
         "H": params.H,
@@ -338,7 +330,7 @@ def _preset_values(name: str, command: str, paper_scale: bool) -> dict:
         )
     elif command == "price":
         values.update(
-            scheme=_SCHEME_NAMES[proto["scheme"]],
+            scheme=proto["scheme"].value,
             estimator="mc",
             n=proto["n"],
             M=proto["M"],

@@ -47,7 +47,6 @@ from .sampler import (
     DOMAIN_MLMC,
     DOMAIN_PILOT,
     batch_sizes,
-    factor_for,
     restrict_to_coarse,
     sample_fine,
     stream_for,
@@ -255,13 +254,12 @@ def mc_price(
     if M < 2:
         raise UsageError(f"M must be >= 2, got {M}")
     spec = gaussian_spec(params, n)
-    factor = factor_for(params, n)
     cv_n = cv_price(payoff, cv_moments(spec, n, scheme)) if use_cv else 0.0
 
     acc = _MomentAccumulator()
     for index, width in enumerate(batch_sizes(n, M)):
         stream = stream_for(seed, *stream_key, DOMAIN_MC, index)
-        sample = sample_fine(factor, spec.mean, stream, size=width)
+        sample = sample_fine(spec.factor, spec.mean, stream, size=width)
         vix2 = scheme_vix2(scheme, sample)
         if use_cv:
             values = cv_corrected_payoff(
@@ -356,40 +354,6 @@ def mlmc_plan(
     )
 
 
-def _correction_batch(
-    scheme: SchemeKind,
-    payoff: Payoff,
-    params: ModelParams,
-    n_fine: int,
-    width: int,
-    stream,
-) -> np.ndarray:
-    """One batch of coupled corrections ``phi(fine) - phi(coarse)``."""
-    spec = gaussian_spec(params, n_fine)
-    factor = factor_for(params, n_fine)
-    fine = sample_fine(factor, spec.mean, stream, size=width)
-    coarse = restrict_to_coarse(fine)
-    return np.asarray(
-        payoff_eval(payoff, scheme_vix2(scheme, fine))
-        - payoff_eval(payoff, scheme_vix2(scheme, coarse))
-    )
-
-
-def _base_batch(
-    scheme: SchemeKind,
-    payoff: Payoff,
-    params: ModelParams,
-    n0: int,
-    width: int,
-    stream,
-) -> np.ndarray:
-    """One batch of plain payoffs at the base grid."""
-    spec = gaussian_spec(params, n0)
-    factor = factor_for(params, n0)
-    sample = sample_fine(factor, spec.mean, stream, size=width)
-    return np.asarray(payoff_eval(payoff, scheme_vix2(scheme, sample)))
-
-
 def _level_moments(
     scheme: SchemeKind,
     payoff: Payoff,
@@ -401,16 +365,23 @@ def _level_moments(
     stream_key: tuple,
     domain: int,
 ) -> _MomentAccumulator:
-    """Mean/variance accumulator for one level's samples."""
+    """Mean/variance accumulator for one level's samples.
+
+    Level 0 averages plain payoffs on the base grid; level l >= 1 averages
+    coupled corrections ``phi(fine) - phi(coarse)``, the coarse value taken
+    from the same draw by restriction.
+    """
     n_fine = plan_n0 * 2**level
+    spec = gaussian_spec(params, n_fine)
     acc = _MomentAccumulator()
     for index, width in enumerate(batch_sizes(n_fine, m)):
         stream = stream_for(seed, *stream_key, domain, level, index)
-        if level == 0:
-            batch = _base_batch(scheme, payoff, params, plan_n0, width, stream)
-        else:
-            batch = _correction_batch(scheme, payoff, params, n_fine, width, stream)
-        acc.add(batch)
+        fine = sample_fine(spec.factor, spec.mean, stream, size=width)
+        values = payoff_eval(payoff, scheme_vix2(scheme, fine))
+        if level > 0:
+            coarse = restrict_to_coarse(fine)
+            values = values - payoff_eval(payoff, scheme_vix2(scheme, coarse))
+        acc.add(np.asarray(values))
     return acc
 
 
@@ -486,26 +457,20 @@ def _pilot_constants(n0: int, payoff: Payoff, params: ModelParams) -> tuple:
     """Estimate (c1, c2) from a probe run of rectangle corrections.
 
     Fits ``|mean correction| ~ c1 * 2^-l`` and ``variance ~ c2 * 2^-2l``
-    over a fixed probe geometry, taking medians across levels for
-    robustness.  Uses a fixed internal seed so plans stay deterministic.
+    over correction levels ``1.._PILOT_LEVELS`` of a fixed probe geometry,
+    taking medians across levels for robustness.  Uses a fixed internal
+    seed so plans stay deterministic.
     """
-    probe = MlmcPlan(
-        n0=n0,
-        L=_PILOT_LEVELS,
-        n_levels=tuple(n0 * 2**level for level in range(_PILOT_LEVELS + 1)),
-        m_levels=(_PILOT_PROBE_M,) * (_PILOT_LEVELS + 1),
-        lam=None,
-        c1=1.0,
-        c2=1.0,
-        epsilon=1.0,
-        scheme=SchemeKind.RECTANGLE,
-        constants_source="pilot",
-    )
-    stats = level_statistics(probe, payoff, params, _PILOT_PROBE_M, _PILOT_SEED)
-    c1 = float(
-        np.median([abs(s.mean_correction) * 2.0**s.level for s in stats[1:]])
-    )
-    c2 = float(np.median([s.variance * 4.0**s.level for s in stats[1:]]))
+    c1_terms, c2_terms = [], []
+    for level in range(1, _PILOT_LEVELS + 1):
+        acc = _level_moments(
+            SchemeKind.RECTANGLE, payoff, params, n0, level, _PILOT_PROBE_M,
+            _PILOT_SEED, (), DOMAIN_PILOT,
+        )
+        c1_terms.append(abs(acc.mean) * 2.0**level)
+        c2_terms.append(acc.variance * 4.0**level)
+    c1 = float(np.median(c1_terms))
+    c2 = float(np.median(c2_terms))
     if c1 <= 0 or c2 <= 0:
         raise NumericError(
             "pilot run produced degenerate constants; the model may be deterministic"

@@ -30,7 +30,6 @@ from .sampler import (
     DOMAIN_EXPERIMENT,
     GaussianSample,
     batch_sizes,
-    factor_for,
     sample_fine,
     stream_for,
 )
@@ -181,12 +180,11 @@ def strong_error_curve(
         raise UsageError(f"M must be >= 1000, got {M}")
 
     spec = gaussian_spec(params, n_ref)
-    factor = factor_for(params, n_ref)
     sq_sums = {n: [] for n in n_values}
     quad_sums = {n: [] for n in n_values}
     for index, width in enumerate(batch_sizes(n_ref, M)):
         stream = stream_for(seed, DOMAIN_EXPERIMENT, _EXP_STRONG, index)
-        fine = sample_fine(factor, spec.mean, stream, size=width)
+        fine = sample_fine(spec.factor, spec.mean, stream, size=width)
         v_ref = np.asarray(scheme_vix2(scheme, fine))
         for n in n_values:
             step = n_ref // n

@@ -10,19 +10,26 @@ mean and covariance:
 - ``C(u, v) = eta^2 * int_0^T (u-s)^{H-1/2} (v-s)^{H-1/2} ds`` for u != v,
   which has a closed form in terms of the Gauss hypergeometric function.
 
-Everything here is deterministic; sampling lives in :mod:`.sampler`.
+The law on a grid is built once per ``(params, n)`` and cached by
+:func:`gaussian_spec`, together with the low-rank pivoted Cholesky
+factor that :mod:`.sampler` draws from.  The rough-kernel covariance has
+a numerical rank of about 15 whatever n, so the factorization stops once
+every residual variance is at rounding level (Harbrecht, Peters &
+Schneider 2012, Appl. Numer. Math. 62) and a draw needs ``r`` normals,
+not ``n+1``.  Everything here is deterministic; sampling lives in
+:mod:`.sampler`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import integrate
 
-from .errors import HypothesisError, NumericError, UsageError
+from .errors import FactorizationError, HypothesisError, NumericError, UsageError
 from .hypergeometric import hyp2f1
 
 __all__ = [
@@ -30,6 +37,8 @@ __all__ = [
     "ModelParams",
     "Grid",
     "GaussianSpec",
+    "CholeskyFactor",
+    "cholesky_factor",
     "kernel_eval",
     "mean_vector",
     "covariance_entry",
@@ -40,6 +49,13 @@ __all__ = [
 ]
 
 _QUAD_OPTS = dict(epsabs=1e-15, epsrel=1e-13, limit=300)
+# Pivoted Cholesky stops once the largest residual variance is at most
+# RANK_TOL * max diag(C).  1e-14 keeps max|F F^T - C| at rounding level
+# (<= 1e-14 max|C| at the ref-b law, n = 250...2000) with r = 14-16.
+RANK_TOL = 1e-14
+# A residual variance below -_INDEFINITE_TOL * max diag(C) is no rounding
+# noise: no factor could then reproduce C to the 1e-10 the package promises.
+_INDEFINITE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -184,16 +200,97 @@ class Grid:
 
 
 @dataclass(frozen=True, eq=False)
+class CholeskyFactor:
+    """Low-rank factor of a covariance matrix, from pivoted Cholesky.
+
+    Attributes
+    ----------
+    L : numpy.ndarray
+        ``(n+1) x r`` matrix with ``L @ L.T`` reconstructing the
+        covariance up to rounding.  Its columns are in pivot order, so
+        it is not triangular; ``r = 0`` for a zero covariance.
+    source_key : tuple
+        Identifier of what was factored (parameter set and grid size, or
+        a caller-supplied tag).
+    """
+
+    L: np.ndarray
+    source_key: tuple
+
+    @property
+    def rank(self) -> int:
+        """Number of columns, i.e. standard normals per draw."""
+        return self.L.shape[1]
+
+
+def cholesky_factor(cov: np.ndarray, source_key: tuple = ()) -> CholeskyFactor:
+    """Pivoted Cholesky factor of a symmetric PSD matrix, stopped at rounding level.
+
+    Each step takes the largest residual variance as pivot and subtracts
+    its column's contribution from the residual diagonal.  It stops when
+    that variance is at most ``RANK_TOL * max diag(cov)``.  The entries
+    of the remaining Schur complement are bounded by its diagonal
+    (Cauchy–Schwarz), so dropping it leaves ``max|L L^T - cov|`` at that
+    level.  A zero matrix (e.g. zero vol-of-vol) gives a factor with no
+    columns.
+
+    Raises
+    ------
+    FactorizationError
+        If a residual variance falls below ``-1e-10 * max diag(cov)``,
+        i.e. the matrix is indefinite beyond rounding.
+    """
+    cov = np.asarray(cov, dtype=float)
+    residual = np.diag(cov).copy()
+    dim = residual.shape[0]
+    scale = float(np.max(residual, initial=0.0))
+    rows = np.empty((min(dim, 32), dim))  # rows of L.T, grown by doubling
+    rank = 0
+    while True:
+        worst = int(np.argmin(residual))
+        if residual[worst] < -_INDEFINITE_TOL * scale:
+            raise FactorizationError(
+                f"covariance matrix is not positive semidefinite: residual "
+                f"variance {residual[worst]:.3e} at index {worst} after {rank} "
+                f"pivots (max diagonal {scale:.3e}, key={source_key})"
+            )
+        pivot = int(np.argmax(residual))
+        if rank == dim or residual[pivot] <= RANK_TOL * scale:
+            break
+        if rank == rows.shape[0]:
+            rows = np.concatenate([rows, np.empty_like(rows)])
+        column = (cov[pivot] - rows[:rank, pivot] @ rows[:rank]) / np.sqrt(residual[pivot])
+        rows[rank] = column
+        residual -= column * column
+        residual[pivot] = 0.0
+        rank += 1
+    return CholeskyFactor(np.ascontiguousarray(rows[:rank].T), source_key)
+
+
+@dataclass(frozen=True, eq=False)
 class GaussianSpec:
-    """Mean vector and covariance matrix of ``(X_T^{u_i})`` on a grid.
+    """Mean vector, covariance matrix and its factor of ``(X_T^{u_i})`` on a grid.
 
     Arrays cover indices 0..n; the rectangle scheme reads entries 1..n,
-    the trapezoid all of them.
+    the trapezoid all of them.  `params` is the parameter set the law
+    belongs to.
     """
 
     grid: Grid
     mean: np.ndarray
     cov: np.ndarray
+    params: ModelParams
+
+    @cached_property
+    def factor(self) -> CholeskyFactor:
+        """Read-only pivoted Cholesky factor of `cov`, built on first use.
+
+        A :class:`~roughvix.errors.FactorizationError` is not cached: every
+        access retries the factorization and raises again.
+        """
+        factor = cholesky_factor(self.cov, source_key=(self.params, self.grid.n))
+        factor.L.flags.writeable = False
+        return factor
 
 
 def grid_for(params: ModelParams, n: int) -> Grid:
@@ -374,14 +471,18 @@ def lambda_integral(params: ModelParams) -> float:
 
 @lru_cache(maxsize=64)
 def gaussian_spec(params: ModelParams, n: int) -> GaussianSpec:
-    """Cached mean/covariance spec for `params` on the n-step grid.
+    """Cached Gaussian law of `params` on the n-step grid.
 
-    The returned arrays are read-only; the cache key is the (hashable)
-    parameter set and the step count.
+    This is the package's one law cache: an entry holds the mean, the
+    covariance and, once :attr:`GaussianSpec.factor` is first read, its
+    factor, all read-only.  The key is the (hashable) parameter set and
+    the step count.  The cache is capped at 64 laws, not by bytes; a law
+    at n = 1500 holds about 35 MB, so a sweep over many large grids can
+    hold gigabytes.  ``gaussian_spec.cache_clear()`` frees all of it.
     """
     grid = grid_for(params, n)
     mean = mean_vector(grid, params)
     cov = covariance_matrix(grid, params)
     mean.flags.writeable = False
     cov.flags.writeable = False
-    return GaussianSpec(grid=grid, mean=mean, cov=cov)
+    return GaussianSpec(grid=grid, mean=mean, cov=cov, params=params)

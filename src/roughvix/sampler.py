@@ -2,12 +2,10 @@
 
 A sample is ``mean + F @ G`` with ``G`` a vector of ``r`` independent
 standard normals and ``F`` the ``(n+1) x r`` pivoted Cholesky factor of
-the covariance.  The rough-kernel covariance has a numerical rank of
-about 15 whatever n, so the factorization stops once every residual
-variance is at rounding level (Harbrecht, Peters & Schneider 2012,
-Appl. Numer. Math. 62) and a draw needs ``r`` normals, not ``n+1``.
-Fine and coarse grids are coupled by index restriction — the coarse
-vector is exactly the fine vector at every second grid point.
+the covariance, which :mod:`.model` builds and caches with the rest of
+the law (:attr:`~roughvix.model.GaussianSpec.factor`).  Fine and coarse
+grids are coupled by index restriction — the coarse vector is exactly
+the fine vector at every second grid point.
 
 Reproducibility contract
 ------------------------
@@ -28,13 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import FactorizationError, UsageError
-from .model import ModelParams, gaussian_spec
+from .errors import UsageError
+from .model import CholeskyFactor, ModelParams, gaussian_spec
 
 __all__ = [
-    "CholeskyFactor",
     "GaussianSample",
-    "cholesky_factor",
     "factor_for",
     "sample_fine",
     "restrict_to_coarse",
@@ -43,13 +39,6 @@ __all__ = [
     "batch_sizes",
 ]
 
-# Pivoted Cholesky stops once the largest residual variance is at most
-# RANK_TOL * max diag(C).  1e-14 keeps max|F F^T - C| at rounding level
-# (<= 1e-14 max|C| at the ref-b law, n = 250...2000) with r = 14-16.
-RANK_TOL = 1e-14
-# A residual variance below -_INDEFINITE_TOL * max diag(C) is no rounding
-# noise: no factor could then reproduce C to the 1e-10 the package promises.
-_INDEFINITE_TOL = 1e-10
 # Target elements per sample block: bounds peak memory regardless of n.
 _BLOCK_BUDGET = 2**24
 
@@ -58,30 +47,6 @@ DOMAIN_MC = 1
 DOMAIN_MLMC = 2
 DOMAIN_PILOT = 3
 DOMAIN_EXPERIMENT = 4
-
-
-@dataclass(frozen=True, eq=False)
-class CholeskyFactor:
-    """Low-rank factor of a covariance matrix, from pivoted Cholesky.
-
-    Attributes
-    ----------
-    L : numpy.ndarray
-        ``(n+1) x r`` matrix with ``L @ L.T`` reconstructing the
-        covariance up to rounding.  Its columns are in pivot order, so
-        it is not triangular; ``r = 0`` for a zero covariance.
-    source_key : tuple
-        Identifier of what was factored (parameter set and grid size, or
-        a caller-supplied tag).
-    """
-
-    L: np.ndarray
-    source_key: tuple
-
-    @property
-    def rank(self) -> int:
-        """Number of columns, i.e. standard normals per draw."""
-        return self.L.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,65 +61,12 @@ class GaussianSample:
     grid_n: int
 
 
-def cholesky_factor(cov: np.ndarray, source_key: tuple = ()) -> CholeskyFactor:
-    """Pivoted Cholesky factor of a symmetric PSD matrix, stopped at rounding level.
-
-    Each step takes the largest residual variance as pivot and subtracts
-    its column's contribution from the residual diagonal.  It stops when
-    that variance is at most ``RANK_TOL * max diag(cov)``.  The entries
-    of the remaining Schur complement are bounded by its diagonal
-    (Cauchy–Schwarz), so dropping it leaves ``max|L L^T - cov|`` at that
-    level.  A zero matrix (e.g. zero vol-of-vol) gives a factor with no
-    columns.
-
-    Raises
-    ------
-    FactorizationError
-        If a residual variance falls below ``-1e-10 * max diag(cov)``,
-        i.e. the matrix is indefinite beyond rounding.
-    """
-    cov = np.asarray(cov, dtype=float)
-    residual = np.diag(cov).copy()
-    dim = residual.shape[0]
-    scale = float(np.max(residual, initial=0.0))
-    rows = np.empty((min(dim, 32), dim))  # rows of L.T, grown by doubling
-    rank = 0
-    while True:
-        worst = int(np.argmin(residual))
-        if residual[worst] < -_INDEFINITE_TOL * scale:
-            raise FactorizationError(
-                f"covariance matrix is not positive semidefinite: residual "
-                f"variance {residual[worst]:.3e} at index {worst} after {rank} "
-                f"pivots (max diagonal {scale:.3e}, key={source_key})"
-            )
-        pivot = int(np.argmax(residual))
-        if rank == dim or residual[pivot] <= RANK_TOL * scale:
-            break
-        if rank == rows.shape[0]:
-            rows = np.concatenate([rows, np.empty_like(rows)])
-        column = (cov[pivot] - rows[:rank, pivot] @ rows[:rank]) / np.sqrt(residual[pivot])
-        rows[rank] = column
-        residual -= column * column
-        residual[pivot] = 0.0
-        rank += 1
-    return CholeskyFactor(np.ascontiguousarray(rows[:rank].T), source_key)
-
-
-_factor_cache: dict = {}
-
-
 def factor_for(params: ModelParams, n: int) -> CholeskyFactor:
-    """Cached pivoted Cholesky factor of the covariance for (`params`, `n`)."""
-    key = (params, n)
-    hit = _factor_cache.get(key)
-    if hit is None:
-        cov = gaussian_spec(params, n).cov
-        hit = cholesky_factor(cov, source_key=key)
-        hit.L.flags.writeable = False
-        if len(_factor_cache) >= 64:
-            _factor_cache.pop(next(iter(_factor_cache)))
-        _factor_cache[key] = hit
-    return hit
+    """Pivoted Cholesky factor of the law of `params` on the n-step grid.
+
+    The factor is cached with the law in :func:`~roughvix.model.gaussian_spec`.
+    """
+    return gaussian_spec(params, n).factor
 
 
 def stream_for(seed: int, *key: int) -> np.random.Generator:

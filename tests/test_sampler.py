@@ -117,7 +117,22 @@ def test_factor_cache_returns_same_object():
     f1 = factor_for(PB, 20)
     f2 = factor_for(PB, 20)
     assert f1 is f2
+    assert f1 is gaussian_spec(PB, 20).factor
     assert not f1.L.flags.writeable
+    # The factor lives in the one law cache, so clearing it drops the factor too.
+    gaussian_spec.cache_clear()
+    f3 = factor_for(PB, 20)
+    assert f3 is not f1
+    np.testing.assert_array_equal(f3.L, f1.L)
+    # A law whose factorization fails still has its spec, and the failure
+    # is not cached: every call factors again and raises again.
+    bad = ModelParams(H=0.99, eta=0.5, T=1e-6, Delta=1.0 / 12.0, x0=X0)
+    spec = gaussian_spec(bad, 1000)
+    for _ in range(2):
+        with pytest.raises(FactorizationError):
+            factor_for(bad, 1000)
+    assert gaussian_spec(bad, 1000) is spec
+    assert "factor" not in vars(spec)
 
 
 # --- streams ----------------------------------------------------------------
