@@ -11,12 +11,15 @@ mean and covariance:
   which has a closed form in terms of the Gauss hypergeometric function.
 
 The law on a grid is built once per ``(params, n)`` and cached by
-:func:`gaussian_spec`, together with the low-rank pivoted Cholesky
-factor that :mod:`.sampler` draws from.  The rough-kernel covariance has
-a numerical rank of about 15 whatever n, so the factorization stops once
+:func:`gaussian_spec`: its mean and the low-rank pivoted Cholesky factor
+that :mod:`.sampler` draws from.  The rough-kernel covariance has a
+numerical rank of about 15 whatever n, so the factorization stops once
 every residual variance is at rounding level (Harbrecht, Peters &
 Schneider 2012, Appl. Numer. Math. 62) and a draw needs ``r`` normals,
-not ``n+1``.  Everything here is deterministic; sampling lives in
+not ``n+1``.  The factor reads only the diagonal and its ``r`` pivot
+rows, so a law evaluates O(r n) closed-form entries; the full matrix
+(:func:`covariance_matrix`, :attr:`GaussianSpec.cov`) is built only for
+checks against it.  Everything here is deterministic; sampling lives in
 :mod:`.sampler`.
 """
 
@@ -241,7 +244,15 @@ def cholesky_factor(cov: np.ndarray, source_key: tuple = ()) -> CholeskyFactor:
         i.e. the matrix is indefinite beyond rounding.
     """
     cov = np.asarray(cov, dtype=float)
-    residual = np.diag(cov).copy()
+    return _pivoted_cholesky(np.diag(cov).copy(), lambda p: cov[p], source_key)
+
+
+def _pivoted_cholesky(residual: np.ndarray, row, source_key: tuple) -> CholeskyFactor:
+    """The loop of :func:`cholesky_factor`, reading the matrix only through `row`.
+
+    `residual` is the diagonal, updated in place; ``row(p)`` returns row
+    ``p`` of the matrix.  Only the diagonal and the r pivot rows are read.
+    """
     dim = residual.shape[0]
     scale = float(np.max(residual, initial=0.0))
     rows = np.empty((min(dim, 32), dim))  # rows of L.T, grown by doubling
@@ -259,7 +270,7 @@ def cholesky_factor(cov: np.ndarray, source_key: tuple = ()) -> CholeskyFactor:
             break
         if rank == rows.shape[0]:
             rows = np.concatenate([rows, np.empty_like(rows)])
-        column = (cov[pivot] - rows[:rank, pivot] @ rows[:rank]) / np.sqrt(residual[pivot])
+        column = (row(pivot) - rows[:rank, pivot] @ rows[:rank]) / np.sqrt(residual[pivot])
         rows[rank] = column
         residual -= column * column
         residual[pivot] = 0.0
@@ -269,28 +280,48 @@ def cholesky_factor(cov: np.ndarray, source_key: tuple = ()) -> CholeskyFactor:
 
 @dataclass(frozen=True, eq=False)
 class GaussianSpec:
-    """Mean vector, covariance matrix and its factor of ``(X_T^{u_i})`` on a grid.
+    """Mean vector and covariance factor of ``(X_T^{u_i})`` on a grid.
 
     Arrays cover indices 0..n; the rectangle scheme reads entries 1..n,
     the trapezoid all of them.  `params` is the parameter set the law
-    belongs to.
+    belongs to.  The full covariance :attr:`cov` is built only when read.
     """
 
     grid: Grid
     mean: np.ndarray
-    cov: np.ndarray
     params: ModelParams
 
     @cached_property
     def factor(self) -> CholeskyFactor:
-        """Read-only pivoted Cholesky factor of `cov`, built on first use.
+        """Read-only pivoted Cholesky factor of the covariance, built on first use.
 
-        A :class:`~roughvix.errors.FactorizationError` is not cached: every
+        It evaluates the closed-form diagonal and the r pivot rows only,
+        with the same elementwise operations as :func:`covariance_matrix`,
+        so it equals ``cholesky_factor(self.cov)`` bit for bit.  A
+        :class:`~roughvix.errors.FactorizationError` is not cached: every
         access retries the factorization and raises again.
         """
-        factor = cholesky_factor(self.cov, source_key=(self.params, self.grid.n))
+        u, params = self.grid.points, self.params
+
+        def row(p):
+            return _covariance_pairs(np.minimum(u, u[p]), np.maximum(u, u[p]), params)
+
+        factor = _pivoted_cholesky(
+            _variance_at(u, params), row, source_key=(params, self.grid.n)
+        )
         factor.L.flags.writeable = False
         return factor
+
+    @cached_property
+    def cov(self) -> np.ndarray:
+        """Read-only full covariance matrix, built on first use.
+
+        O(n^2) closed-form entries; sampling and the control variate do
+        not read it.
+        """
+        cov = covariance_matrix(self.grid, self.params)
+        cov.flags.writeable = False
+        return cov
 
 
 def grid_for(params: ModelParams, n: int) -> Grid:
@@ -414,6 +445,8 @@ def covariance_quadrature_oracle(u_i: float, u_j: float, params: ModelParams) ->
     steep near ``s = T`` when ``min(u_i, u_j)`` is close to ``T``; the
     final panel is therefore integrated under the substitution
     ``s = T - tau^{1/(H+1/2)}``, which absorbs the near-singularity.
+    There ``u - s`` is formed as ``(u - T) + tau^{1/(H+1/2)}``: as
+    ``u - (T - tau^{1/(H+1/2)})`` it would round to 0 near ``tau = 0``.
     """
     if u_i < params.T or u_j < params.T:
         raise UsageError(f"dates must be >= T, got ({u_i}, {u_j}) with T={params.T}")
@@ -428,10 +461,16 @@ def covariance_quadrature_oracle(u_i: float, u_j: float, params: ModelParams) ->
     direct, err1 = integrate.quad(integrand, 0.0, split, **_QUAD_OPTS)
 
     power = 1.0 / (H + 0.5)
+    gap_i, gap_j = u_i - T, u_j - T
 
     def substituted(tau):
-        s = T - tau ** power
-        return integrand(s) * power * tau ** (power - 1.0)
+        r = tau**power  # T - s
+        return (
+            (gap_i + r) ** (H - 0.5)
+            * (gap_j + r) ** (H - 0.5)
+            * power
+            * tau ** (power - 1.0)
+        )
 
     tau_max = (T - split) ** (H + 0.5)
     tail, err2 = integrate.quad(substituted, 0.0, tau_max, **_QUAD_OPTS)
@@ -473,16 +512,15 @@ def lambda_integral(params: ModelParams) -> float:
 def gaussian_spec(params: ModelParams, n: int) -> GaussianSpec:
     """Cached Gaussian law of `params` on the n-step grid.
 
-    This is the package's one law cache: an entry holds the mean, the
-    covariance and, once :attr:`GaussianSpec.factor` is first read, its
-    factor, all read-only.  The key is the (hashable) parameter set and
-    the step count.  The cache is capped at 64 laws, not by bytes; a law
-    at n = 1500 holds about 35 MB, so a sweep over many large grids can
-    hold gigabytes.  ``gaussian_spec.cache_clear()`` frees all of it.
+    This is the package's one law cache: an entry holds the mean and,
+    once :attr:`GaussianSpec.factor` is first read, its low-rank factor,
+    all read-only.  The full covariance :attr:`GaussianSpec.cov` is built
+    only when read.  The key is the (hashable) parameter set and the step
+    count.  The cache is capped at 64 laws; a law at n = 2000 holds about
+    0.3 MB, and reading ``.cov`` adds 32 MB to it.
+    ``gaussian_spec.cache_clear()`` frees all of them.
     """
     grid = grid_for(params, n)
     mean = mean_vector(grid, params)
-    cov = covariance_matrix(grid, params)
     mean.flags.writeable = False
-    cov.flags.writeable = False
-    return GaussianSpec(grid=grid, mean=mean, cov=cov, params=params)
+    return GaussianSpec(grid=grid, mean=mean, params=params)

@@ -16,7 +16,8 @@ the weights matters for the trapezoid: a right-point geometric average
 leaves its endpoint term ``(exp(X^{u_0}) - exp(X^{u_n}))/(2n)``
 uncorrected, and that term dominates the corrected payoff's variance.
 The exact moments of the weighted log average are ``w . mu`` and
-``w^T C w``.
+``w^T C w``, the latter taken as ``|F^T w|^2`` from the factor ``F`` the
+draws are sampled from.
 """
 
 from __future__ import annotations
@@ -147,8 +148,8 @@ def _cv_weights(scheme: SchemeKind, n: int) -> tuple:
 
     Rectangle: ``a = (0, 1, ..., 1)``, ``d = n``.  Trapezoid:
     ``a = (1, 2, ..., 2, 1)``, ``d = 2n``.  Products with these weights
-    are exact in floating point, so the extended-precision sums below
-    are correctly rounded.
+    are exact in floating point, so the extended-precision sum of
+    ``a . mu`` below is correctly rounded.
     """
     if scheme is SchemeKind.RECTANGLE:
         a = np.ones(n + 1)
@@ -166,15 +167,18 @@ def cv_moments(
 ) -> CvMoments:
     """Exact moments of the scheme-weighted average of ``X`` (module docstring).
 
-    ``mu_n = sum_i w_i mu_i`` and ``sigma_n^2 = sum_ij w_i w_j C_ij``,
-    accumulated in extended precision.  For the rectangle (the default)
-    this is the plain average over right points 1..n.
+    ``mu_n = sum_i w_i mu_i`` and ``sigma_n^2 = |F^T w|^2`` for the
+    law's factor ``F``, i.e. ``w^T C w`` for the covariance the draws
+    are sampled from; both sums are accumulated in extended precision.
+    For the rectangle (the default) this is the plain average over right
+    points 1..n.
     """
     if spec.grid.n != n:
         raise UsageError(f"spec was built for n={spec.grid.n}, requested n={n}")
     a, d = _cv_weights(scheme, n)
     mu = math.fsum((a * spec.mean).tolist()) / d
-    var = math.fsum((np.outer(a, a) * spec.cov).ravel().tolist()) / (d * d)
+    projected = spec.factor.L.T @ a
+    var = math.fsum((projected * projected).tolist()) / (d * d)
     return CvMoments(mu_n=mu, sigma_n=math.sqrt(max(var, 0.0)))
 
 

@@ -1,5 +1,6 @@
 """Gaussian law of the log forward variance: mean, covariance, grids."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,8 +10,12 @@ from roughvix import (
     Grid,
     HypothesisError,
     ModelParams,
+    Payoff,
+    PayoffKind,
+    SchemeKind,
     UsageError,
     X0Curve,
+    cholesky_factor,
     covariance_entry,
     covariance_matrix,
     covariance_quadrature_oracle,
@@ -18,6 +23,7 @@ from roughvix import (
     grid_for,
     kernel_eval,
     lambda_integral,
+    mc_price,
     mean_vector,
 )
 
@@ -235,13 +241,21 @@ def test_window_integral_requires_rough_regime():
 
 
 def test_gaussian_spec_shapes_and_cache():
+    gaussian_spec.cache_clear()
     spec1 = gaussian_spec(PA, 12)
     spec2 = gaussian_spec(PA, 12)
     assert spec1 is spec2
     assert spec1.mean.shape == (13,)
+    # The full covariance is built on first read, then kept read-only.
+    assert "cov" not in vars(spec1)
     assert spec1.cov.shape == (13, 13)
+    assert spec1.cov is spec1.cov
+    np.testing.assert_array_equal(spec1.cov, covariance_matrix(grid_for(PA, 12), PA))
     assert not spec1.mean.flags.writeable
     assert not spec1.cov.flags.writeable
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec1.cov = np.zeros((13, 13))
+    assert spec1.cov is spec2.cov
 
 
 def test_nested_grid_covariance_restriction_is_exact():
@@ -251,3 +265,48 @@ def test_nested_grid_covariance_restriction_is_exact():
     coarse = gaussian_spec(PB, 4)
     np.testing.assert_array_equal(fine.cov[::2, ::2], coarse.cov)
     np.testing.assert_array_equal(fine.mean[::2], coarse.mean)
+
+
+# --- factor from the diagonal and pivot rows ---------------------------------
+
+# (H, T, Delta, n): laws across n, H and T, then the domain sweep of
+# tests/test_sampler.py at n = 1000.
+_FACTOR_LAWS = sorted(
+    {(0.1, 0.5, 1.0 / 12.0, n) for n in (6, 12, 250, 1000, 2000)}
+    | {
+        (0.3, 0.5, 1.0 / 12.0, 768),
+        (0.4999, 0.5, 1.0 / 12.0, 1000),
+        (0.005, 0.5, 1.0 / 12.0, 1000),
+        (0.1, 1e-4, 1.0 / 12.0, 1000),
+        (0.75, 0.5, 1.0 / 12.0, 1000),
+        (0.99, 0.5, 1.0 / 12.0, 500),
+    }
+    | {
+        (H, T, Delta, 1000)
+        for H in (0.005, 0.05, 0.3, 0.4999, 0.75, 0.99)
+        for T, Delta in ((0.5, 1.0 / 12.0), (1e-4, 1.0 / 12.0), (0.5, 1e-6))
+    }
+)
+
+
+@pytest.mark.parametrize("H, T, Delta, n", _FACTOR_LAWS)
+def test_factor_from_rows_equals_factor_of_full_matrix(H, T, Delta, n):
+    # The law's factor reads only the diagonal and the pivot rows, with the
+    # same elementwise operations as covariance_matrix, so it is the same
+    # factor bit for bit.
+    params = ModelParams(H=H, eta=0.5, T=T, Delta=Delta, x0=X0)
+    gaussian_spec.cache_clear()
+    spec = gaussian_spec(params, n)
+    reference = cholesky_factor(covariance_matrix(grid_for(params, n), params))
+    assert np.array_equal(spec.factor.L, reference.L)
+    assert "cov" not in vars(spec)
+
+
+def test_sampling_never_builds_the_covariance():
+    gaussian_spec.cache_clear()
+    call = Payoff(PayoffKind.CALL, strike=0.1)
+    for scheme in SchemeKind:
+        mc_price(scheme, 40, 64, call, True, PB, seed=0)
+    spec = gaussian_spec(PB, 40)
+    assert "factor" in vars(spec)
+    assert "cov" not in vars(spec)

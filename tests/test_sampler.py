@@ -94,12 +94,11 @@ def test_indefinite_matrix_is_rejected():
 
 
 def test_cv_moments_match_the_sampled_law():
-    # The control variate's exact moments come from C; the sampled law is
-    # F F^T.  Its variance of the weighted average, |F^T a|^2 / d^2, must
-    # agree, or the control variate would be biased.
+    # The control variate's variance is that of the sampled law,
+    # |F^T a|^2 / d^2.  It must agree with a^T C a / d^2 from the full
+    # closed-form covariance, or the control variate would be biased.
     n = 250
     spec = gaussian_spec(PB, n)
-    F = factor_for(PB, n).L
     trapezoid = np.full(n + 1, 2.0)
     trapezoid[0] = trapezoid[-1] = 1.0
     rectangle = np.ones(n + 1)
@@ -108,9 +107,9 @@ def test_cv_moments_match_the_sampled_law():
         (SchemeKind.RECTANGLE, rectangle, n),
         (SchemeKind.TRAPEZOID, trapezoid, 2 * n),
     ):
-        sampled = np.sum((F.T @ a) ** 2) / d**2
-        exact = cv_moments(spec, n, scheme).sigma_n ** 2
-        assert abs(sampled - exact) <= 1e-12 * exact
+        full = math.fsum((np.outer(a, a) * spec.cov).ravel().tolist()) / d**2
+        sampled = cv_moments(spec, n, scheme).sigma_n ** 2
+        assert abs(sampled - full) <= 1e-12 * full
 
 
 def test_factor_cache_returns_same_object():
