@@ -13,7 +13,8 @@ and the rectangle scheme's exact L^2 error constant ``Lambda``,
 
 with per-level sample counts ``M_l = ceil(M0 * 2**(-2 l))`` for the
 rectangle scheme and ``ceil(M0 * 2**(-(2+H) l))`` for the trapezoid
-(which reuses the rectangle's L and M0).  When the closed form for
+(which reuses the rectangle's L and M0), each at least 2 so that every
+level has a sample variance.  When the closed form for
 ``Lambda`` does not apply (H >= 1/2, non-constant initial curve, or a
 non-Lipschitz payoff), the constants are estimated from a pilot run.
 
@@ -38,20 +39,11 @@ from .payoffs import (
     cv_corrected_payoff,
     cv_moments,
     cv_price,
-    geometric_vix2,
     lipschitz_constant,
     payoff_eval,
 )
-from .sampler import (
-    DOMAIN_MC,
-    DOMAIN_MLMC,
-    DOMAIN_PILOT,
-    batch_sizes,
-    restrict_to_coarse,
-    sample_fine,
-    stream_for,
-)
-from .schemes import SchemeKind, scheme_vix2
+from .sampler import DOMAIN_MC, DOMAIN_MLMC, DOMAIN_PILOT
+from .schemes import SchemeKind, vix2_batches
 
 __all__ = [
     "Estimate",
@@ -257,14 +249,12 @@ def mc_price(
     cv_n = cv_price(payoff, cv_moments(spec, n, scheme)) if use_cv else 0.0
 
     acc = _MomentAccumulator()
-    for index, width in enumerate(batch_sizes(n, M)):
-        stream = stream_for(seed, *stream_key, DOMAIN_MC, index)
-        sample = sample_fine(spec.factor, spec.mean, stream, size=width)
-        vix2 = scheme_vix2(scheme, sample)
+    batches = vix2_batches(
+        scheme, spec, M, seed, (*stream_key, DOMAIN_MC), geometric=use_cv
+    )
+    for vix2, _, geometric in batches:
         if use_cv:
-            values = cv_corrected_payoff(
-                payoff, vix2, geometric_vix2(sample.values, scheme), cv_n
-            )
+            values = cv_corrected_payoff(payoff, vix2, geometric, cv_n)
         else:
             values = payoff_eval(payoff, vix2)
         acc.add(np.asarray(values))
@@ -309,7 +299,9 @@ def mlmc_plan(
     the exact error constant (raises when its hypotheses fail), "pilot"
     always estimates them from a probe run, and "auto" prefers the closed
     form with a pilot fallback.  The trapezoid scheme reuses the
-    rectangle-based (L, M0) and only changes the per-level decay.
+    rectangle-based (L, M0) and only changes the per-level decay.  Every
+    level gets at least 2 samples, the least that has a sample variance
+    (as ``mc_price`` requires ``M >= 2``).
     """
     if epsilon <= 0:
         raise UsageError(f"epsilon must be > 0, got {epsilon}")
@@ -338,7 +330,7 @@ def mlmc_plan(
     levels, m0 = _remark_allocation(epsilon, c1, c2)
     decay = _level_decay(scheme, params)
     m_levels = tuple(
-        max(1, math.ceil(m0 * 2.0 ** (-decay * level))) for level in range(levels + 1)
+        max(2, math.ceil(m0 * 2.0 ** (-decay * level))) for level in range(levels + 1)
     )
     return MlmcPlan(
         n0=n0,
@@ -374,13 +366,14 @@ def _level_moments(
     n_fine = plan_n0 * 2**level
     spec = gaussian_spec(params, n_fine)
     acc = _MomentAccumulator()
-    for index, width in enumerate(batch_sizes(n_fine, m)):
-        stream = stream_for(seed, *stream_key, domain, level, index)
-        fine = sample_fine(spec.factor, spec.mean, stream, size=width)
-        values = payoff_eval(payoff, scheme_vix2(scheme, fine))
+    batches = vix2_batches(
+        scheme, spec, m, seed, (*stream_key, domain, level),
+        coarse_steps=(2,) if level > 0 else (),
+    )
+    for fine, coarse, _ in batches:
+        values = payoff_eval(payoff, fine)
         if level > 0:
-            coarse = restrict_to_coarse(fine)
-            values = values - payoff_eval(payoff, scheme_vix2(scheme, coarse))
+            values = values - payoff_eval(payoff, coarse[0])
         acc.add(np.asarray(values))
     return acc
 

@@ -26,14 +26,8 @@ from .errors import HypothesisError, UsageError
 from .estimators import lambda_constant, mc_price, mlmc_plan, mlmc_price
 from .model import ModelParams, gaussian_spec
 from .payoffs import Payoff, PayoffKind
-from .sampler import (
-    DOMAIN_EXPERIMENT,
-    GaussianSample,
-    batch_sizes,
-    sample_fine,
-    stream_for,
-)
-from .schemes import SchemeKind, scheme_vix2
+from .sampler import DOMAIN_EXPERIMENT
+from .schemes import SchemeKind, vix2_batches
 
 __all__ = [
     "ErrorCurve",
@@ -182,14 +176,13 @@ def strong_error_curve(
     spec = gaussian_spec(params, n_ref)
     sq_sums = {n: [] for n in n_values}
     quad_sums = {n: [] for n in n_values}
-    for index, width in enumerate(batch_sizes(n_ref, M)):
-        stream = stream_for(seed, DOMAIN_EXPERIMENT, _EXP_STRONG, index)
-        fine = sample_fine(spec.factor, spec.mean, stream, size=width)
-        v_ref = np.asarray(scheme_vix2(scheme, fine))
-        for n in n_values:
-            step = n_ref // n
-            coarse = GaussianSample(values=fine.values[::step], grid_n=n)
-            diff = v_ref - np.asarray(scheme_vix2(scheme, coarse))
+    batches = vix2_batches(
+        scheme, spec, M, seed, (DOMAIN_EXPERIMENT, _EXP_STRONG),
+        coarse_steps=[n_ref // n for n in n_values],
+    )
+    for v_ref, coarse, _ in batches:
+        for n, v in zip(n_values, coarse):
+            diff = v_ref - v
             sq = diff * diff
             sq_sums[n].append(float(np.sum(sq)))
             quad_sums[n].append(float(np.sum(sq * sq)))

@@ -31,7 +31,7 @@ from scipy.special import erfc
 
 from .errors import HypothesisError, UsageError
 from .model import GaussianSpec
-from .schemes import SchemeKind, row_mean
+from .schemes import SchemeKind, quadrature_mean
 
 __all__ = [
     "PayoffKind",
@@ -202,11 +202,7 @@ def geometric_vix2(values: np.ndarray, scheme: SchemeKind = SchemeKind.RECTANGLE
     are the scheme's quadrature weights, matching :func:`cv_moments`.
     The rectangle (the default) averages rows 1..n.
     """
-    if scheme is SchemeKind.RECTANGLE:
-        return np.exp(row_mean(values[1:]))
-    if scheme is SchemeKind.TRAPEZOID:
-        return np.exp(0.5 * (row_mean(values[1:]) + row_mean(values[:-1])))
-    raise UsageError(f"unknown scheme kind: {scheme!r}")
+    return np.exp(quadrature_mean(scheme, values))
 
 
 def cv_corrected_payoff(p: Payoff, scheme_value, cv_sample_value, cv_n: float):

@@ -13,10 +13,15 @@ All randomness flows from one 64-bit root seed.  A stream is the Philox
 counter-based generator seeded by ``SeedSequence(root_seed, spawn_key=key)``
 where `key` is a tuple of small integers identifying its role (documented
 in docs/formats.md).  Standard normals are produced by inverse-CDF from
-53-bit uniforms, so a stream's output is a pure function of (seed, key)
-and the draw count.  A draw consumes ``r`` normals, the factor's rank.
-Work is split into fixed-size batches that depend only on the grid size,
-so results are bit-identical across runs.
+the 53-bit uniforms ``(k + 1/2) 2^-53``, so a stream's output is a pure
+function of (seed, key) and the draw count.  A draw consumes ``r``
+normals, the factor's rank.  Work is split into fixed-size batches that
+depend only on the grid size, so results are bit-identical across runs.
+
+A batch of ``m`` draws is one ``(n+1, m)`` block; the estimators write
+every batch of a call into one such block (``sample_fine(..., out=)``)
+and exponentiate it in place, so a call's peak batch memory is one block
+(:func:`~roughvix.schemes.vix2_batches`).
 """
 
 from __future__ import annotations
@@ -39,7 +44,8 @@ __all__ = [
     "batch_sizes",
 ]
 
-# Target elements per sample block: bounds peak memory regardless of n.
+# Target elements per sample block: a call holds one block of at most
+# 2**24 float64 values (128 MiB), reused by all its batches, whatever n.
 _BLOCK_BUDGET = 2**24
 
 # Stream-key domains (first component of every spawn key).
@@ -77,10 +83,16 @@ def stream_for(seed: int, *key: int) -> np.random.Generator:
 
 
 def _standard_normals(stream: np.random.Generator, shape) -> np.ndarray:
-    """Inverse-CDF standard normals from 53-bit uniforms (no rejection)."""
-    raw = stream.integers(0, 1 << 53, size=shape, dtype=np.uint64)
-    uniforms = (raw.astype(np.float64) + 0.5) * 2.0**-53
-    return ndtri(uniforms)
+    """Inverse-CDF standard normals from 53-bit uniforms (no rejection).
+
+    ``Generator.random`` returns ``k 2^-53`` for the top 53 bits ``k`` of
+    one 64-bit word, the ``k`` that ``integers(0, 2**53)`` returns; adding
+    ``2^-54`` rounds exactly as ``(k + 0.5) 2^-53`` does.  The uniforms
+    are turned into normals in place.
+    """
+    uniforms = stream.random(shape)
+    uniforms += 2.0**-54
+    return ndtri(uniforms, out=uniforms)
 
 
 def sample_fine(
@@ -88,6 +100,7 @@ def sample_fine(
     mean: np.ndarray,
     stream: np.random.Generator,
     size: int | None = None,
+    out: np.ndarray | None = None,
 ) -> GaussianSample:
     """Draw from ``N(mean, L L^T)`` as ``mean + L @ G``.
 
@@ -105,15 +118,27 @@ def sample_fine(
     size : int, optional
         If given, draw a batch of `size` samples; values get shape
         ``(n+1, size)``.
+    out : numpy.ndarray, optional
+        C-contiguous float64 array of the values' shape to write the draw
+        into; the sample's `values` is then `out`.  Contiguity keeps the
+        product's bits those of a fresh ``L @ G``.
     """
     dim = mean.shape[0]
     if factor.L.shape[0] != dim:
         raise UsageError(
             f"factor dimension {factor.L.shape} does not match mean length {dim}"
         )
-    shape = (factor.rank,) if size is None else (factor.rank, size)
-    normals = _standard_normals(stream, shape)
-    values = factor.L @ normals
+    batch = () if size is None else (size,)
+    if out is not None and (
+        out.shape != (dim, *batch)
+        or out.dtype != np.float64
+        or not out.flags.c_contiguous
+    ):
+        raise UsageError(
+            f"out must be a C-contiguous float64 array of shape {(dim, *batch)}"
+        )
+    normals = _standard_normals(stream, (factor.rank, *batch))
+    values = np.matmul(factor.L, normals, out=out)
     values += mean if size is None else mean[:, None]
     return GaussianSample(values=values, grid_n=dim - 1)
 

@@ -5,6 +5,11 @@ the rectangle scheme applies the right-point rule on the uniform grid and
 the trapezoidal scheme the trapezoid rule.  Grid averages add the rows
 in order, one column per draw, so a draw's value does not depend on its
 batch; rounding stays far below the quadrature error being studied.
+
+The estimators evaluate their draws through one batch kernel,
+:func:`vix2_batches`: it writes each batch into one reused block,
+exponentiates it in place, and reads the fine grid and every restricted
+coarse grid from those exponentials.
 """
 
 from __future__ import annotations
@@ -14,7 +19,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import UsageError
-from .sampler import GaussianSample
+from .model import GaussianSpec
+from .sampler import GaussianSample, batch_sizes, sample_fine, stream_for
 
 __all__ = [
     "SchemeKind",
@@ -49,6 +55,20 @@ def row_mean(values: np.ndarray) -> np.ndarray:
     return first + total / values.shape[0]
 
 
+def quadrature_mean(kind: SchemeKind, rows: np.ndarray):
+    """The scheme's weighted average of `rows` along axis 0 (grid points 0..n).
+
+    Right points 1..n for the rectangle; the mean of the left- and
+    right-point averages for the trapezoid.  Applied to ``exp(X)`` it is
+    the scheme's VIX^2, and to ``X`` the control variate's log average.
+    """
+    if kind is SchemeKind.RECTANGLE:
+        return row_mean(rows[1:])
+    if kind is SchemeKind.TRAPEZOID:
+        return 0.5 * (row_mean(rows[1:]) + row_mean(rows[:-1]))
+    raise UsageError(f"unknown scheme kind: {kind!r}")
+
+
 def _exp_values(sample: GaussianSample) -> np.ndarray:
     if sample.grid_n < 1:
         raise UsageError(f"scheme needs at least one step, got n={sample.grid_n}")
@@ -65,8 +85,7 @@ def rectangle_vix2(sample: GaussianSample):
 
     Returns a float for a single draw, an array for a batched sample.
     """
-    e = _exp_values(sample)
-    out = row_mean(e[1:])
+    out = quadrature_mean(SchemeKind.RECTANGLE, _exp_values(sample))
     return float(out) if out.ndim == 0 else out
 
 
@@ -75,8 +94,7 @@ def trapezoid_vix2(sample: GaussianSample):
 
     Identically the mean of the left- and right-point rectangle rules.
     """
-    e = _exp_values(sample)
-    out = 0.5 * (row_mean(e[1:]) + row_mean(e[:-1]))
+    out = quadrature_mean(SchemeKind.TRAPEZOID, _exp_values(sample))
     return float(out) if out.ndim == 0 else out
 
 
@@ -87,6 +105,47 @@ def scheme_vix2(kind: SchemeKind, sample: GaussianSample):
     if kind is SchemeKind.TRAPEZOID:
         return trapezoid_vix2(sample)
     raise UsageError(f"unknown scheme kind: {kind!r}")
+
+
+def vix2_batches(
+    kind: SchemeKind,
+    spec: GaussianSpec,
+    total: int,
+    seed: int,
+    key: tuple,
+    coarse_steps=(),
+    geometric: bool = False,
+):
+    """The batch kernel: VIX^2 of `total` draws of the law `spec`, batch by batch.
+
+    Batch ``i`` of the fixed partition ``batch_sizes(n, total)`` draws
+    from ``stream_for(seed, *key, i)`` into one ``(n+1) x width`` block,
+    which every batch of the call reuses.  The control variate's log
+    average is taken first; the block is then exponentiated in place, and
+    the fine grid and each coarse grid (every ``step``-th point, for
+    ``step`` in `coarse_steps`) are averaged from those exponentials.
+
+    Yields ``(fine, coarse, cv)`` per batch: the scheme's VIX^2 per draw,
+    the list of coarse VIX^2 arrays, and the control variate's value
+    ``exp(sum_i w_i X_i)`` when `geometric` is set (None otherwise).
+    Every value equals, bit for bit, what :func:`scheme_vix2` and
+    :func:`~roughvix.payoffs.geometric_vix2` give on the
+    :func:`~roughvix.sampler.sample_fine` draw of the same stream.
+    """
+    n = spec.grid.n
+    for step in coarse_steps:
+        if step < 1 or n % step != 0:
+            raise UsageError(f"coarse step {step} does not divide n={n}")
+    widths = batch_sizes(n, total)
+    block = np.empty((n + 1) * widths[0])
+    for index, width in enumerate(widths):
+        values = block[: (n + 1) * width].reshape(n + 1, width)
+        stream = stream_for(seed, *key, index)
+        sample_fine(spec.factor, spec.mean, stream, size=width, out=values)
+        cv = np.exp(quadrature_mean(kind, values)) if geometric else None
+        np.exp(values, out=values)
+        fine = quadrature_mean(kind, values)
+        yield fine, [quadrature_mean(kind, values[::step]) for step in coarse_steps], cv
 
 
 def vix_from_vix2(v):

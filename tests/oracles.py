@@ -12,6 +12,15 @@ from fractions import Fraction
 import numpy as np
 from scipy import integrate, special
 
+from roughvix import (
+    batch_sizes,
+    geometric_vix2,
+    restrict_to_coarse,
+    sample_fine,
+    scheme_vix2,
+    stream_for,
+)
+
 
 def euler_hyp2f1(a: float, b: float, c: float, x: float) -> float:
     """Gauss hypergeometric via the Euler integral representation.
@@ -138,3 +147,24 @@ def exact_variance(spec, weights) -> float:
     """Exact ``Var(sum_k w_k exp(X_k))``: the second moment less ``(sum w')^2``."""
     wp = _scaled_weights(spec, weights)
     return float(wp @ np.expm1(np.asarray(spec.cov)) @ wp)
+
+
+def public_path_batches(kind, spec, total, seed, key, coarse_steps=()):
+    """Per-batch values of the batch kernel, through the public functions.
+
+    Draws each batch with ``sample_fine`` into a fresh array, restricts it
+    with repeated ``restrict_to_coarse`` (so each step must be a power of
+    two), and evaluates ``scheme_vix2`` and ``geometric_vix2`` on those
+    samples.  Yields ``(fine, coarse, cv)`` as ``vix2_batches`` does.
+    """
+    n = spec.grid.n
+    for index, width in enumerate(batch_sizes(n, total)):
+        stream = stream_for(seed, *key, index)
+        fine = sample_fine(spec.factor, spec.mean, stream, size=width)
+        coarse = []
+        for step in coarse_steps:
+            sample = fine
+            for _ in range(step.bit_length() - 1):
+                sample = restrict_to_coarse(sample)
+            coarse.append(scheme_vix2(kind, sample))
+        yield scheme_vix2(kind, fine), coarse, geometric_vix2(fine.values, kind)

@@ -1,6 +1,7 @@
 """Plain and multilevel Monte Carlo estimators and their allocations."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,10 +29,12 @@ from roughvix import (
     stream_for,
 )
 from roughvix.errors import NumericError
-from roughvix.estimators import Estimate
-from roughvix.sampler import DOMAIN_MC
+from roughvix.estimators import Estimate, _level_moments
+from roughvix.payoffs import cv_corrected_payoff, cv_moments, cv_price
+from roughvix.sampler import DOMAIN_MC, DOMAIN_MLMC
+from roughvix.schemes import vix2_batches
 
-from oracles import exact_scheme_mean
+from oracles import exact_scheme_mean, public_path_batches
 
 X0 = math.log(0.235**2)
 PA = ModelParams(H=0.3, eta=0.5, T=0.25, Delta=1.0 / 12.0, x0=X0)
@@ -113,6 +116,24 @@ def test_mc_price_determinism_and_stream_key():
     assert c.value != a.value
 
 
+def _public_moments(draws):
+    """Shifted, exactly summed moments, as the estimators accumulate them."""
+    shift = None
+    linear, square = [], []
+    count = 0
+    for values in draws:
+        values = np.asarray(values)
+        if shift is None:
+            shift = float(values.mean())
+        centered = values - shift
+        linear.append(float(np.sum(centered)))
+        square.append(float(np.sum(centered * centered)))
+        count += values.size
+    mean = shift + math.fsum(linear) / count
+    var = max(math.fsum(square) - math.fsum(linear) ** 2 / count, 0.0) / (count - 1)
+    return mean, var
+
+
 def test_mc_price_reconstructs_from_the_stream_contract():
     # The documented derivation (seed, *key, domain=1, batch index) plus
     # the fixed batch partition and shifted accumulation must reproduce
@@ -120,19 +141,12 @@ def test_mc_price_reconstructs_from_the_stream_contract():
     n, M, seed = 6, 70_000, 9
     spec = gaussian_spec(PB, n)
     factor = factor_for(PB, n)
-    shift = None
-    linear, square = [], []
+    draws = []
     for index, width in enumerate(batch_sizes(n, M)):
         stream = stream_for(seed, DOMAIN_MC, index)
         sample = sample_fine(factor, spec.mean, stream, size=width)
-        values = np.asarray(payoff_eval(CALL, scheme_vix2(SchemeKind.RECTANGLE, sample)))
-        if shift is None:
-            shift = float(values.mean())
-        centered = values - shift
-        linear.append(float(np.sum(centered)))
-        square.append(float(np.sum(centered * centered)))
-    mean = shift + math.fsum(linear) / M
-    var = max(math.fsum(square) - math.fsum(linear) ** 2 / M, 0.0) / (M - 1)
+        draws.append(payoff_eval(CALL, scheme_vix2(SchemeKind.RECTANGLE, sample)))
+    mean, var = _public_moments(draws)
 
     est = mc_price(SchemeKind.RECTANGLE, n, M, CALL, False, PB, seed=seed)
     assert est.value == mean
@@ -250,6 +264,15 @@ def test_plan_pilot_is_deterministic():
 def test_plan_pilot_for_non_lipschitz_payoff():
     plan = mlmc_plan(0.02, 6, SchemeKind.RECTANGLE, FUTURE, PB)
     assert plan.constants_source == "pilot"
+
+
+def test_plan_floors_every_level_at_two_samples():
+    # The pilot constants give this plan a single level whose closed-form
+    # count is 1; one sample has no sample variance, so the standard
+    # error would read 0.
+    plan = mlmc_plan(2e-2, 6, SchemeKind.RECTANGLE, FUTURE, PB, constants="pilot")
+    assert plan.m_levels[0] >= 2
+    assert mlmc_price(plan, FUTURE, PB, seed=0).std_error > 0
 
 
 # --- multilevel estimator ---------------------------------------------------
@@ -402,3 +425,110 @@ def test_estimate_validation():
             scheme=SchemeKind.RECTANGLE,
             cv_used=False,
         )
+
+
+# --- the batch kernel against the public path -------------------------------
+
+
+def _hex(values):
+    return [float(x).hex() for x in np.ravel(values)]
+
+
+def _assert_same_batches(kernel, public):
+    count = 0
+    for (fine, coarse, cv), (fine_ref, coarse_ref, cv_ref) in zip(kernel, public, strict=True):
+        assert _hex(fine) == _hex(fine_ref)
+        assert [_hex(c) for c in coarse] == [_hex(c) for c in coarse_ref]
+        assert cv is None or _hex(cv) == _hex(cv_ref)
+        count += np.size(fine)
+    return count
+
+
+# (n, total): every grid at batch widths 1, 3, 179 and 2365 (the odd fig3
+# remainder), and full 32768-wide batches followed by a remainder batch
+# that reuses the first batch's block.
+KERNEL_CASES = [
+    *((n, total) for n in (6, 12, 250, 768) for total in (1, 3, 179, 2365)),
+    (6, 32_768 + 3),
+    (12, 32_768),
+    (250, 32_768 + 179),
+]
+
+
+@pytest.mark.parametrize("n,total", KERNEL_CASES)
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+def test_batch_kernel_matches_the_public_path(scheme, n, total):
+    # Fine grid, the level coarse grid (every second point) and the
+    # control variate, per draw, as hex floats.
+    spec = gaussian_spec(PB, n)
+    key = (DOMAIN_MLMC, 1)
+    kernel = vix2_batches(scheme, spec, total, 17, key, coarse_steps=(2,), geometric=True)
+    public = public_path_batches(scheme, spec, total, 17, key, coarse_steps=(2,))
+    assert _assert_same_batches(kernel, public) == total
+
+
+@pytest.mark.parametrize("use_cv", [False, True])
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+def test_mc_price_matches_the_public_path(scheme, use_cv):
+    n, M, seed = 250, 32_768 + 179, 4
+    spec = gaussian_spec(PB, n)
+    cv_n = cv_price(CALL, cv_moments(spec, n, scheme))
+    draws = (
+        cv_corrected_payoff(CALL, fine, cv, cv_n) if use_cv else payoff_eval(CALL, fine)
+        for fine, _, cv in public_path_batches(scheme, spec, M, seed, (DOMAIN_MC,))
+    )
+    mean, var = _public_moments(draws)
+    est = mc_price(scheme, n, M, CALL, use_cv, PB, seed=seed)
+    assert est.value.hex() == mean.hex()
+    assert est.std_error.hex() == math.sqrt(var / M).hex()
+
+
+@pytest.mark.parametrize("level", [0, 1, 3])
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+def test_level_moments_match_the_public_path(scheme, level):
+    n0, m, seed, key = 6, 2365, 8, (5,)
+    spec = gaussian_spec(PB, n0 * 2**level)
+    steps = (2,) if level > 0 else ()
+    draws = (
+        payoff_eval(CALL, fine) - (payoff_eval(CALL, coarse[0]) if level > 0 else 0.0)
+        for fine, coarse, _ in public_path_batches(
+            scheme, spec, m, seed, (*key, DOMAIN_MLMC, level), coarse_steps=steps
+        )
+    )
+    mean, var = _public_moments(draws)
+    acc = _level_moments(scheme, CALL, PB, n0, level, m, seed, key, DOMAIN_MLMC)
+    assert acc.mean.hex() == mean.hex()
+    assert acc.variance.hex() == var.hex()
+
+
+def test_seeded_prices_are_pinned():
+    # The seeded ref-b price and the fig3 plans at eps = 2e-3, as the
+    # low-rank factor first gave them; the batch kernel moved no bit.
+    est = mc_price(SchemeKind.RECTANGLE, 250, 200_000, CALL, True, PB, seed=3)
+    assert (est.value.hex(), est.std_error.hex()) == (
+        "0x1.f39c4e075c938p-4",
+        "0x1.8eed5ce9b60ffp-20",
+    )
+    pinned = {
+        SchemeKind.RECTANGLE: ("0x1.f375299ff7827p-4", "0x1.312fd4ad07e8ap-11"),
+        SchemeKind.TRAPEZOID: ("0x1.f2167270463e8p-4", "0x1.3d6c47ce15297p-11"),
+    }
+    for scheme, expected in pinned.items():
+        plan = mlmc_plan(2e-3, 6, scheme, CALL, PB)
+        est = mlmc_price(plan, CALL, PB, seed=3)
+        assert (est.value.hex(), est.std_error.hex()) == expected
+
+
+def test_mc_price_holds_one_batch_block():
+    # One 32768-draw batch at n = 250 with the control variate: the draw
+    # block is reused and exponentiated in place, so the call holds one
+    # (n+1) x 32768 float64 block (62.75 MB) plus O(width) vectors.
+    n, M = 250, 32_768
+    gaussian_spec(PB, n)  # the cached law is not part of the batch
+    tracemalloc.start()
+    try:
+        mc_price(SchemeKind.RECTANGLE, n, M, CALL, True, PB, seed=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * (n + 1) * M * 8

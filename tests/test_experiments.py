@@ -19,6 +19,11 @@ from roughvix import (
     weak_error_curve,
 )
 from roughvix.experiments import PRESET_NAMES
+from roughvix.model import gaussian_spec
+from roughvix.sampler import DOMAIN_EXPERIMENT
+from roughvix.schemes import vix2_batches
+
+from oracles import public_path_batches
 
 X0 = math.log(0.235**2)
 PA = ModelParams(H=0.3, eta=0.5, T=0.25, Delta=1.0 / 12.0, x0=X0)
@@ -108,6 +113,51 @@ def test_strong_error_determinism():
     a = strong_error_curve(SchemeKind.RECTANGLE, (8, 16), 64, 2000, PB, seed=3)
     b = strong_error_curve(SchemeKind.RECTANGLE, (8, 16), 64, 2000, PB, seed=3)
     assert a.errors == b.errors
+
+
+def _hex(values):
+    return [float(x).hex() for x in np.ravel(values)]
+
+
+@pytest.mark.parametrize("total", [1, 3, 179, 2365])
+@pytest.mark.parametrize("n_ref", [64, 768])
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+def test_strong_error_coarse_grids_match_the_public_path(scheme, n_ref, total):
+    # The coarse grids read every 2nd, 4th and 8th point of the block the
+    # kernel exponentiated once; each must equal scheme_vix2 on the
+    # restricted sample, per draw, as hex floats.
+    spec = gaussian_spec(PB, n_ref)
+    steps = (2, 4, 8)
+    key = (DOMAIN_EXPERIMENT, 1)
+    kernel = vix2_batches(scheme, spec, total, 21, key, coarse_steps=steps)
+    public = public_path_batches(scheme, spec, total, 21, key, coarse_steps=steps)
+    for (fine, coarse, cv), (fine_ref, coarse_ref, _) in zip(kernel, public, strict=True):
+        assert cv is None
+        assert _hex(fine) == _hex(fine_ref)
+        assert [_hex(c) for c in coarse] == [_hex(c) for c in coarse_ref]
+
+
+def test_strong_error_curves_are_pinned():
+    # As the low-rank factor first gave them; the batch kernel moved no
+    # bit.  The coarse grids take steps 16, 8, 4 and 2.
+    pinned = {
+        SchemeKind.RECTANGLE: (
+            ["0x1.9972726e49612p-10", "0x1.aaa24c592d236p-11",
+             "0x1.8d32497a625b9p-12", "0x1.19374da347b06p-13"],
+            ["0x1.25705c2d856e2p-13", "0x1.36143028c8b46p-14",
+             "0x1.244f94de4dea6p-15", "0x1.a1c6cf1157a53p-17"],
+        ),
+        SchemeKind.TRAPEZOID: (
+            ["0x1.42d7aa46b1e55p-9", "0x1.1d8dcda141a27p-10",
+             "0x1.d31cb96132cf6p-12", "0x1.2b786c68aae58p-13"],
+            ["0x1.36028bea80d4bp-12", "0x1.13b975571ffacp-13",
+             "0x1.c77d08bc33e98p-15", "0x1.27c533b40208ap-16"],
+        ),
+    }
+    for scheme, (errors, halfwidths) in pinned.items():
+        curve = strong_error_curve(scheme, (8, 16, 32, 64), 128, 4000, PB, seed=5)
+        assert _hex(curve.errors) == errors
+        assert _hex(curve.ci_halfwidths) == halfwidths
 
 
 # --- weak error -------------------------------------------------------------

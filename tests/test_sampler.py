@@ -24,6 +24,7 @@ from roughvix import (
     sample_fine,
     stream_for,
 )
+from roughvix.sampler import _standard_normals
 
 X0 = math.log(0.235**2)
 PB = ModelParams(H=0.1, eta=0.5, T=0.5, Delta=1.0 / 12.0, x0=X0)
@@ -172,6 +173,32 @@ def test_sample_consumes_rank_normals_per_draw():
     expected = factor.L @ normals + spec.mean[:, None]
     np.testing.assert_array_equal(sample.values, expected)
     assert factor.rank < n + 1
+
+
+def test_normals_match_the_integer_route_and_stream_state():
+    # Generator.random + 2^-54 gives the floats (k + 0.5) 2^-53 of the
+    # integers route from the same 64-bit words, and consumes as many.
+    ours, ref = stream_for(7, 2), stream_for(7, 2)
+    normals = _standard_normals(ours, (14, 50_000))
+    raw = ref.integers(0, 1 << 53, size=(14, 50_000), dtype=np.uint64)
+    expected = ndtri((raw.astype(np.float64) + 0.5) * 2.0**-53)
+    np.testing.assert_array_equal(normals, expected)
+    np.testing.assert_array_equal(
+        ours.bit_generator.random_raw(9), ref.bit_generator.random_raw(9)
+    )
+
+
+def test_sample_writes_into_out():
+    spec = gaussian_spec(PB, 6)
+    factor = factor_for(PB, 6)
+    out = np.empty((7, 5))
+    sample = sample_fine(factor, spec.mean, stream_for(0, 9), size=5, out=out)
+    assert sample.values is out
+    fresh = sample_fine(factor, spec.mean, stream_for(0, 9), size=5)
+    np.testing.assert_array_equal(out, fresh.values)
+    for bad in (np.empty((7, 4)), np.empty((5, 7)).T, np.empty((7, 5), dtype=np.float32)):
+        with pytest.raises(UsageError):
+            sample_fine(factor, spec.mean, stream_for(0, 9), size=5, out=bad)
 
 
 def test_sample_dimension_mismatch_rejected():
