@@ -15,9 +15,12 @@ The geometric average uses the scheme's own quadrature weights ``w``:
 the weights matters for the trapezoid: a right-point geometric average
 leaves its endpoint term ``(exp(X^{u_0}) - exp(X^{u_n}))/(2n)``
 uncorrected, and that term dominates the corrected payoff's variance.
-The exact moments of the weighted log average are ``w . mu`` and
-``w^T C w``, the latter taken as ``|F^T w|^2`` from the factor ``F`` the
-draws are sampled from.
+The weighted log average of a draw ``X = mu + F G`` is ``w . mu +
+(F^T w) . G``: the estimators sample it from the draw's ``r`` normals
+``G``, and its exact moments are ``w . mu`` and ``w^T C w``, the latter
+taken as ``|F^T w|^2`` from the same ``F^T w``.  The sampled control
+variate ``exp(w . mu + (F^T w) . G)`` is therefore exactly the Gaussian
+functional that :func:`cv_price` prices.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from scipy.special import erfc
 
 from .errors import HypothesisError, UsageError
 from .model import GaussianSpec
-from .schemes import SchemeKind, quadrature_mean
+from .schemes import SchemeKind, geometric_projection, quadrature_mean
 
 __all__ = [
     "PayoffKind",
@@ -143,43 +146,24 @@ class CvMoments:
             raise UsageError(f"sigma_n must be >= 0, got {self.sigma_n}")
 
 
-def _cv_weights(scheme: SchemeKind, n: int) -> tuple:
-    """Integer weights ``a`` on indices 0..n and divisor ``d`` with ``w = a/d``.
-
-    Rectangle: ``a = (0, 1, ..., 1)``, ``d = n``.  Trapezoid:
-    ``a = (1, 2, ..., 2, 1)``, ``d = 2n``.  Products with these weights
-    are exact in floating point, so the extended-precision sum of
-    ``a . mu`` below is correctly rounded.
-    """
-    if scheme is SchemeKind.RECTANGLE:
-        a = np.ones(n + 1)
-        a[0] = 0.0
-        return a, n
-    if scheme is SchemeKind.TRAPEZOID:
-        a = np.full(n + 1, 2.0)
-        a[0] = a[-1] = 1.0
-        return a, 2 * n
-    raise UsageError(f"unknown scheme kind: {scheme!r}")
-
-
 def cv_moments(
     spec: GaussianSpec, n: int, scheme: SchemeKind = SchemeKind.RECTANGLE
 ) -> CvMoments:
     """Exact moments of the scheme-weighted average of ``X`` (module docstring).
 
-    ``mu_n = sum_i w_i mu_i`` and ``sigma_n^2 = |F^T w|^2`` for the
-    law's factor ``F``, i.e. ``w^T C w`` for the covariance the draws
-    are sampled from; both sums are accumulated in extended precision.
-    For the rectangle (the default) this is the plain average over right
-    points 1..n.
+    ``mu_n = w . mu`` and ``sigma_n^2 = |F^T w|^2`` for the law's factor
+    ``F``, i.e. ``w^T C w`` for the covariance the draws are sampled
+    from; both sums are accumulated in extended precision.  The pair
+    ``(w . mu, F^T w)`` is the one the batch kernel samples the control
+    variate from (:func:`~roughvix.schemes.geometric_projection`), so the
+    price and the samples share one projection.  For the rectangle (the
+    default) this is the plain average over right points 1..n.
     """
     if spec.grid.n != n:
         raise UsageError(f"spec was built for n={spec.grid.n}, requested n={n}")
-    a, d = _cv_weights(scheme, n)
-    mu = math.fsum((a * spec.mean).tolist()) / d
-    projected = spec.factor.L.T @ a
-    var = math.fsum((projected * projected).tolist()) / (d * d)
-    return CvMoments(mu_n=mu, sigma_n=math.sqrt(max(var, 0.0)))
+    mu, projection = geometric_projection(scheme, spec)
+    var = math.fsum((projection * projection).tolist())
+    return CvMoments(mu_n=mu, sigma_n=math.sqrt(var))
 
 
 def cv_price(p: Payoff, m: CvMoments) -> float:
@@ -200,7 +184,10 @@ def geometric_vix2(values: np.ndarray, scheme: SchemeKind = SchemeKind.RECTANGLE
 
     `values` is a sample array of shape (n+1,) or (n+1, m); the weights
     are the scheme's quadrature weights, matching :func:`cv_moments`.
-    The rectangle (the default) averages rows 1..n.
+    The rectangle (the default) averages rows 1..n.  The estimators take
+    the same value from the draw's normals instead
+    (:func:`~roughvix.schemes.vix2_batches`); the two agree up to the
+    rounding of their sums.
     """
     return np.exp(quadrature_mean(scheme, values))
 

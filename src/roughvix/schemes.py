@@ -3,17 +3,23 @@
 VIX^2 is the window average ``(1/Delta) * int_T^{T+Delta} exp(X_T^u) du``;
 the rectangle scheme applies the right-point rule on the uniform grid and
 the trapezoidal scheme the trapezoid rule.  Grid averages add the rows
-in order, one column per draw, so a draw's value does not depend on its
-batch; rounding stays far below the quadrature error being studied.
+in order, one column per draw, so the average of a column does not
+depend on the other columns of its batch; rounding stays far below the
+quadrature error being studied.  The draws themselves come from a factor
+product whose bits do depend on the batch width (see :mod:`.sampler`).
 
 The estimators evaluate their draws through one batch kernel,
 :func:`vix2_batches`: it writes each batch into one reused block,
 exponentiates it in place, and reads the fine grid and every restricted
-coarse grid from those exponentials.
+coarse grid from those exponentials.  The control variate's log average
+``w . X`` is linear in the draw, so the kernel takes it from the batch's
+``r`` normals as ``w . mu + (F^T w) . G`` (:func:`geometric_projection`),
+not from the ``n+1`` grid values.
 """
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 
 import numpy as np
@@ -69,6 +75,40 @@ def quadrature_mean(kind: SchemeKind, rows: np.ndarray):
     raise UsageError(f"unknown scheme kind: {kind!r}")
 
 
+def _quadrature_weights(kind: SchemeKind, n: int) -> tuple:
+    """Integer weights ``a`` on indices 0..n and divisor ``d`` with ``w = a/d``.
+
+    Rectangle: ``a = (0, 1, ..., 1)``, ``d = n``.  Trapezoid:
+    ``a = (1, 2, ..., 2, 1)``, ``d = 2n``.  Products with these weights
+    are exact in floating point, so the extended-precision sum of
+    ``a . mu`` in :func:`geometric_projection` is correctly rounded.
+    """
+    if kind is SchemeKind.RECTANGLE:
+        a = np.ones(n + 1)
+        a[0] = 0.0
+        return a, n
+    if kind is SchemeKind.TRAPEZOID:
+        a = np.full(n + 1, 2.0)
+        a[0] = a[-1] = 1.0
+        return a, 2 * n
+    raise UsageError(f"unknown scheme kind: {kind!r}")
+
+
+def geometric_projection(kind: SchemeKind, spec: GaussianSpec) -> tuple:
+    """The scheme-weighted log average as a function of the draw's normals.
+
+    For the scheme's quadrature weights ``w`` and the law's mean ``mu``
+    and factor ``F``, a draw ``X = mu + F G`` has ``w . X = w . mu +
+    (F^T w) . G``.  Returns the pair ``(w . mu, F^T w)``: a float, with
+    ``a . mu`` summed in extended precision, and an ``(r,)`` array.  The
+    sampled control variate and its exact moments
+    (:func:`~roughvix.payoffs.cv_moments`) both come from this pair.
+    """
+    a, d = _quadrature_weights(kind, spec.grid.n)
+    offset = math.fsum((a * spec.mean).tolist()) / d
+    return offset, (spec.factor.L.T @ a) / d
+
+
 def _exp_values(sample: GaussianSample) -> np.ndarray:
     if sample.grid_n < 1:
         raise UsageError(f"scheme needs at least one step, got n={sample.grid_n}")
@@ -119,30 +159,41 @@ def vix2_batches(
     """The batch kernel: VIX^2 of `total` draws of the law `spec`, batch by batch.
 
     Batch ``i`` of the fixed partition ``batch_sizes(n, total)`` draws
-    from ``stream_for(seed, *key, i)`` into one ``(n+1) x width`` block,
-    which every batch of the call reuses.  The control variate's log
-    average is taken first; the block is then exponentiated in place, and
-    the fine grid and each coarse grid (every ``step``-th point, for
-    ``step`` in `coarse_steps`) are averaged from those exponentials.
+    from ``stream_for(seed, *key, i)`` into one ``(n+1) x width`` block
+    and one ``(r+1) x width`` block of normals, which every batch of the
+    call reuses.  The block is exponentiated in place, and the fine grid
+    and each coarse grid (every ``step``-th point, for ``step`` in
+    `coarse_steps`) are averaged from those exponentials.
 
     Yields ``(fine, coarse, cv)`` per batch: the scheme's VIX^2 per draw,
-    the list of coarse VIX^2 arrays, and the control variate's value
-    ``exp(sum_i w_i X_i)`` when `geometric` is set (None otherwise).
-    Every value equals, bit for bit, what :func:`scheme_vix2` and
-    :func:`~roughvix.payoffs.geometric_vix2` give on the
-    :func:`~roughvix.sampler.sample_fine` draw of the same stream.
+    the list of coarse VIX^2 arrays, and, when `geometric` is set, the
+    control variate ``exp(w . mu + (F^T w) . G)`` from the batch's
+    normals ``G`` and :func:`geometric_projection` (None otherwise).
+    The fine and coarse values equal, bit for bit, what
+    :func:`scheme_vix2` gives on the :func:`~roughvix.sampler.sample_fine`
+    draw of the same stream.  The control variate is the Gaussian
+    functional that :func:`~roughvix.payoffs.cv_price` prices; it agrees
+    with :func:`~roughvix.payoffs.geometric_vix2` of the draw up to the
+    rounding of the two sums.
     """
     n = spec.grid.n
     for step in coarse_steps:
         if step < 1 or n % step != 0:
             raise UsageError(f"coarse step {step} does not divide n={n}")
     widths = batch_sizes(n, total)
+    rank = spec.factor.rank
     block = np.empty((n + 1) * widths[0])
+    normals_block = np.empty((rank + 1) * widths[0])
+    if geometric:
+        offset, projection = geometric_projection(kind, spec)
     for index, width in enumerate(widths):
         values = block[: (n + 1) * width].reshape(n + 1, width)
+        normals = normals_block[: (rank + 1) * width].reshape(rank + 1, width)
         stream = stream_for(seed, *key, index)
-        sample_fine(spec.factor, spec.mean, stream, size=width, out=values)
-        cv = np.exp(quadrature_mean(kind, values)) if geometric else None
+        sample = sample_fine(
+            spec.factor, spec.mean, stream, size=width, out=values, normals_out=normals
+        )
+        cv = np.exp(offset + projection @ sample.normals) if geometric else None
         np.exp(values, out=values)
         fine = quadrature_mean(kind, values)
         yield fine, [quadrature_mean(kind, values[::step]) for step in coarse_steps], cv

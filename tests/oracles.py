@@ -14,7 +14,6 @@ from scipy import integrate, special
 
 from roughvix import (
     batch_sizes,
-    geometric_vix2,
     restrict_to_coarse,
     sample_fine,
     scheme_vix2,
@@ -149,13 +148,36 @@ def exact_variance(spec, weights) -> float:
     return float(wp @ np.expm1(np.asarray(spec.cov)) @ wp)
 
 
+def contract_normals(stream, shape) -> np.ndarray:
+    """Standard normals of the stream contract: ``ndtri((k + 0.5) 2^-53)``
+    with ``k`` the 53-bit integers ``integers(0, 2**53)`` draws."""
+    raw = stream.integers(0, 1 << 53, size=shape, dtype=np.uint64)
+    return special.ndtri((raw.astype(np.float64) + 0.5) * 2.0**-53)
+
+
+def geometric_log_average(kind, spec, normals) -> np.ndarray:
+    """The control variate's log average ``w . mu + (F^T w) . G`` of the
+    documented contract, ``w = a/d`` with the scheme's integer weights
+    ``a`` (``(0, 1, ..., 1)/n`` or ``(1, 2, ..., 2, 1)/2n``) and ``a . mu``
+    summed exactly."""
+    n = spec.grid.n
+    if kind.value == "rect":
+        a, d = np.r_[0.0, np.ones(n)], n
+    else:
+        a, d = np.r_[1.0, np.full(n - 1, 2.0), 1.0], 2 * n
+    offset = math.fsum((a * spec.mean).tolist()) / d
+    return offset + ((spec.factor.L.T @ a) / d) @ normals
+
+
 def public_path_batches(kind, spec, total, seed, key, coarse_steps=()):
     """Per-batch values of the batch kernel, through the public functions.
 
     Draws each batch with ``sample_fine`` into a fresh array, restricts it
     with repeated ``restrict_to_coarse`` (so each step must be a power of
-    two), and evaluates ``scheme_vix2`` and ``geometric_vix2`` on those
-    samples.  Yields ``(fine, coarse, cv)`` as ``vix2_batches`` does.
+    two), and evaluates ``scheme_vix2`` on those samples.  The control
+    variate is ``exp(w . mu + (F^T w) . G)`` with ``G`` redrawn from the
+    batch's stream by the integer route of the stream contract.  Yields
+    ``(fine, coarse, cv)`` as ``vix2_batches`` does.
     """
     n = spec.grid.n
     for index, width in enumerate(batch_sizes(n, total)):
@@ -167,4 +189,6 @@ def public_path_batches(kind, spec, total, seed, key, coarse_steps=()):
             for _ in range(step.bit_length() - 1):
                 sample = restrict_to_coarse(sample)
             coarse.append(scheme_vix2(kind, sample))
-        yield scheme_vix2(kind, fine), coarse, geometric_vix2(fine.values, kind)
+        normals = contract_normals(stream_for(seed, *key, index), (spec.factor.rank, width))
+        cv = np.exp(geometric_log_average(kind, spec, normals))
+        yield scheme_vix2(kind, fine), coarse, cv

@@ -18,6 +18,7 @@ from roughvix import (
     batch_sizes,
     factor_for,
     gaussian_spec,
+    geometric_vix2,
     lambda_constant,
     level_statistics,
     mc_price,
@@ -467,6 +468,21 @@ def test_batch_kernel_matches_the_public_path(scheme, n, total):
     assert _assert_same_batches(kernel, public) == total
 
 
+@pytest.mark.parametrize("n", [6, 14, 250, 768])
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+def test_sampled_control_variate_agrees_with_the_grid_average(scheme, n):
+    # The kernel's exp(w.mu + (F^T w).G) and geometric_vix2 of the same
+    # draws compute one Gaussian functional by two sums of different
+    # length; they differ by rounding only.
+    spec = gaussian_spec(PB, n)
+    total, seed, key = 2365, 21, (DOMAIN_MC,)
+    ((_, _, cv),) = vix2_batches(scheme, spec, total, seed, key, geometric=True)
+    sample = sample_fine(spec.factor, spec.mean, stream_for(seed, *key, 0), size=total)
+    grid = geometric_vix2(sample.values, scheme)
+    bound = (n + 1) * 2.0**-53 * np.max(np.abs(sample.values))
+    assert np.all(np.abs(cv - grid) <= bound * grid)
+
+
 @pytest.mark.parametrize("use_cv", [False, True])
 @pytest.mark.parametrize("scheme", list(SchemeKind))
 def test_mc_price_matches_the_public_path(scheme, use_cv):
@@ -502,12 +518,14 @@ def test_level_moments_match_the_public_path(scheme, level):
 
 
 def test_seeded_prices_are_pinned():
-    # The seeded ref-b price and the fig3 plans at eps = 2e-3, as the
-    # low-rank factor first gave them; the batch kernel moved no bit.
+    # The seeded ref-b price with the control variate taken from the
+    # normals (it was 0x1.f39c4e075c938p-4 +- 0x1.8eed5ce9b60ffp-20 from
+    # the grid values), and the fig3 plans at eps = 2e-3 without it, as
+    # the low-rank factor first gave them.
     est = mc_price(SchemeKind.RECTANGLE, 250, 200_000, CALL, True, PB, seed=3)
     assert (est.value.hex(), est.std_error.hex()) == (
-        "0x1.f39c4e075c938p-4",
-        "0x1.8eed5ce9b60ffp-20",
+        "0x1.f39c4e075c93ap-4",
+        "0x1.8eed5ce9b6135p-20",
     )
     pinned = {
         SchemeKind.RECTANGLE: ("0x1.f375299ff7827p-4", "0x1.312fd4ad07e8ap-11"),
@@ -522,7 +540,8 @@ def test_seeded_prices_are_pinned():
 def test_mc_price_holds_one_batch_block():
     # One 32768-draw batch at n = 250 with the control variate: the draw
     # block is reused and exponentiated in place, so the call holds one
-    # (n+1) x 32768 float64 block (62.75 MB) plus O(width) vectors.
+    # (n+1) x 32768 float64 block (62.75 MB), its (r+1)-row block of
+    # normals (r = 14 here, 3.75 MB) and O(width) vectors.
     n, M = 250, 32_768
     gaussian_spec(PB, n)  # the cached law is not part of the batch
     tracemalloc.start()

@@ -25,6 +25,7 @@ from roughvix import (
     stream_for,
 )
 from roughvix.sampler import _standard_normals
+from roughvix.schemes import geometric_projection
 
 X0 = math.log(0.235**2)
 PB = ModelParams(H=0.1, eta=0.5, T=0.5, Delta=1.0 / 12.0, x0=X0)
@@ -96,8 +97,8 @@ def test_indefinite_matrix_is_rejected():
 
 def test_cv_moments_match_the_sampled_law():
     # The control variate's variance is that of the sampled law,
-    # |F^T a|^2 / d^2.  It must agree with a^T C a / d^2 from the full
-    # closed-form covariance, or the control variate would be biased.
+    # |F^T w|^2 with w = a/d.  It must agree with a^T C a / d^2 from the
+    # full closed-form covariance, or the control variate would be biased.
     n = 250
     spec = gaussian_spec(PB, n)
     trapezoid = np.full(n + 1, 2.0)
@@ -111,6 +112,20 @@ def test_cv_moments_match_the_sampled_law():
         full = math.fsum((np.outer(a, a) * spec.cov).ravel().tolist()) / d**2
         sampled = cv_moments(spec, n, scheme).sigma_n ** 2
         assert abs(sampled - full) <= 1e-12 * full
+
+
+@pytest.mark.parametrize("n", [*(6 * 2**level for level in range(8)), 250])
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+def test_cv_moments_share_the_kernel_projection(scheme, n):
+    # The batch kernel samples the control variate as w.mu + (F^T w).G
+    # from geometric_projection; its closed-form price must come from the
+    # same pair, bit for bit.
+    spec = gaussian_spec(PB, n)
+    offset, projection = geometric_projection(scheme, spec)
+    moments = cv_moments(spec, n, scheme)
+    assert projection.shape == (spec.factor.rank,)
+    assert moments.mu_n == offset
+    assert moments.sigma_n == math.sqrt(math.fsum((projection * projection).tolist()))
 
 
 def test_factor_cache_returns_same_object():
@@ -163,26 +178,50 @@ def test_sample_shapes():
 
 def test_sample_consumes_rank_normals_per_draw():
     # Stream contract: a batch of m draws takes an (r, m) block of
-    # inverse-CDF normals from 53-bit integers, r being the factor's rank.
+    # inverse-CDF normals from 53-bit integers, r being the factor's rank,
+    # and is the one product [F | mean] @ [G; 1].
     n, m = 40, 6
     spec = gaussian_spec(PB, n)
     factor = factor_for(PB, n)
     sample = sample_fine(factor, spec.mean, stream_for(5, 1, 0), size=m)
     raw = stream_for(5, 1, 0).integers(0, 1 << 53, size=(factor.rank, m), dtype=np.uint64)
     normals = ndtri((raw.astype(np.float64) + 0.5) * 2.0**-53)
-    expected = factor.L @ normals + spec.mean[:, None]
+    expected = np.column_stack((factor.L, spec.mean)) @ np.vstack((normals, np.ones(m)))
     np.testing.assert_array_equal(sample.values, expected)
+    np.testing.assert_array_equal(sample.normals, normals)
+    # A single draw takes the stream's first r normals.
+    single = sample_fine(factor, spec.mean, stream_for(5, 1, 0))
+    first = normals.ravel()[: factor.rank]
+    np.testing.assert_array_equal(single.normals, first)
+    np.testing.assert_array_equal(
+        single.values, np.column_stack((factor.L, spec.mean)) @ np.append(first, 1.0)
+    )
     assert factor.rank < n + 1
+
+
+@pytest.mark.parametrize("n", [*(6 * 2**level for level in range(8)), 250])
+def test_sample_equals_the_factor_product_plus_mean_at_full_width(n):
+    # At the full batch width of every fig3 grid and of ref-b, the mean
+    # folded into the product adds the same bits as a separate pass.
+    spec = gaussian_spec(PB, n)
+    sample = sample_fine(spec.factor, spec.mean, stream_for(3, 1, 0), size=batch_size(n))
+    expected = spec.factor.L @ sample.normals
+    expected += spec.mean[:, None]
+    assert np.array_equal(sample.values, expected)
 
 
 def test_normals_match_the_integer_route_and_stream_state():
     # Generator.random + 2^-54 gives the floats (k + 0.5) 2^-53 of the
-    # integers route from the same 64-bit words, and consumes as many.
+    # integers route from the same 64-bit words, and consumes as many,
+    # also when it fills the leading rows of a larger block.
     ours, ref = stream_for(7, 2), stream_for(7, 2)
-    normals = _standard_normals(ours, (14, 50_000))
+    block = np.full((15, 50_000), 7.0)
+    normals = _standard_normals(ours, block[:14])
+    assert normals.base is block
     raw = ref.integers(0, 1 << 53, size=(14, 50_000), dtype=np.uint64)
     expected = ndtri((raw.astype(np.float64) + 0.5) * 2.0**-53)
     np.testing.assert_array_equal(normals, expected)
+    assert np.all(block[14] == 7.0)
     np.testing.assert_array_equal(
         ours.bit_generator.random_raw(9), ref.bit_generator.random_raw(9)
     )
@@ -192,13 +231,23 @@ def test_sample_writes_into_out():
     spec = gaussian_spec(PB, 6)
     factor = factor_for(PB, 6)
     out = np.empty((7, 5))
-    sample = sample_fine(factor, spec.mean, stream_for(0, 9), size=5, out=out)
+    normals_out = np.empty((factor.rank + 1, 5))
+    sample = sample_fine(
+        factor, spec.mean, stream_for(0, 9), size=5, out=out, normals_out=normals_out
+    )
     assert sample.values is out
+    assert sample.normals.base is normals_out
     fresh = sample_fine(factor, spec.mean, stream_for(0, 9), size=5)
     np.testing.assert_array_equal(out, fresh.values)
+    np.testing.assert_array_equal(normals_out[:-1], fresh.normals)
+    np.testing.assert_array_equal(normals_out[-1], np.ones(5))
     for bad in (np.empty((7, 4)), np.empty((5, 7)).T, np.empty((7, 5), dtype=np.float32)):
         with pytest.raises(UsageError):
             sample_fine(factor, spec.mean, stream_for(0, 9), size=5, out=bad)
+    rows = factor.rank + 1
+    for bad in (np.empty((rows - 1, 5)), np.empty((5, rows)).T, np.empty(rows)):
+        with pytest.raises(UsageError):
+            sample_fine(factor, spec.mean, stream_for(0, 9), size=5, normals_out=bad)
 
 
 def test_sample_dimension_mismatch_rejected():
