@@ -20,15 +20,17 @@ the 53-bit uniforms ``(k + 1/2) 2^-53``, so a stream's output is a pure
 function of (seed, key) and the draw count.  A draw consumes ``r``
 normals, the factor's rank.  Work is split into fixed-size batches that
 depend only on the grid size, so results are bit-identical across runs.
-The product's bits depend on the batch width (BLAS picks its kernel by
-the column count), which the fixed partition keeps deterministic.
+The product's bits depend on the batch width and its row blocks (BLAS
+picks its kernel by the product's shape), which the fixed partition
+keeps deterministic.
 
-A batch of ``m`` draws is one ``(n+1, m)`` block, drawn from one
-``(r+1, m)`` block of normals whose last row is ones; the estimators
-write every batch of a call into one pair of such blocks
-(``sample_fine(..., out=, normals_out=)``) and exponentiate the draws in
-place, so a call's peak batch memory is one draw block and one normals
-block (:func:`~roughvix.schemes.vix2_batches`).
+A batch of ``m`` draws is drawn from one ``(r+1, m)`` block of normals
+whose last row is ones, and its product is formed a block of rows at a
+time (:func:`_row_blocks`, about ``2^19`` values each, so that a block
+is still in cache when it is used).  The estimators never hold the
+``(n+1, m)`` draw: they exponentiate and average each row block as it
+is formed (:func:`~roughvix.schemes.vix2_batches`), so a call's peak
+batch memory is one normals block and one row block.
 """
 
 from __future__ import annotations
@@ -51,9 +53,14 @@ __all__ = [
     "batch_sizes",
 ]
 
-# Target elements per sample block: a call holds one block of at most
-# 2**24 float64 values (128 MiB), reused by all its batches, whatever n.
+# Target elements per batch, (n+1) x width.  It sets the batch partition,
+# on which the streams and the product's bits depend; the estimators'
+# memory is set by the row blocks below, not by it.
 _BLOCK_BUDGET = 2**24
+# Target elements per row block of a batch's product (4 MiB of float64),
+# small enough to stay in cache from its product through its exp and
+# average.
+_ROW_BLOCK_BUDGET = 2**19
 
 # Stream-key domains (first component of every spawn key).
 DOMAIN_MC = 1
@@ -106,6 +113,38 @@ def _standard_normals(stream: np.random.Generator, out: np.ndarray) -> np.ndarra
     return ndtri(out, out=out)
 
 
+def _draw_normals(stream: np.random.Generator, block: np.ndarray) -> np.ndarray:
+    """Fill `block` with ``[G; 1]`` and return ``G``, its leading rows.
+
+    The standard normals ``G`` fill every row of `block` but the last,
+    which is set to ones, so ``[F | mean] @ block`` is ``mean + F G``.
+    """
+    normals = _standard_normals(stream, block[:-1])
+    block[-1] = 1.0
+    return normals
+
+
+def _row_blocks(rows: int, width: int) -> list:
+    """Row bounds ``(a, b)`` in which a ``rows x width`` product is formed.
+
+    The blocks cover rows ``0..rows-1`` in order with
+    ``_ROW_BLOCK_BUDGET // width`` rows each, at least 2 (the last block
+    may have fewer), so a batch that fits in the budget is one block.  No block has exactly one row: a
+    one-row product takes BLAS's matrix-vector route, whose bits differ,
+    so a one-row tail takes a row from the block before it (or joins it,
+    when that block has only 2 rows).  The split is a pure function of
+    ``(rows, width)``.
+    """
+    size = max(2, _ROW_BLOCK_BUDGET // max(width, 1))
+    bounds = [*range(0, rows, size), rows]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        if size == 2:
+            del bounds[-2]
+        else:
+            bounds[-2] -= 1
+    return list(zip(bounds, bounds[1:]))
+
+
 def _check_out(name: str, array: np.ndarray | None, shape: tuple) -> None:
     if array is not None and (
         array.shape != shape
@@ -123,11 +162,13 @@ def sample_fine(
     out: np.ndarray | None = None,
     normals_out: np.ndarray | None = None,
 ) -> GaussianSample:
-    """Draw from ``N(mean, L L^T)`` as the one product ``[L | mean] @ [G; 1]``.
+    """Draw from ``N(mean, L L^T)`` as the product ``[L | mean] @ [G; 1]``.
 
     ``G`` holds the factor's rank ``r`` standard normals per draw, taken
     from `stream` as an ``(r,)`` vector, or an ``(r, size)`` block; the
-    sample's `normals` is ``G``.
+    sample's `normals` is ``G``.  The product is formed block by block
+    over the rows of :func:`_row_blocks`, as the estimators' kernel forms
+    it, so the two give the same bits.
 
     Parameters
     ----------
@@ -160,9 +201,11 @@ def sample_fine(
     _check_out("normals_out", normals_out, (rank + 1, *batch))
     if normals_out is None:
         normals_out = np.empty((rank + 1, *batch))
-    normals = _standard_normals(stream, normals_out[:rank])
-    normals_out[rank] = 1.0
-    values = np.matmul(np.column_stack((factor.L, mean)), normals_out, out=out)
+    normals = _draw_normals(stream, normals_out)
+    weights = np.column_stack((factor.L, mean))
+    values = np.empty((dim, *batch)) if out is None else out
+    for a, b in _row_blocks(dim, size or 1):
+        np.matmul(weights[a:b], normals_out, out=values[a:b])
     return GaussianSample(values=values, grid_n=dim - 1, normals=normals)
 
 
@@ -181,7 +224,12 @@ def restrict_to_coarse(fine: GaussianSample) -> GaussianSample:
 
 
 def batch_size(n: int) -> int:
-    """Samples per batch at grid size `n` (fixed partition, memory-bounded)."""
+    """Samples per batch at grid size `n`: the width of the fixed partition.
+
+    At most 32768 and at most ``2^24 / (n+1)``.  The widths fix the
+    streams and the product's bits; they do not bound the estimators'
+    memory, which holds one row block of a batch at a time.
+    """
     return max(1, min(32_768, _BLOCK_BUDGET // (n + 1)))
 
 

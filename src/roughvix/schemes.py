@@ -9,12 +9,14 @@ quadrature error being studied.  The draws themselves come from a factor
 product whose bits do depend on the batch width (see :mod:`.sampler`).
 
 The estimators evaluate their draws through one batch kernel,
-:func:`vix2_batches`: it writes each batch into one reused block,
-exponentiates it in place, and reads the fine grid and every restricted
-coarse grid from those exponentials.  The control variate's log average
-``w . X`` is linear in the draw, so the kernel takes it from the batch's
-``r`` normals as ``w . mu + (F^T w) . G`` (:func:`geometric_projection`),
-not from the ``n+1`` grid values.
+:func:`vix2_batches`: it forms each batch a cache-sized block of grid
+rows at a time in one reused buffer, exponentiates the block in place,
+and adds its rows to running averages of the fine grid and of every
+restricted coarse grid.  :func:`quadrature_mean` is the same running
+average fed the whole grid at once, so both give the same bits.  The
+control variate's log average ``w . X`` is linear in the draw, so the
+kernel takes it from the batch's ``r`` normals as ``w . mu + (F^T w) .
+G`` (:func:`geometric_projection`), not from the ``n+1`` grid values.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from .errors import UsageError
 from .model import GaussianSpec
-from .sampler import GaussianSample, batch_sizes, sample_fine, stream_for
+from .sampler import GaussianSample, _draw_normals, _row_blocks, batch_sizes, stream_for
 
 __all__ = [
     "SchemeKind",
@@ -44,21 +46,71 @@ class SchemeKind(Enum):
     TRAPEZOID = "trap"
 
 
-def row_mean(values: np.ndarray) -> np.ndarray:
-    """Mean along axis 0: the first row plus the mean deviation from it.
+class _RowMean:
+    """Running mean of the grid rows ``start, start + step, ...`` below `stop`.
 
-    For a 1-D input returns a scalar; for shape (k, m) returns the m
-    column means.  The deviations are added in row order, one column per
-    draw: ``np.sum`` would switch to pairwise summation for a 1-D input or
-    a width-1 batch, so a column's bits would depend on the batch width.
+    The rows arrive in order, a block of consecutive grid rows at a time
+    (:meth:`fold`).  The mean is the first row plus the mean deviation
+    from it, the deviations added in row order, one column per draw:
+    ``np.sum`` would switch to pairwise summation for a 1-D input or a
+    width-1 batch, so a column's bits would depend on the batch width.
     The shift makes equal rows average to exactly that row, so a flat
     model gives the same value on every grid.
     """
-    first = values[0]
-    total = np.zeros_like(first)
-    for row in values[1:]:
-        total += row - first
-    return first + total / values.shape[0]
+
+    def __init__(self, start: int, stop: int, step: int):
+        self.start, self.stop, self.step = start, stop, step
+        self.count = len(range(start, stop, step))
+        self.last = start + (self.count - 1) * step
+        self.first = self.total = self.value = None
+
+    def fold(self, block: np.ndarray, offset: int) -> None:
+        """Add the rows of `block`, which holds grid rows ``offset, offset + 1, ...``."""
+        # This side's first row at or after grid row `offset`.
+        start = max(self.start, offset + (self.start - offset) % self.step)
+        rows = block[start - offset : max(self.stop - offset, 0) : self.step]
+        fresh = self.first is None and len(rows) > 0
+        if fresh:
+            self.first, self.total = rows[0], np.zeros_like(rows[0])
+            rows = rows[1:]
+        first, total = self.first, self.total
+        for row in rows:
+            total += row - first
+        if offset <= self.last < offset + len(block):
+            self.value = first + total / self.count
+            self.first = self.total = None  # the next side reuses this memory while cached
+        elif fresh:
+            self.first = first.copy()  # later blocks overwrite this one
+
+    def mean(self):
+        """The mean of the rows, once all are folded in: an array of one
+        value per draw, or a scalar for single draws."""
+        return self.value
+
+
+class _GridMean:
+    """Running :func:`quadrature_mean` of every `step`-th row of an ``(n+1)``-row grid.
+
+    Fed blocks of consecutive rows in order (:meth:`fold`), it adds each
+    row exactly as the one-shot average of the whole grid does.
+    """
+
+    def __init__(self, kind: SchemeKind, n: int, step: int = 1):
+        self.sides = [_RowMean(step, n + 1, step)]
+        if kind is SchemeKind.TRAPEZOID:
+            self.sides.append(_RowMean(0, n + 1 - step, step))
+        elif kind is not SchemeKind.RECTANGLE:
+            raise UsageError(f"unknown scheme kind: {kind!r}")
+
+    def fold(self, block: np.ndarray, offset: int) -> None:
+        for side in self.sides:
+            side.fold(block, offset)
+
+    def value(self):
+        if len(self.sides) == 1:
+            return self.sides[0].mean()
+        right, left = self.sides
+        return 0.5 * (right.mean() + left.mean())
 
 
 def quadrature_mean(kind: SchemeKind, rows: np.ndarray):
@@ -68,11 +120,9 @@ def quadrature_mean(kind: SchemeKind, rows: np.ndarray):
     right-point averages for the trapezoid.  Applied to ``exp(X)`` it is
     the scheme's VIX^2, and to ``X`` the control variate's log average.
     """
-    if kind is SchemeKind.RECTANGLE:
-        return row_mean(rows[1:])
-    if kind is SchemeKind.TRAPEZOID:
-        return 0.5 * (row_mean(rows[1:]) + row_mean(rows[:-1]))
-    raise UsageError(f"unknown scheme kind: {kind!r}")
+    grid = _GridMean(kind, rows.shape[0] - 1)
+    grid.fold(rows, 0)
+    return grid.value()
 
 
 def _quadrature_weights(kind: SchemeKind, n: int) -> tuple:
@@ -159,11 +209,14 @@ def vix2_batches(
     """The batch kernel: VIX^2 of `total` draws of the law `spec`, batch by batch.
 
     Batch ``i`` of the fixed partition ``batch_sizes(n, total)`` draws
-    from ``stream_for(seed, *key, i)`` into one ``(n+1) x width`` block
-    and one ``(r+1) x width`` block of normals, which every batch of the
-    call reuses.  The block is exponentiated in place, and the fine grid
-    and each coarse grid (every ``step``-th point, for ``step`` in
-    `coarse_steps`) are averaged from those exponentials.
+    its normals ``G`` from ``stream_for(seed, *key, i)`` into one
+    ``(r+1) x width`` block ``[G; 1]``, which every batch of the call
+    reuses.  The draws ``[F | mu] @ [G; 1]`` are formed one row block at
+    a time (:func:`~roughvix.sampler._row_blocks`) in one small buffer,
+    also reused: each block is exponentiated in place and its rows are
+    added to running averages of the fine grid and of each coarse grid
+    (every ``step``-th point, for ``step`` in `coarse_steps`), in grid
+    order.  No ``(n+1) x width`` block is ever held.
 
     Yields ``(fine, coarse, cv)`` per batch: the scheme's VIX^2 per draw,
     the list of coarse VIX^2 arrays, and, when `geometric` is set, the
@@ -171,9 +224,10 @@ def vix2_batches(
     normals ``G`` and :func:`geometric_projection` (None otherwise).
     The fine and coarse values equal, bit for bit, what
     :func:`scheme_vix2` gives on the :func:`~roughvix.sampler.sample_fine`
-    draw of the same stream.  The control variate is the Gaussian
-    functional that :func:`~roughvix.payoffs.cv_price` prices; it agrees
-    with :func:`~roughvix.payoffs.geometric_vix2` of the draw up to the
+    draw of the same stream, which forms its product over the same row
+    blocks.  The control variate is the Gaussian functional that
+    :func:`~roughvix.payoffs.cv_price` prices; it agrees with
+    :func:`~roughvix.payoffs.geometric_vix2` of the draw up to the
     rounding of the two sums.
     """
     n = spec.grid.n
@@ -182,21 +236,26 @@ def vix2_batches(
             raise UsageError(f"coarse step {step} does not divide n={n}")
     widths = batch_sizes(n, total)
     rank = spec.factor.rank
-    block = np.empty((n + 1) * widths[0])
-    normals_block = np.empty((rank + 1) * widths[0])
+    weights = np.column_stack((spec.factor.L, spec.mean))
+    stacked_block = np.empty((rank + 1) * widths[0])
+    block = np.empty(
+        max((b - a) * width for width in set(widths) for a, b in _row_blocks(n + 1, width))
+    )
     if geometric:
         offset, projection = geometric_projection(kind, spec)
     for index, width in enumerate(widths):
-        values = block[: (n + 1) * width].reshape(n + 1, width)
-        normals = normals_block[: (rank + 1) * width].reshape(rank + 1, width)
-        stream = stream_for(seed, *key, index)
-        sample = sample_fine(
-            spec.factor, spec.mean, stream, size=width, out=values, normals_out=normals
-        )
-        cv = np.exp(offset + projection @ sample.normals) if geometric else None
-        np.exp(values, out=values)
-        fine = quadrature_mean(kind, values)
-        yield fine, [quadrature_mean(kind, values[::step]) for step in coarse_steps], cv
+        stacked = stacked_block[: (rank + 1) * width].reshape(rank + 1, width)
+        normals = _draw_normals(stream_for(seed, *key, index), stacked)
+        cv = np.exp(offset + projection @ normals) if geometric else None
+        grids = [_GridMean(kind, n, step) for step in (1, *coarse_steps)]
+        for a, b in _row_blocks(n + 1, width):
+            rows = block[: (b - a) * width].reshape(b - a, width)
+            np.matmul(weights[a:b], stacked, out=rows)
+            np.exp(rows, out=rows)
+            for grid in grids:
+                grid.fold(rows, a)
+        fine, *coarse = (grid.value() for grid in grids)
+        yield fine, coarse, cv
 
 
 def vix_from_vix2(v):

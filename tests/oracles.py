@@ -169,6 +169,30 @@ def geometric_log_average(kind, spec, normals) -> np.ndarray:
     return offset + ((spec.factor.L.T @ a) / d) @ normals
 
 
+def single_product(factor, mean, normals) -> np.ndarray:
+    """The draws ``[F | mu] @ [G; 1]`` of a batch of normals ``G``, formed
+    in one matrix product instead of by row blocks."""
+    stacked = np.vstack((normals, np.ones(normals.shape[1])))
+    return np.column_stack((factor.L, mean)) @ stacked
+
+
+def row_order_scheme_mean(kind, rows) -> np.ndarray:
+    """The scheme's average of `rows` along axis 0, each side being its
+    first row plus the mean deviation from it, the deviations added in
+    row order in one pass over the whole array."""
+
+    def side(values):
+        first = values[0]
+        total = np.zeros_like(first)
+        for row in values[1:]:
+            total += row - first
+        return first + total / values.shape[0]
+
+    if kind.value == "rect":
+        return side(rows[1:])
+    return 0.5 * (side(rows[1:]) + side(rows[:-1]))
+
+
 def public_path_batches(kind, spec, total, seed, key, coarse_steps=()):
     """Per-batch values of the batch kernel, through the public functions.
 

@@ -537,12 +537,15 @@ def test_seeded_prices_are_pinned():
         assert (est.value.hex(), est.std_error.hex()) == expected
 
 
-def test_mc_price_holds_one_batch_block():
-    # One 32768-draw batch at n = 250 with the control variate: the draw
-    # block is reused and exponentiated in place, so the call holds one
-    # (n+1) x 32768 float64 block (62.75 MB), its (r+1)-row block of
-    # normals (r = 14 here, 3.75 MB) and O(width) vectors.
-    n, M = 250, 32_768
+@pytest.mark.parametrize("n", [250, 2000])
+def test_mc_price_holds_one_row_block(n):
+    # 32768 draws with the control variate: one batch of width 32768 at
+    # n = 250, four batches of width <= 8384 at n = 2000.  The draws are
+    # formed, exponentiated and averaged a row block of <= 2^19 values
+    # (4 MiB) at a time, so the call holds that block, the (r+1)-row
+    # block of normals (3.75 MiB at n = 250, r = 14) and O(width)
+    # vectors, never an (n+1) x width block (62.75 and 128 MiB here).
+    M = 32_768
     gaussian_spec(PB, n)  # the cached law is not part of the batch
     tracemalloc.start()
     try:
@@ -550,4 +553,4 @@ def test_mc_price_holds_one_batch_block():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.25 * (n + 1) * M * 8
+    assert peak < 16 * 2**20

@@ -24,8 +24,10 @@ from roughvix import (
     sample_fine,
     stream_for,
 )
-from roughvix.sampler import _standard_normals
+from roughvix.sampler import _row_blocks, _standard_normals
 from roughvix.schemes import geometric_projection
+
+from oracles import single_product
 
 X0 = math.log(0.235**2)
 PB = ModelParams(H=0.1, eta=0.5, T=0.5, Delta=1.0 / 12.0, x0=X0)
@@ -201,13 +203,63 @@ def test_sample_consumes_rank_normals_per_draw():
 
 @pytest.mark.parametrize("n", [*(6 * 2**level for level in range(8)), 250])
 def test_sample_equals_the_factor_product_plus_mean_at_full_width(n):
-    # At the full batch width of every fig3 grid and of ref-b, the mean
-    # folded into the product adds the same bits as a separate pass.
+    # At the full batch width of every fig3 grid and of ref-b, the product
+    # formed by row blocks has the bits of the single product, and the
+    # mean folded into the product adds the same bits as a separate pass.
     spec = gaussian_spec(PB, n)
     sample = sample_fine(spec.factor, spec.mean, stream_for(3, 1, 0), size=batch_size(n))
+    assert np.array_equal(sample.values, single_product(spec.factor, spec.mean, sample.normals))
     expected = spec.factor.L @ sample.normals
     expected += spec.mean[:, None]
     assert np.array_equal(sample.values, expected)
+
+
+# (n, width): one-block batches, and split batches whose widths are not a
+# multiple of 8, where the row blocks can move a draw's last bits.
+BLOCKED_PRODUCT_CASES = [
+    *((250, width) for width in (1, 2, 3, 179, 2365)),
+    (6, 3),
+    (96, 5669),
+    (768, 5669),
+    (1500, 11177),
+    (3000, 179),
+]
+
+
+@pytest.mark.parametrize("n,width", BLOCKED_PRODUCT_CASES)
+def test_blocked_product_agrees_with_the_single_product(n, width):
+    # Two computations of the same (r+1)-term dot products differ by at
+    # most 2 (r+1) 2^-53 |[F | mu]| @ |[G; 1]|, elementwise.
+    spec = gaussian_spec(PB, n)
+    sample = sample_fine(spec.factor, spec.mean, stream_for(3, 1, 0), size=width)
+    expected = single_product(spec.factor, spec.mean, sample.normals)
+    weights = np.abs(np.column_stack((spec.factor.L, spec.mean)))
+    stacked = np.abs(np.vstack((sample.normals, np.ones(width))))
+    scale = 2 * (spec.factor.rank + 1) * 2.0**-53
+    for a in range(0, n + 1, 128):  # a few rows at a time, to hold little memory
+        bound = scale * (weights[a : a + 128] @ stacked)
+        assert np.all(np.abs(sample.values[a : a + 128] - expected[a : a + 128]) <= bound)
+
+
+@pytest.mark.parametrize("n", [1, 6, 12, 24, 250, 768, 1500, 3000])
+def test_row_blocks_split_the_product(n):
+    # A one-row product takes BLAS's matrix-vector route, whose bits
+    # differ from the matrix product's, so no block may have one row.
+    rows = n + 1
+    for width in (1, 2, 3, 179, 2365, batch_size(n)):
+        blocks = _row_blocks(rows, width)
+        assert [a for a, _ in blocks] == [0, *(b for _, b in blocks[:-1])]
+        assert blocks[-1][1] == rows
+        assert all(b - a >= 2 for a, b in blocks)
+        assert all((b - a) * width <= 2**19 or b - a == 2 for a, b in blocks)
+        if rows * width <= 2**19:
+            assert blocks == [(0, rows)]
+    # Past 2^18 columns a block holds 2 rows, or 3 to take an odd tail.
+    for width in (2**18 + 1, 2**20):
+        blocks = _row_blocks(rows, width)
+        assert blocks[0][0] == 0 and blocks[-1][1] == rows
+        assert all(2 <= b - a <= 3 for a, b in blocks)
+        assert sum(b - a == 3 for a, b in blocks) == rows % 2
 
 
 def test_normals_match_the_integer_route_and_stream_state():

@@ -15,6 +15,9 @@ from roughvix import (
     trapezoid_vix2,
     vix_from_vix2,
 )
+from roughvix.schemes import _GridMean, quadrature_mean
+
+from oracles import row_order_scheme_mean
 
 
 def _sample(values):
@@ -115,6 +118,30 @@ def test_batched_values_reduce_per_column():
             column = x[:, j]
             assert reduce(_sample(column[:, None]))[0] == out[j]
             assert reduce(_sample(column)) == out[j]
+
+
+@pytest.mark.parametrize("step", [1, 2, 3, 4, 6, 12])
+@pytest.mark.parametrize("kind", list(SchemeKind))
+def test_running_average_matches_the_one_pass_average(kind, step):
+    # The batch kernel feeds a grid's average one block of consecutive
+    # rows at a time, each block in a reused buffer; whatever the block
+    # bounds, every step-th row must be added as one pass over the
+    # restricted grid adds it, bit for bit.
+    n = 24
+    x = np.random.default_rng(5).normal(size=(n + 1, 4))
+    expected = row_order_scheme_mean(kind, x[::step])
+    np.testing.assert_array_equal(quadrature_mean(kind, x[::step]), expected)
+    # Bounds that split the grid anywhere, including after row 12, so a
+    # side can end in a block that later blocks overwrite.
+    for bounds in ([0, 25], [0, 1, 25], [0, 13, 25], [0, 2, 4, 5, 13, 24, 25], [*range(25), 25]):
+        grid = _GridMean(kind, n, step)
+        buffer = np.empty_like(x)
+        for a, b in zip(bounds, bounds[1:]):
+            block = buffer[: b - a]
+            block[...] = x[a:b]
+            grid.fold(block, a)
+            buffer.fill(np.nan)
+        np.testing.assert_array_equal(grid.value(), expected)
 
 
 def test_vix_is_square_root_with_validation():
