@@ -8,6 +8,13 @@ table (CSV by default, JSON on request) plus a JSON manifest that
 round-trips the exact configuration.  Exit codes: 0 success, 2 usage
 error, 3 numeric failure, 4 I/O failure.
 
+:class:`RunConfig` is the one table of keys: each field's annotation is
+the key's type and its metadata holds the help text, choices and any
+flag alias.  The subcommands' parsers, the typing of values and the
+choice checks of :func:`validate` are all built from it.  A flag, a
+``key=value`` entry and a JSON value are typed by the same rule
+(:func:`_coerce`), and any value it cannot type exits 2.
+
 The environment variable ``ROUGHVIX_OUTPUT_DIR`` sets the default output
 directory; it is ignored when ``--output`` is given.  Parent directories
 are never created implicitly.
@@ -24,6 +31,7 @@ import math
 import os
 import sys
 import time
+import typing
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -53,7 +61,6 @@ __all__ = ["RunConfig", "parse_config", "validate", "run", "main"]
 
 MANIFEST_SCHEMA_VERSION = 2
 
-_COMMANDS = ("price", "strong-error", "weak-error", "mse-cost", "covariance-check")
 _SCHEMES = {"rect": SchemeKind.RECTANGLE, "trap": SchemeKind.TRAPEZOID}
 _PAYOFFS = {"call": PayoffKind.CALL, "put": PayoffKind.PUT, "future": PayoffKind.FUTURE}
 
@@ -62,107 +69,120 @@ _PAYOFFS = {"call": PayoffKind.CALL, "put": PayoffKind.PUT, "future": PayoffKind
 _DOMAIN_COV_CHECK = 5
 
 
+def _key(help: str, default=None, **flag) -> dataclasses.Field:
+    """A CLI key's field, with its help text and flag options.
+
+    The options are ``choices``, ``aliases`` (more flags for the key)
+    and ``negatable`` (a boolean flag that also has a ``--no-`` form).
+    """
+    return dataclasses.field(default=default, metadata={"help": help, **flag})
+
+
 @dataclass
 class RunConfig:
     """Complete, explicit description of one CLI run."""
 
     command: str
-    H: float | None = None
-    eta: float | None = None
-    T: float | None = None
-    Delta: float | None = None
-    x0: float | None = None
-    x0_csv: str | None = None
-    x0_interp: str = "step"
-    payoff: str = "call"
-    strike: float | None = None
-    scheme: str = "rect"
-    estimator: str = "mc"
-    n: int | None = None
-    M: int | None = None
-    cv: bool = False
-    epsilon: float | None = None
-    n0: int = 6
-    plan_constants: str = "auto"
-    n_ref: int | None = None
-    n_values: tuple | None = None
-    family: str | None = None
-    epsilons: tuple | None = None
-    n_mse: int | None = None
-    reference_price: float | None = None
-    reference_ci: float = 0.0
-    pairs: int = 100
-    tolerance: float = 1e-9
-    seed: int = 0
-    output: str | None = None
-    format: str = "csv"
-    paper_scale: bool = False
-    preset: str | None = None
+    H: float | None = _key("Hurst index in (0, 1)")
+    eta: float | None = _key("vol-of-vol, >= 0")
+    T: float | None = _key("option maturity in years")
+    Delta: float | None = _key("VIX window width in years")
+    x0: float | None = _key("constant initial log-forward-variance")
+    x0_csv: str | None = _key("two-column CSV (date, value) with header")
+    x0_interp: str = _key(
+        "interpolation for --x0-csv (default step)", "step", choices=("step", "linear")
+    )
+    payoff: str = _key("payoff kind", "call", choices=tuple(_PAYOFFS))
+    strike: float | None = _key("strike (call/put)", aliases=("--kappa",))
+    scheme: str = _key("integration scheme", "rect", choices=tuple(_SCHEMES))
+    estimator: str = _key("estimator family", "mc", choices=("mc", "mlmc"))
+    n: int | None = _key("grid size (mc)")
+    M: int | None = _key("sample count (per grid size for weak-error)")
+    cv: bool = _key("control variate on/off (mc only)", False, negatable=True)
+    epsilon: float | None = _key("target RMSE (mlmc)")
+    n0: int = _key("base grid size (mlmc, default 6)", 6)
+    plan_constants: str = _key(
+        "where the plan constants come from",
+        "auto",
+        choices=("auto", "closed-form", "pilot"),
+    )
+    n_ref: int | None = _key("reference grid size")
+    n_values: tuple[int, ...] | None = _key("comma-separated grid sizes")
+    family: str | None = _key("estimator family", choices=FAMILIES)
+    epsilons: tuple[float, ...] | None = _key("comma-separated RMSE targets")
+    n_mse: int | None = _key("replications per target")
+    reference_price: float | None = _key("frozen reference")
+    reference_ci: float = _key("reference uncertainty", 0.0)
+    pairs: int = _key("number of random pairs (default 100)", 100)
+    tolerance: float = _key("max relative deviation (default 1e-9)", 1e-9)
+    seed: int = _key("root seed (default 0)", 0)
+    output: str | None = _key("results file path (default derived name)")
+    format: str = _key("results format", "csv", choices=("csv", "json"))
+    paper_scale: bool = _key("use the full-scale protocol for the preset", False)
+    preset: str | None = _key("named protocol", choices=PRESET_NAMES)
 
     def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        for key in ("n_values", "epsilons"):
-            if out[key] is not None:
-                out[key] = list(out[key])
-        return out
+        """The keys and values; JSON writes the list keys' tuples as arrays."""
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        names = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - names)
-        if unknown:
-            raise UsageError(f"unknown config keys: {', '.join(unknown)}")
-        data = dict(data)
-        for key in ("n_values", "epsilons"):
-            if data.get(key) is not None:
-                data[key] = tuple(data[key])
-        return cls(**data)
+        return cls(**_typed(data))
 
 
 # ---------------------------------------------------------------------------
 # Argument parsing and config resolution
 
+_FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--H", type=float, help="Hurst index in (0, 1)")
-    p.add_argument("--eta", type=float, help="vol-of-vol, >= 0")
-    p.add_argument("--T", type=float, help="option maturity in years")
-    p.add_argument("--Delta", type=float, help="VIX window width in years")
-    p.add_argument("--x0", type=float, help="constant initial log-forward-variance")
-    p.add_argument(
-        "--x0-csv", dest="x0_csv", help="two-column CSV (date, value) with header"
-    )
-    p.add_argument(
-        "--x0-interp",
-        dest="x0_interp",
-        choices=("step", "linear"),
-        help="interpolation for --x0-csv (default step)",
-    )
+# Each key's value type: its annotation without ``| None``.
+_TYPES = {
+    name: typing.get_args(hint)[0] if type(None) in typing.get_args(hint) else hint
+    for name, hint in typing.get_type_hints(RunConfig).items()
+}
+
+# Each subcommand's help line and the keys it takes as flags, besides
+# ``--config``.  The four studies share the model's keys and a preset.
+_STUDY_KEYS = "H eta T Delta x0 x0_csv x0_interp preset paper_scale"
+_COMMANDS = {
+    "price": (
+        "price one option",
+        f"{_STUDY_KEYS} payoff strike scheme estimator n M cv epsilon n0 "
+        "plan_constants seed output format",
+    ),
+    "strong-error": (
+        "L2 error versus grid size",
+        f"{_STUDY_KEYS} scheme n_ref n_values M seed output format",
+    ),
+    "weak-error": (
+        "price bias versus grid size",
+        f"{_STUDY_KEYS} payoff strike scheme n_values M reference_price "
+        "reference_ci seed output format",
+    ),
+    "mse-cost": (
+        "empirical MSE versus normalized cost",
+        f"{_STUDY_KEYS} payoff strike family epsilons n_mse reference_price "
+        "reference_ci n0 plan_constants seed output format",
+    ),
+    "covariance-check": (
+        "closed-form covariance versus quadrature",
+        "pairs tolerance seed output format",
+    ),
+}
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, help="root seed (default 0)")
-    p.add_argument("--output", help="results file path (default derived name)")
-    p.add_argument("--format", choices=("csv", "json"), help="results format")
-    p.add_argument("--config", help="config file (JSON or key=value lines)")
-
-
-def _add_payoff_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--payoff", choices=tuple(_PAYOFFS), help="payoff kind")
-    p.add_argument(
-        "--strike", "--kappa", dest="strike", type=float, help="strike (call/put)"
-    )
-
-
-def _add_preset_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--preset", choices=PRESET_NAMES, help="named protocol")
-    p.add_argument(
-        "--paper-scale",
-        dest="paper_scale",
-        action="store_const",
-        const=True,
-        help="use the full-scale protocol for the preset",
-    )
+def _add_flag(p: argparse.ArgumentParser, key: str) -> None:
+    meta = _FIELDS[key].metadata
+    flags = ["--" + key.replace("_", "-"), *meta.get("aliases", ())]
+    options = {"dest": key, "help": meta["help"]}
+    # An absent flag parses as None, so a file's or preset's value stands.
+    if _TYPES[key] is bool and meta.get("negatable"):
+        options["action"] = argparse.BooleanOptionalAction
+    elif _TYPES[key] is bool:
+        options.update(action="store_const", const=True)
+    else:
+        options["choices"] = meta.get("choices")
+    p.add_argument(*flags, **options)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -171,107 +191,72 @@ def _build_parser() -> argparse.ArgumentParser:
         description="VIX option pricing and benchmarks in the rough Bergomi model",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("price", help="price one option")
-    _add_model_flags(p)
-    _add_payoff_flags(p)
-    _add_preset_flag(p)
-    _add_common_flags(p)
-    p.add_argument("--scheme", choices=tuple(_SCHEMES), help="integration scheme")
-    p.add_argument("--estimator", choices=("mc", "mlmc"), help="estimator family")
-    p.add_argument("--n", type=int, help="grid size (mc)")
-    p.add_argument("--M", type=int, help="sample count (mc)")
-    p.add_argument(
-        "--cv",
-        dest="cv",
-        action=argparse.BooleanOptionalAction,
-        help="control variate on/off (mc only)",
-    )
-    p.add_argument("--epsilon", type=float, help="target RMSE (mlmc)")
-    p.add_argument("--n0", type=int, help="base grid size (mlmc, default 6)")
-    p.add_argument(
-        "--plan-constants",
-        dest="plan_constants",
-        choices=("auto", "closed-form", "pilot"),
-        help="where the plan constants come from",
-    )
-
-    p = sub.add_parser("strong-error", help="L2 error versus grid size")
-    _add_model_flags(p)
-    _add_preset_flag(p)
-    _add_common_flags(p)
-    p.add_argument("--scheme", choices=tuple(_SCHEMES))
-    p.add_argument("--n-ref", dest="n_ref", type=int, help="reference grid size")
-    p.add_argument("--n-values", dest="n_values", help="comma-separated grid sizes")
-    p.add_argument("--M", type=int, help="sample count")
-
-    p = sub.add_parser("weak-error", help="price bias versus grid size")
-    _add_model_flags(p)
-    _add_payoff_flags(p)
-    _add_preset_flag(p)
-    _add_common_flags(p)
-    p.add_argument("--scheme", choices=tuple(_SCHEMES))
-    p.add_argument("--n-values", dest="n_values", help="comma-separated grid sizes")
-    p.add_argument("--M", type=int, help="sample count per grid size")
-    p.add_argument(
-        "--reference-price", dest="reference_price", type=float, help="frozen reference"
-    )
-    p.add_argument(
-        "--reference-ci", dest="reference_ci", type=float, help="reference uncertainty"
-    )
-
-    p = sub.add_parser("mse-cost", help="empirical MSE versus normalized cost")
-    _add_model_flags(p)
-    _add_payoff_flags(p)
-    _add_preset_flag(p)
-    _add_common_flags(p)
-    p.add_argument("--family", choices=FAMILIES, help="estimator family")
-    p.add_argument("--epsilons", help="comma-separated RMSE targets")
-    p.add_argument("--n-mse", dest="n_mse", type=int, help="replications per target")
-    p.add_argument(
-        "--reference-price", dest="reference_price", type=float, help="frozen reference"
-    )
-    p.add_argument(
-        "--reference-ci", dest="reference_ci", type=float, help="reference uncertainty"
-    )
-    p.add_argument("--n0", type=int, help="base grid size (default 6)")
-    p.add_argument(
-        "--plan-constants",
-        dest="plan_constants",
-        choices=("auto", "closed-form", "pilot"),
-    )
-
-    p = sub.add_parser(
-        "covariance-check", help="closed-form covariance versus quadrature"
-    )
-    _add_common_flags(p)
-    p.add_argument("--pairs", type=int, help="number of random pairs (default 100)")
-    p.add_argument(
-        "--tolerance", type=float, help="max relative deviation (default 1e-9)"
-    )
-
+    for command, (summary, keys) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for key in keys.split():
+            _add_flag(p, key)
+        p.add_argument("--config", help="config file (JSON or key=value lines)")
     return parser
 
 
-def _parse_int_list(text: str, flag: str) -> tuple:
-    try:
-        return tuple(int(tok) for tok in str(text).split(",") if tok.strip())
-    except ValueError:
-        raise UsageError(f"{flag} must be a comma-separated integer list, got {text!r}")
+_TRUE = ("true", "1", "yes", "on")
+_FALSE = ("false", "0", "no", "off")
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "a boolean", str: "text"}
 
 
-def _parse_float_list(text: str, flag: str) -> tuple:
-    try:
-        return tuple(float(tok) for tok in str(text).split(",") if tok.strip())
-    except ValueError:
-        raise UsageError(f"{flag} must be a comma-separated number list, got {text!r}")
+def _coerce_item(key: str, kind: type, value):
+    """One value of type `kind` for `key`, from text or a JSON value."""
+    if isinstance(value, str) and kind is bool:
+        text = value.strip().lower()
+        if text in _TRUE + _FALSE:
+            return text in _TRUE
+    elif isinstance(value, str):
+        try:
+            return kind(value)
+        except ValueError:
+            pass
+    elif isinstance(value, bool) == (kind is bool):
+        # A JSON value; a bool is no number, and a number no bool.
+        if isinstance(value, kind):
+            return value
+        if kind is float and isinstance(value, int):
+            return float(value)
+    raise UsageError(f"{key}: expected {_TYPE_NAMES[kind]}, got {value!r}")
+
+
+def _coerce(key: str, value):
+    """Give a flag's or config file's `value` the type of `key`.
+
+    Text is parsed: ``int`` or ``float`` syntax, a boolean as one of
+    ``true/false``, ``1/0``, ``yes/no``, ``on/off`` in any case, a list
+    as comma-separated items.  A JSON value must have the type already,
+    except that any JSON number is a float and a list's items may be
+    text.  Null is taken only by a key whose default is None.
+    """
+    kind = _TYPES[key]
+    if value is None and _FIELDS[key].default is None:
+        return None
+    if typing.get_origin(kind) is not tuple:
+        return _coerce_item(key, kind, value)
+    if isinstance(value, str):
+        value = [item for item in value.split(",") if item.strip()]
+    if not isinstance(value, (list, tuple)):
+        raise UsageError(f"{key}: expected a list, got {value!r}")
+    return tuple(_coerce_item(key, typing.get_args(kind)[0], item) for item in value)
+
+
+def _typed(data: dict) -> dict:
+    """`data` with each value given its key's type; unknown keys are refused."""
+    unknown = sorted(set(data) - set(_FIELDS))
+    if unknown:
+        raise UsageError(f"unknown config keys: {', '.join(unknown)}")
+    return {key: _coerce(key, value) for key, value in data.items()}
 
 
 def _load_config_file(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -339,88 +324,26 @@ def _preset_values(name: str, command: str, paper_scale: bool) -> dict:
     return values
 
 
-_FIELD_TYPES = {f.name: f for f in dataclasses.fields(RunConfig)}
-
-_INT_FIELDS = ("n", "M", "n0", "n_ref", "n_mse", "pairs", "seed")
-_FLOAT_FIELDS = (
-    "H",
-    "eta",
-    "T",
-    "Delta",
-    "x0",
-    "strike",
-    "epsilon",
-    "reference_price",
-    "reference_ci",
-    "tolerance",
-)
-_BOOL_FIELDS = ("cv", "paper_scale")
-
-
-def _coerce_file_value(key: str, value):
-    """Turn a config-file string into the RunConfig field's type."""
-    if not isinstance(value, str):
-        return value
-    if key in _INT_FIELDS:
-        try:
-            return int(value)
-        except ValueError:
-            raise UsageError(f"config key {key}: expected integer, got {value!r}")
-    if key in _FLOAT_FIELDS:
-        try:
-            return float(value)
-        except ValueError:
-            raise UsageError(f"config key {key}: expected number, got {value!r}")
-    if key in _BOOL_FIELDS:
-        low = value.lower()
-        if low in ("true", "1", "yes", "on"):
-            return True
-        if low in ("false", "0", "no", "off"):
-            return False
-        raise UsageError(f"config key {key}: expected boolean, got {value!r}")
-    if key == "n_values":
-        return _parse_int_list(value, "n_values")
-    if key == "epsilons":
-        return _parse_float_list(value, "epsilons")
-    return value
-
-
 def parse_config(argv) -> RunConfig:
     """Resolve flags, config file, and preset into a RunConfig.
 
     Precedence: explicit flag > config-file entry > preset value >
-    built-in default.
+    built-in default.  Flag and file values are typed alike.
     """
     namespace = _build_parser().parse_args(argv)
-    cli = {k: v for k, v in vars(namespace).items() if k != "config" and v is not None}
-    command = cli.pop("command")
+    values = _load_config_file(namespace.config) if namespace.config else {}
+    values.pop("command", None)
+    for key, value in vars(namespace).items():
+        if key not in ("command", "config") and value is not None:
+            values[key] = value
+    values = _typed(values)
 
-    if "n_values" in cli:
-        cli["n_values"] = _parse_int_list(cli["n_values"], "--n-values")
-    if "epsilons" in cli:
-        cli["epsilons"] = _parse_float_list(cli["epsilons"], "--epsilons")
-
-    file_values = {}
-    if namespace.config:
-        raw = _load_config_file(namespace.config)
-        raw.pop("command", None)
-        unknown = sorted(set(raw) - set(_FIELD_TYPES))
-        if unknown:
-            raise UsageError(f"config file: unknown keys: {', '.join(unknown)}")
-        file_values = {k: _coerce_file_value(k, v) for k, v in raw.items()}
-
-    merged = dict(file_values)
-    merged.update(cli)
-
-    preset_name = merged.get("preset")
-    if preset_name is not None:
-        paper_scale = bool(merged.get("paper_scale", False))
-        preset_vals = _preset_values(preset_name, command, paper_scale)
+    if values.get("preset") is not None:
+        paper_scale = values.get("paper_scale", False)
+        preset_vals = _preset_values(values["preset"], namespace.command, paper_scale)
         for key, value in preset_vals.items():
-            merged.setdefault(key, value)
-
-    merged["command"] = command
-    return RunConfig.from_dict(merged)
+            values.setdefault(key, value)
+    return RunConfig(command=namespace.command, **values)
 
 
 # ---------------------------------------------------------------------------
@@ -450,15 +373,12 @@ def _validate_model(errors, config) -> None:
 
 
 def _validate_payoff(errors, config) -> None:
-    if config.payoff not in _PAYOFFS:
-        errors.append(f"payoff: unknown kind {config.payoff!r}")
-        return
     if config.payoff in ("call", "put"):
         if config.strike is None:
             errors.append(f"strike: required for a {config.payoff}")
         elif config.strike <= 0:
             errors.append(f"strike: must be > 0, got {config.strike}")
-    elif config.strike is not None:
+    elif config.payoff == "future" and config.strike is not None:
         errors.append("strike: a future takes no strike")
 
 
@@ -472,23 +392,21 @@ def _validate_closed_form(errors, config) -> None:
 
 def validate(config: RunConfig) -> RunConfig:
     """Check every field and cross-field rule; report all problems at once."""
-    errors = []
     if config.command not in _COMMANDS:
-        errors.append(f"command: unknown command {config.command!r}")
-        raise UsageError("; ".join(errors))
+        raise UsageError(f"command: unknown command {config.command!r}")
+    errors = []
 
     if not (0 <= config.seed < 2**64):
         errors.append(f"seed: must fit in 64 bits, got {config.seed}")
-    if config.format not in ("csv", "json"):
-        errors.append(f"format: must be csv or json, got {config.format!r}")
-    if config.x0_interp not in ("step", "linear"):
-        errors.append(f"x0_interp: must be step or linear, got {config.x0_interp!r}")
+    for field in dataclasses.fields(config):
+        choices = field.metadata.get("choices")
+        value = getattr(config, field.name)
+        if choices and value is not None and value not in choices:
+            errors.append(f"{field.name}: {value!r} is not one of {', '.join(choices)}")
 
     if config.command == "price":
         _validate_model(errors, config)
         _validate_payoff(errors, config)
-        if config.scheme not in _SCHEMES:
-            errors.append(f"scheme: unknown scheme {config.scheme!r}")
         if config.estimator == "mc":
             if config.n is None or config.n < 1:
                 errors.append(f"n: must be >= 1 for the mc estimator, got {config.n}")
@@ -504,12 +422,8 @@ def validate(config: RunConfig) -> RunConfig:
             if config.cv:
                 errors.append("cv: the multilevel estimator does not take a control variate")
             _validate_closed_form(errors, config)
-        else:
-            errors.append(f"estimator: unknown estimator {config.estimator!r}")
     elif config.command == "strong-error":
         _validate_model(errors, config)
-        if config.scheme not in _SCHEMES:
-            errors.append(f"scheme: unknown scheme {config.scheme!r}")
         if config.n_ref is None or config.n_ref < 2:
             errors.append(f"n_ref: must be >= 2, got {config.n_ref}")
         if not config.n_values:
@@ -526,31 +440,25 @@ def validate(config: RunConfig) -> RunConfig:
     elif config.command == "weak-error":
         _validate_model(errors, config)
         _validate_payoff(errors, config)
-        if config.scheme not in _SCHEMES:
-            errors.append(f"scheme: unknown scheme {config.scheme!r}")
         if not config.n_values:
             errors.append("n_values: required (comma-separated grid sizes)")
         elif any(n < 1 for n in config.n_values):
             errors.append("n_values: grid sizes must be >= 1")
         if config.M is None or config.M < 2:
             errors.append(f"M: must be >= 2, got {config.M}")
-        if config.reference_price is None:
-            errors.append("reference_price: required")
+        _require(errors, config, ("reference_price",))
         if config.reference_ci < 0:
             errors.append(f"reference_ci: must be >= 0, got {config.reference_ci}")
     elif config.command == "mse-cost":
         _validate_model(errors, config)
         _validate_payoff(errors, config)
-        if config.family not in FAMILIES:
-            errors.append(f"family: choose from {FAMILIES}, got {config.family!r}")
+        _require(errors, config, ("family", "reference_price"))
         if not config.epsilons:
             errors.append("epsilons: required (comma-separated targets)")
         elif any(e <= 0 for e in config.epsilons):
             errors.append("epsilons: all targets must be > 0")
         if config.n_mse is None or config.n_mse < 2:
             errors.append(f"n_mse: must be >= 2, got {config.n_mse}")
-        if config.reference_price is None:
-            errors.append("reference_price: required")
         if config.n0 < 1:
             errors.append(f"n0: must be >= 1, got {config.n0}")
         _validate_closed_form(errors, config)
@@ -604,17 +512,6 @@ def _build_payoff(config: RunConfig) -> Payoff:
 # Output writing
 
 
-def _coerce_cell(value):
-    """Normalize a table cell to a plain Python scalar."""
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, float):
-        return float(value)
-    if isinstance(value, int):
-        return int(value)
-    return value
-
-
 def _format_cell(value) -> str:
     if value is None:
         return ""
@@ -633,9 +530,7 @@ def _write_results(path: str, fmt: str, header: list, rows: list) -> None:
             for row in rows:
                 writer.writerow([_format_cell(cell) for cell in row])
     else:
-        payload = [
-            {key: _coerce_cell(cell) for key, cell in zip(header, row)} for row in rows
-        ]
+        payload = [dict(zip(header, row)) for row in rows]
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")

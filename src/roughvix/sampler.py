@@ -145,30 +145,19 @@ def _row_blocks(rows: int, width: int) -> list:
     return list(zip(bounds, bounds[1:]))
 
 
-def _check_out(name: str, array: np.ndarray | None, shape: tuple) -> None:
-    if array is not None and (
-        array.shape != shape
-        or array.dtype != np.float64
-        or not array.flags.c_contiguous
-    ):
-        raise UsageError(f"{name} must be a C-contiguous float64 array of shape {shape}")
-
-
 def sample_fine(
     factor: CholeskyFactor,
     mean: np.ndarray,
     stream: np.random.Generator,
     size: int | None = None,
-    out: np.ndarray | None = None,
-    normals_out: np.ndarray | None = None,
 ) -> GaussianSample:
     """Draw from ``N(mean, L L^T)`` as the product ``[L | mean] @ [G; 1]``.
 
     ``G`` holds the factor's rank ``r`` standard normals per draw, taken
     from `stream` as an ``(r,)`` vector, or an ``(r, size)`` block; the
-    sample's `normals` is ``G``.  The product is formed block by block
-    over the rows of :func:`_row_blocks`, as the estimators' kernel forms
-    it, so the two give the same bits.
+    sample's `normals` is ``G``.  Each call draws into fresh arrays.  The
+    product is formed block by block over the rows of :func:`_row_blocks`,
+    as the estimators' kernel forms it, so the two give the same bits.
 
     Parameters
     ----------
@@ -181,14 +170,6 @@ def sample_fine(
     size : int, optional
         If given, draw a batch of `size` samples; values get shape
         ``(n+1, size)``.
-    out : numpy.ndarray, optional
-        C-contiguous float64 array of the values' shape to write the draw
-        into; the sample's `values` is then `out`.  Contiguity keeps the
-        product's bits those of a fresh product.
-    normals_out : numpy.ndarray, optional
-        C-contiguous float64 array of shape ``(r+1,)`` or ``(r+1, size)``
-        to hold ``[G; 1]``: the normals fill its first ``r`` rows and its
-        last row is set to ones.
     """
     dim = mean.shape[0]
     if factor.L.shape[0] != dim:
@@ -196,16 +177,12 @@ def sample_fine(
             f"factor dimension {factor.L.shape} does not match mean length {dim}"
         )
     batch = () if size is None else (size,)
-    rank = factor.rank
-    _check_out("out", out, (dim, *batch))
-    _check_out("normals_out", normals_out, (rank + 1, *batch))
-    if normals_out is None:
-        normals_out = np.empty((rank + 1, *batch))
-    normals = _draw_normals(stream, normals_out)
+    block = np.empty((factor.rank + 1, *batch))
+    normals = _draw_normals(stream, block)
     weights = np.column_stack((factor.L, mean))
-    values = np.empty((dim, *batch)) if out is None else out
+    values = np.empty((dim, *batch))
     for a, b in _row_blocks(dim, size or 1):
-        np.matmul(weights[a:b], normals_out, out=values[a:b])
+        np.matmul(weights[a:b], block, out=values[a:b])
     return GaussianSample(values=values, grid_n=dim - 1, normals=normals)
 
 

@@ -1,8 +1,11 @@
 """Command-line interface: config resolution, validation, outputs, exit codes."""
 
+import dataclasses
 import json
 import math
 import os
+import re
+import typing
 
 import pytest
 
@@ -336,3 +339,125 @@ def test_covariance_check_failure_exits_numeric(tmp_path):
     )
     assert code == 3
     assert out.exists()  # results still written for inspection
+
+
+# --- the key table: flags, config-file values, docs --------------------------
+
+# Each subcommand's option strings, as the hand-written parsers accepted them.
+COMMON_FLAGS = {"-h", "--help", "--config", "--seed", "--output", "--format"}
+MODEL_FLAGS = {"--H", "--eta", "--T", "--Delta", "--x0", "--x0-csv", "--x0-interp"}
+PAYOFF_FLAGS = {"--payoff", "--strike", "--kappa"}
+PRESET_FLAGS = {"--preset", "--paper-scale"}
+FLAGS = {
+    "price": COMMON_FLAGS | MODEL_FLAGS | PAYOFF_FLAGS | PRESET_FLAGS | {
+        "--scheme", "--estimator", "--n", "--M", "--cv", "--no-cv", "--epsilon",
+        "--n0", "--plan-constants"},
+    "strong-error": COMMON_FLAGS | MODEL_FLAGS | PRESET_FLAGS | {
+        "--scheme", "--n-ref", "--n-values", "--M"},
+    "weak-error": COMMON_FLAGS | MODEL_FLAGS | PAYOFF_FLAGS | PRESET_FLAGS | {
+        "--scheme", "--n-values", "--M", "--reference-price", "--reference-ci"},
+    "mse-cost": COMMON_FLAGS | MODEL_FLAGS | PAYOFF_FLAGS | PRESET_FLAGS | {
+        "--family", "--epsilons", "--n-mse", "--reference-price", "--reference-ci",
+        "--n0", "--plan-constants"},
+    "covariance-check": COMMON_FLAGS | {"--pairs", "--tolerance"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_each_subcommand_takes_exactly_its_flags(command, capsys):
+    with pytest.raises(SystemExit) as done:
+        main([command, "--help"])
+    assert done.value.code == 0
+    # Option lines open with two spaces and a dash; a line's further
+    # spellings follow ", ".
+    text = capsys.readouterr().out
+    flags = set(re.findall(r"(?:^  |, )(--?[A-Za-z][\w-]*)", text, re.MULTILINE))
+    assert flags == FLAGS[command]
+
+
+PRICE_FILE = {"H": 0.3, "eta": 0.5, "T": 0.25, "Delta": 1 / 12, "x0": X0,
+              "payoff": "call", "strike": 0.1, "n": 4, "M": 50}
+
+
+@pytest.mark.parametrize(
+    "bad", [{"M": 1e3}, {"seed": 1.5}, {"scheme": ["rect"]}, {"n0": None}]
+)
+def test_config_file_json_value_of_the_wrong_type_exits_2(tmp_path, capsys, bad):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({**PRICE_FILE, **bad}))
+    code = main(["price", "--config", str(cfg), "--output", str(tmp_path / "x.csv")])
+    assert code == 2
+    (key,) = bad
+    assert re.search(rf"\b{key}\b", capsys.readouterr().err)
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_json_and_text_config_values_are_typed_alike(tmp_path):
+    text = tmp_path / "run.cfg"
+    text.write_text(
+        "strike = 1\nM = 1000\ncv = yes\nn_values = 8, 16\nepsilons = 0.1,0.05\n"
+        "reference_price = 0.1\nx0_csv = curve.csv\n"
+    )
+    as_json = tmp_path / "run.json"
+    as_json.write_text(json.dumps(
+        {"strike": 1, "M": "1000", "cv": True, "n_values": [8, "16"],
+         "epsilons": "0.1,0.05", "reference_price": 0.1, "x0_csv": "curve.csv"}
+    ))
+    for path in (text, as_json):
+        config = parse_config(["weak-error", "--config", str(path)])
+        assert (config.strike, config.M, config.cv) == (1.0, 1000, True)
+        assert type(config.strike) is float and type(config.M) is int
+        assert config.n_values == (8, 16) and config.epsilons == (0.1, 0.05)
+        assert config.x0_csv == "curve.csv"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["price", *BASE_MODEL, "--payoff", "call", "--strike", "0.1",
+         "--estimator", "mlmc", "--epsilon", "0.01", "--seed", "3"],
+        ["strong-error", *BASE_MODEL, "--n-ref", "64", "--n-values", "8,16,32",
+         "--M", "2000", "--seed", "7"],
+    ],
+)
+def test_manifest_config_reruns_the_run_exactly(tmp_path, args):
+    first = tmp_path / "first.csv"
+    assert main([*args, "--output", str(first)]) == 0
+    manifest = json.loads((tmp_path / "first.csv.manifest.json").read_text())
+    again = tmp_path / "again.csv"
+    cfg = tmp_path / "manifest-config.json"
+    cfg.write_text(json.dumps(dict(manifest["config"], output=str(again))))
+    assert main([manifest["command"], "--config", str(cfg)]) == 0
+    assert again.read_bytes() == first.read_bytes()
+
+
+def _doc_key_rows():
+    path = os.path.join(os.path.dirname(__file__), "..", "docs", "formats.md")
+    with open(path, encoding="utf-8") as fh:
+        section = fh.read().split("### Configuration keys", 1)[1].split("\n#", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    # Cells split on pipes that are not escaped as \|.
+    cells = [re.split(r"(?<!\\)\|", row)[1:-1] for row in rows]
+    return [[cell.strip() for cell in row] for row in cells]
+
+
+def test_docs_list_every_config_key_with_its_type_and_default():
+    hints = typing.get_type_hints(RunConfig)
+    names = {int: "int", float: "float", bool: "bool", str: "path",
+             tuple[int, ...]: "int list", tuple[float, ...]: "float list"}
+    keys = [field for field in dataclasses.fields(RunConfig) if field.name != "command"]
+    rows = _doc_key_rows()
+    assert [row[0] for row in rows] == [f"`{field.name}`" for field in keys]
+    for field, (_, kind, default, _) in zip(keys, rows):
+        choices = field.metadata.get("choices")
+        hint = hints[field.name]
+        if type(None) in typing.get_args(hint):
+            (hint,) = set(typing.get_args(hint)) - {type(None)}
+        expected = "\\|".join(f"`{c}`" for c in choices) if choices else names[hint]
+        assert kind == expected, field.name
+        if field.default is None:
+            assert default == "—", field.name
+        elif isinstance(field.default, (bool, str)):
+            assert default == f"`{str(field.default).lower()}`", field.name
+        else:
+            assert float(default.strip("`")) == field.default, field.name

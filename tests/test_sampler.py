@@ -279,29 +279,6 @@ def test_normals_match_the_integer_route_and_stream_state():
     )
 
 
-def test_sample_writes_into_out():
-    spec = gaussian_spec(PB, 6)
-    factor = factor_for(PB, 6)
-    out = np.empty((7, 5))
-    normals_out = np.empty((factor.rank + 1, 5))
-    sample = sample_fine(
-        factor, spec.mean, stream_for(0, 9), size=5, out=out, normals_out=normals_out
-    )
-    assert sample.values is out
-    assert sample.normals.base is normals_out
-    fresh = sample_fine(factor, spec.mean, stream_for(0, 9), size=5)
-    np.testing.assert_array_equal(out, fresh.values)
-    np.testing.assert_array_equal(normals_out[:-1], fresh.normals)
-    np.testing.assert_array_equal(normals_out[-1], np.ones(5))
-    for bad in (np.empty((7, 4)), np.empty((5, 7)).T, np.empty((7, 5), dtype=np.float32)):
-        with pytest.raises(UsageError):
-            sample_fine(factor, spec.mean, stream_for(0, 9), size=5, out=bad)
-    rows = factor.rank + 1
-    for bad in (np.empty((rows - 1, 5)), np.empty((5, rows)).T, np.empty(rows)):
-        with pytest.raises(UsageError):
-            sample_fine(factor, spec.mean, stream_for(0, 9), size=5, normals_out=bad)
-
-
 def test_sample_dimension_mismatch_rejected():
     spec = gaussian_spec(PB, 6)
     factor = factor_for(PB, 8)
