@@ -12,9 +12,10 @@ Building blocks:
 * :mod:`~roughvix.model` — grids, mean vector, covariance matrix, its
   low-rank pivoted Cholesky factor, the one cache of the law, and a
   quadrature oracle for validating the closed form.
-* :mod:`~roughvix.sampler` — deterministic counter-based streams, draws
-  from the factor, and coarse-grid restriction for coupling.
-* :mod:`~roughvix.schemes` — rectangle and trapezoid VIX^2 integration.
+* :mod:`~roughvix.sampler` — deterministic counter-based streams and
+  draws from the factor, a block of grid rows at a time.
+* :mod:`~roughvix.schemes` — rectangle and trapezoid VIX^2 integration as
+  weight rows, for the fine grid and its restricted coarse grids.
 * :mod:`~roughvix.payoffs` — call/put/future payoffs and the lognormal
   control variate built from the geometric average.
 * :mod:`~roughvix.estimators` — plain Monte Carlo and multilevel Monte
@@ -75,24 +76,17 @@ from .payoffs import (
     cv_corrected_payoff,
     cv_moments,
     cv_price,
-    geometric_vix2,
     lipschitz_constant,
     payoff_eval,
 )
 from .sampler import (
-    GaussianSample,
     batch_size,
     batch_sizes,
     factor_for,
-    restrict_to_coarse,
-    sample_fine,
     stream_for,
 )
 from .schemes import (
     SchemeKind,
-    rectangle_vix2,
-    scheme_vix2,
-    trapezoid_vix2,
     vix_from_vix2,
 )
 
@@ -123,18 +117,12 @@ __all__ = [
     "cholesky_factor",
     "hyp2f1",
     # sampler
-    "GaussianSample",
     "factor_for",
     "stream_for",
-    "sample_fine",
-    "restrict_to_coarse",
     "batch_size",
     "batch_sizes",
     # schemes
     "SchemeKind",
-    "rectangle_vix2",
-    "trapezoid_vix2",
-    "scheme_vix2",
     "vix_from_vix2",
     # payoffs
     "PayoffKind",
@@ -145,7 +133,6 @@ __all__ = [
     "CvMoments",
     "cv_moments",
     "cv_price",
-    "geometric_vix2",
     "cv_corrected_payoff",
     # estimators
     "Estimate",

@@ -341,6 +341,8 @@ def parse_config(argv) -> RunConfig:
     if values.get("preset") is not None:
         paper_scale = values.get("paper_scale", False)
         preset_vals = _preset_values(values["preset"], namespace.command, paper_scale)
+        if values.get("x0_csv") is not None:
+            del preset_vals["x0"]  # the run's curve replaces the preset's constant
         for key, value in preset_vals.items():
             values.setdefault(key, value)
     return RunConfig(command=namespace.command, **values)

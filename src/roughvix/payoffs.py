@@ -9,9 +9,10 @@ closed form.  The corrected per-sample payoff is
     phi(scheme value) - phi(geometric value) + CV_n,
 
 an unbiased, strongly variance-reduced estimator of ``E[phi(scheme)]``.
-The geometric average uses the scheme's own quadrature weights ``w``:
-``1/n`` on the right points 1..n for the rectangle, and
-``(1/2, 1, ..., 1, 1/2)/n`` on points 0..n for the trapezoid.  Matching
+The geometric average uses the scheme's own quadrature weights ``w``,
+the weight row ``a/d`` that also gives the scheme's VIX^2
+(:mod:`.schemes`): ``1/n`` on the right points 1..n for the rectangle,
+and ``(1/2, 1, ..., 1, 1/2)/n`` on points 0..n for the trapezoid.  Matching
 the weights matters for the trapezoid: a right-point geometric average
 leaves its endpoint term ``(exp(X^{u_0}) - exp(X^{u_n}))/(2n)``
 uncorrected, and that term dominates the corrected payoff's variance.
@@ -34,7 +35,7 @@ from scipy.special import erfc
 
 from .errors import HypothesisError, UsageError
 from .model import GaussianSpec
-from .schemes import SchemeKind, geometric_projection, quadrature_mean
+from .schemes import SchemeKind, geometric_projection
 
 __all__ = [
     "PayoffKind",
@@ -46,7 +47,6 @@ __all__ = [
     "cv_moments",
     "cv_price",
     "cv_corrected_payoff",
-    "geometric_vix2",
 ]
 
 
@@ -177,19 +177,6 @@ def cv_price(p: Payoff, m: CvMoments) -> float:
     if p.kind is PayoffKind.FUTURE:
         return forward
     return black_scholes(p.kind, forward, p.strike, 0.5 * m.sigma_n)
-
-
-def geometric_vix2(values: np.ndarray, scheme: SchemeKind = SchemeKind.RECTANGLE):
-    """The control-variate sample value ``exp(sum_i w_i X_i)``.
-
-    `values` is a sample array of shape (n+1,) or (n+1, m); the weights
-    are the scheme's quadrature weights, matching :func:`cv_moments`.
-    The rectangle (the default) averages rows 1..n.  The estimators take
-    the same value from the draw's normals instead
-    (:func:`~roughvix.schemes.vix2_batches`); the two agree up to the
-    rounding of their sums.
-    """
-    return np.exp(quadrature_mean(scheme, values))
 
 
 def cv_corrected_payoff(p: Payoff, scheme_value, cv_sample_value, cv_n: float):

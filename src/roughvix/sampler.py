@@ -1,14 +1,14 @@
 """Exact simulation of the log-forward-variance Gaussian vector.
 
-A sample is the one product ``[F | mean] @ [G; 1]``, i.e. ``mean + F @ G``,
+A draw is the one product ``[F | mean] @ [G; 1]``, i.e. ``mean + F @ G``,
 with ``G`` a vector of ``r`` independent standard normals and ``F`` the
 ``(n+1) x r`` pivoted Cholesky factor of the covariance, which
 :mod:`.model` builds and caches with the rest of the law
-(:attr:`~roughvix.model.GaussianSpec.factor`).  The sample carries the
-normals it consumed, so a linear functional of the draw, such as the
-control variate's log average, can be taken from them in ``r`` steps.
-Fine and coarse grids are coupled by index restriction — the coarse
-vector is exactly the fine vector at every second grid point.
+(:attr:`~roughvix.model.GaussianSpec.factor`).  A linear functional of
+the draw, such as the control variate's log average, can be taken from
+its normals in ``r`` steps.  Fine and coarse grids are coupled by index
+restriction: the coarse vector is exactly the fine vector at every
+``s``-th grid point.
 
 Reproducibility contract
 ------------------------
@@ -25,17 +25,16 @@ picks its kernel by the product's shape), which the fixed partition
 keeps deterministic.
 
 A batch of ``m`` draws is drawn from one ``(r+1, m)`` block of normals
-whose last row is ones, and its product is formed a block of rows at a
-time (:func:`_row_blocks`, about ``2^19`` values each, so that a block
-is still in cache when it is used).  The estimators never hold the
-``(n+1, m)`` draw: they exponentiate and average each row block as it
+whose last row is ones (:func:`_draw_normals`), and its product is
+formed a block of rows at a time (:func:`_draw_rows` over
+:func:`_row_blocks`, about ``2^19`` values each, so that a block is
+still in cache when it is used).  The estimators never hold the
+``(n+1, m)`` draw: they exponentiate and weight each row block as it
 is formed (:func:`~roughvix.schemes.vix2_batches`), so a call's peak
 batch memory is one normals block and one row block.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -44,10 +43,7 @@ from .errors import UsageError
 from .model import CholeskyFactor, ModelParams, gaussian_spec
 
 __all__ = [
-    "GaussianSample",
     "factor_for",
-    "sample_fine",
-    "restrict_to_coarse",
     "stream_for",
     "batch_size",
     "batch_sizes",
@@ -59,7 +55,7 @@ __all__ = [
 _BLOCK_BUDGET = 2**24
 # Target elements per row block of a batch's product (4 MiB of float64),
 # small enough to stay in cache from its product through its exp and
-# average.
+# weighting.
 _ROW_BLOCK_BUDGET = 2**19
 
 # Stream-key domains (first component of every spawn key).
@@ -67,21 +63,6 @@ DOMAIN_MC = 1
 DOMAIN_MLMC = 2
 DOMAIN_PILOT = 3
 DOMAIN_EXPERIMENT = 4
-
-
-@dataclass(frozen=True, eq=False)
-class GaussianSample:
-    """A draw (or batch of draws) of ``(X_T^{u_i})`` for ``i = 0..n``.
-
-    `values` has shape ``(n+1,)`` for a single draw or ``(n+1, m)`` for a
-    batch of m draws; axis 0 always indexes the grid.  For a draw of
-    :func:`sample_fine`, `normals` holds the ``(r,)`` or ``(r, m)``
-    standard normals ``G`` it consumed (None for other samples).
-    """
-
-    values: np.ndarray
-    grid_n: int
-    normals: np.ndarray | None = None
 
 
 def factor_for(params: ModelParams, n: int) -> CholeskyFactor:
@@ -128,76 +109,28 @@ def _row_blocks(rows: int, width: int) -> list:
     """Row bounds ``(a, b)`` in which a ``rows x width`` product is formed.
 
     The blocks cover rows ``0..rows-1`` in order with
-    ``_ROW_BLOCK_BUDGET // width`` rows each, at least 2 (the last block
-    may have fewer), so a batch that fits in the budget is one block.  No block has exactly one row: a
-    one-row product takes BLAS's matrix-vector route, whose bits differ,
-    so a one-row tail takes a row from the block before it (or joins it,
-    when that block has only 2 rows).  The split is a pure function of
-    ``(rows, width)``.
+    ``_ROW_BLOCK_BUDGET // width`` rows each, at least one (the last
+    block may have fewer), so a batch that fits in the budget is one
+    block.  The split is a pure function of ``(rows, width)``.
     """
-    size = max(2, _ROW_BLOCK_BUDGET // max(width, 1))
-    bounds = [*range(0, rows, size), rows]
-    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-        if size == 2:
-            del bounds[-2]
-        else:
-            bounds[-2] -= 1
-    return list(zip(bounds, bounds[1:]))
+    size = max(1, _ROW_BLOCK_BUDGET // max(width, 1))
+    return [(a, min(a + size, rows)) for a in range(0, rows, size)]
 
 
-def sample_fine(
-    factor: CholeskyFactor,
-    mean: np.ndarray,
-    stream: np.random.Generator,
-    size: int | None = None,
-) -> GaussianSample:
-    """Draw from ``N(mean, L L^T)`` as the product ``[L | mean] @ [G; 1]``.
+def _draw_rows(factor_mean: np.ndarray, block: np.ndarray, buffer: np.ndarray):
+    """Form the draws ``factor_mean @ block`` one row block at a time.
 
-    ``G`` holds the factor's rank ``r`` standard normals per draw, taken
-    from `stream` as an ``(r,)`` vector, or an ``(r, size)`` block; the
-    sample's `normals` is ``G``.  Each call draws into fresh arrays.  The
-    product is formed block by block over the rows of :func:`_row_blocks`,
-    as the estimators' kernel forms it, so the two give the same bits.
-
-    Parameters
-    ----------
-    factor : CholeskyFactor
-        Factor whose row count matches `mean`.
-    mean : numpy.ndarray
-        Mean vector of length n+1.
-    stream : numpy.random.Generator
-        Source of randomness (see :func:`stream_for`).
-    size : int, optional
-        If given, draw a batch of `size` samples; values get shape
-        ``(n+1, size)``.
+    `factor_mean` is ``[F | mean]`` and `block` the batch's ``[G; 1]``
+    (:func:`_draw_normals`).  Yields ``(a, rows)`` for the blocks
+    ``(a, b)`` of :func:`_row_blocks`, `rows` being draw rows ``a..b-1``
+    formed in the leading ``(b-a) x width`` values of `buffer`, which
+    the next block overwrites.
     """
-    dim = mean.shape[0]
-    if factor.L.shape[0] != dim:
-        raise UsageError(
-            f"factor dimension {factor.L.shape} does not match mean length {dim}"
-        )
-    batch = () if size is None else (size,)
-    block = np.empty((factor.rank + 1, *batch))
-    normals = _draw_normals(stream, block)
-    weights = np.column_stack((factor.L, mean))
-    values = np.empty((dim, *batch))
-    for a, b in _row_blocks(dim, size or 1):
-        np.matmul(weights[a:b], block, out=values[a:b])
-    return GaussianSample(values=values, grid_n=dim - 1, normals=normals)
-
-
-def restrict_to_coarse(fine: GaussianSample) -> GaussianSample:
-    """Coarse sample at every second grid point (indices 0, 2, ..., n).
-
-    Because the grid is uniform, the restricted vector is exactly the
-    Gaussian vector of the grid with half as many steps, coupled to the
-    fine sample through shared randomness.  Requires an even step count.
-    """
-    if fine.grid_n % 2 != 0:
-        raise UsageError(
-            f"restriction needs an even step count, got n={fine.grid_n}"
-        )
-    return GaussianSample(values=fine.values[::2], grid_n=fine.grid_n // 2)
+    width = block.shape[1]
+    for a, b in _row_blocks(factor_mean.shape[0], width):
+        rows = buffer[: (b - a) * width].reshape(b - a, width)
+        np.matmul(factor_mean[a:b], block, out=rows)
+        yield a, rows
 
 
 def batch_size(n: int) -> int:

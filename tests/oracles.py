@@ -7,18 +7,13 @@ integral formulas instead of vectorized library code.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 from scipy import integrate, special
 
-from roughvix import (
-    batch_sizes,
-    restrict_to_coarse,
-    sample_fine,
-    scheme_vix2,
-    stream_for,
-)
+from roughvix import SchemeKind, batch_sizes, stream_for
 
 
 def euler_hyp2f1(a: float, b: float, c: float, x: float) -> float:
@@ -176,32 +171,63 @@ def single_product(factor, mean, normals) -> np.ndarray:
     return np.column_stack((factor.L, mean)) @ stacked
 
 
-def row_order_scheme_mean(kind, rows) -> np.ndarray:
-    """The scheme's average of `rows` along axis 0, each side being its
-    first row plus the mean deviation from it, the deviations added in
-    row order in one pass over the whole array."""
+@dataclass(frozen=True, eq=False)
+class GaussianSample:
+    """A draw (or batch of draws) of ``(X_T^{u_i})`` for ``i = 0..n``:
+    `values` of shape ``(n+1,)`` or ``(n+1, m)``, and the ``(r,)`` or
+    ``(r, m)`` normals ``G`` it was drawn from (None if not drawn)."""
 
-    def side(values):
-        first = values[0]
-        total = np.zeros_like(first)
-        for row in values[1:]:
-            total += row - first
-        return first + total / values.shape[0]
-
-    if kind.value == "rect":
-        return side(rows[1:])
-    return 0.5 * (side(rows[1:]) + side(rows[:-1]))
+    values: np.ndarray
+    grid_n: int
+    normals: np.ndarray | None = None
 
 
-def public_path_batches(kind, spec, total, seed, key, coarse_steps=()):
-    """Per-batch values of the batch kernel, through the public functions.
+def sample_fine(factor, mean, stream, size=None) -> GaussianSample:
+    """Draw ``mean + F G`` in one pass, ``G`` the factor's rank ``r``
+    normals per draw from `stream` by the stream contract: an ``(r,)``
+    vector, or an ``(r, size)`` block filled row-major."""
+    batch = () if size is None else (size,)
+    normals = contract_normals(stream, (factor.L.shape[1], *batch))
+    values = factor.L @ normals + (mean if size is None else mean[:, None])
+    return GaussianSample(values=values, grid_n=mean.shape[0] - 1, normals=normals)
 
-    Draws each batch with ``sample_fine`` into a fresh array, restricts it
-    with repeated ``restrict_to_coarse`` (so each step must be a power of
-    two), and evaluates ``scheme_vix2`` on those samples.  The control
-    variate is ``exp(w . mu + (F^T w) . G)`` with ``G`` redrawn from the
-    batch's stream by the integer route of the stream contract.  Yields
-    ``(fine, coarse, cv)`` as ``vix2_batches`` does.
+
+def restrict_to_coarse(fine: GaussianSample) -> GaussianSample:
+    """The sample at every second grid point, the grid with half the steps."""
+    assert fine.grid_n % 2 == 0, "restriction needs an even step count"
+    return GaussianSample(values=fine.values[::2], grid_n=fine.grid_n // 2)
+
+
+def scheme_vix2(kind, sample: GaussianSample):
+    """The rule's formula on ``e = exp`` of the grid values: ``(1/n)
+    sum_{i=1..n} e_i`` for the rectangle, ``(1/2n) sum_{i=1..n} (e_i +
+    e_{i-1})`` for the trapezoid.  A float for a single draw, an array for
+    a batch."""
+    e = np.exp(sample.values)
+    n = sample.grid_n
+    if kind is SchemeKind.RECTANGLE:
+        out = e[1:].sum(axis=0) / n
+    else:
+        out = (e[1:].sum(axis=0) + e[:-1].sum(axis=0)) / (2 * n)
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def geometric_vix2(values, scheme=SchemeKind.RECTANGLE):
+    """The control variate ``exp(w . X)`` of grid values `values`, ``w`` the
+    scheme's quadrature weights (:func:`quadrature_weights`)."""
+    n = values.shape[0] - 1
+    return np.exp(quadrature_weights(scheme.value, n, n) @ values)
+
+
+def oracle_batches(kind, spec, total, seed, key, coarse_steps=()):
+    """Per-batch values of the batch kernel, by the one-pass oracles above.
+
+    Draws each batch of the kernel's partition with ``sample_fine`` from
+    the batch's stream, restricts it with repeated ``restrict_to_coarse``
+    (so each step must be a power of two), and evaluates ``scheme_vix2``
+    on those samples.  The control variate is ``exp(w . mu + (F^T w) .
+    G)`` from the draw's normals ``G``.  Yields ``(fine, coarse, cv)`` as
+    ``vix2_batches`` does.
     """
     n = spec.grid.n
     for index, width in enumerate(batch_sizes(n, total)):
@@ -213,6 +239,5 @@ def public_path_batches(kind, spec, total, seed, key, coarse_steps=()):
             for _ in range(step.bit_length() - 1):
                 sample = restrict_to_coarse(sample)
             coarse.append(scheme_vix2(kind, sample))
-        normals = contract_normals(stream_for(seed, *key, index), (spec.factor.rank, width))
-        cv = np.exp(geometric_log_average(kind, spec, normals))
+        cv = np.exp(geometric_log_average(kind, spec, fine.normals))
         yield scheme_vix2(kind, fine), coarse, cv

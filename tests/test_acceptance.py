@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from roughvix import (
-    GaussianSample,
     MlmcPlan,
     ModelParams,
     Payoff,
@@ -31,7 +30,6 @@ from roughvix import (
     factor_for,
     fit_loglog_slope,
     gaussian_spec,
-    geometric_vix2,
     grid_for,
     lambda_constant,
     level_statistics,
@@ -39,15 +37,21 @@ from roughvix import (
     mlmc_price,
     mse_cost_curve,
     payoff_eval,
-    sample_fine,
-    scheme_vix2,
     stream_for,
     strong_error_curve,
     weak_error_curve,
 )
 from roughvix.sampler import DOMAIN_MC
 
-from oracles import exact_second_moment, exact_variance, quadrature_weights
+from oracles import (
+    GaussianSample,
+    exact_second_moment,
+    exact_variance,
+    geometric_vix2,
+    quadrature_weights,
+    sample_fine,
+    scheme_vix2,
+)
 
 X0 = math.log(0.235**2)
 PARAMS_A = ModelParams(H=0.3, eta=0.5, T=0.25, Delta=1.0 / 12.0, x0=X0)

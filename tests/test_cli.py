@@ -99,6 +99,18 @@ def test_preset_respects_flag_overrides():
     assert config.n_ref == 512
 
 
+def test_x0_csv_replaces_the_preset_curve(tmp_path):
+    # A preset's constant x0 is a default like any other: a run that names
+    # an x0 curve file prices on that curve instead.
+    path = tmp_path / "curve.csv"
+    path.write_text("date,x0\n0.5,-2.9\n0.54,-2.7\n")
+    args = ["price", "--preset", "ref-b", "--x0-csv", str(path), "--M", "100"]
+    config = parse_config(args)
+    assert config.x0 is None and config.x0_csv == str(path)
+    validate(config)
+    assert main([*args, "--n", "8", "--output", str(tmp_path / "out.csv")]) == 0
+
+
 def test_paper_scale_switches_protocol():
     desk = parse_config(["strong-error", "--preset", "fig1"])
     full = parse_config(["strong-error", "--preset", "fig1", "--paper-scale"])

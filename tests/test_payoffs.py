@@ -1,6 +1,7 @@
 """Payoffs, lognormal pricing, and the geometric-average control variate."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,15 +20,14 @@ from roughvix import (
     cv_price,
     factor_for,
     gaussian_spec,
-    geometric_vix2,
     lipschitz_constant,
     payoff_eval,
-    sample_fine,
-    scheme_vix2,
     stream_for,
 )
 
-from oracles import bs_price_quad, fraction_mean
+from roughvix.schemes import geometric_projection
+
+from oracles import bs_price_quad, fraction_mean, geometric_vix2, sample_fine, scheme_vix2
 
 X0 = math.log(0.235**2)
 PB = ModelParams(H=0.1, eta=0.5, T=0.5, Delta=1.0 / 12.0, x0=X0)
@@ -201,12 +201,14 @@ def test_trapezoid_cv_moments_use_trapezoid_weights():
 
 
 def test_trapezoid_geometric_value_uses_trapezoid_weights():
-    values = np.random.default_rng(4).normal(-3.0, 0.5, size=(7, 5))
-    geo = geometric_vix2(values, SchemeKind.TRAPEZOID)
-    logs = (0.5 * values[0] + values[1:-1].sum(axis=0) + 0.5 * values[-1]) / 6
-    np.testing.assert_allclose(geo, np.exp(logs), rtol=1e-14)
-    single = geometric_vix2(values[:, 0], SchemeKind.TRAPEZOID)
-    assert float(single) == pytest.approx(math.exp(logs[0]), rel=1e-14)
+    # The kernel's control variate is exp(w.mu + (F^T w).G); for a law
+    # whose factor is the identity, F^T w is the weight vector itself.
+    values = np.random.default_rng(4).normal(-3.0, 0.5, size=7)
+    law = SimpleNamespace(grid=SimpleNamespace(n=6), mean=values, factor=SimpleNamespace(L=np.eye(7)))
+    offset, projection = geometric_projection(SchemeKind.TRAPEZOID, law)
+    np.testing.assert_allclose(projection, np.r_[0.5, np.ones(5), 0.5] / 6, rtol=1e-15)
+    logs = (0.5 * values[0] + values[1:-1].sum() + 0.5 * values[-1]) / 6
+    assert offset == pytest.approx(logs, rel=1e-14)
 
 
 def test_trapezoid_cv_price_is_its_geometric_payoff_expectation():
@@ -253,7 +255,5 @@ def test_cv_moments_validation():
         cv_moments(spec, 4)
     with pytest.raises(UsageError):
         cv_moments(spec, 8, "trap")
-    with pytest.raises(UsageError):
-        geometric_vix2(np.zeros((9, 2)), "trap")
     with pytest.raises(UsageError):
         CvMoments(mu_n=0.0, sigma_n=-1.0)

@@ -1,4 +1,4 @@
-"""Exact Gaussian sampling: factorization, streams, restriction, batching."""
+"""Exact Gaussian sampling: factorization, streams, row-blocked draws, batching."""
 
 import math
 
@@ -8,10 +8,8 @@ from scipy.special import ndtri
 
 from roughvix import (
     FactorizationError,
-    GaussianSample,
     ModelParams,
     SchemeKind,
-    UsageError,
     batch_size,
     batch_sizes,
     cholesky_factor,
@@ -20,14 +18,12 @@ from roughvix import (
     factor_for,
     gaussian_spec,
     grid_for,
-    restrict_to_coarse,
-    sample_fine,
     stream_for,
 )
-from roughvix.sampler import _row_blocks, _standard_normals
-from roughvix.schemes import geometric_projection
+from roughvix.sampler import _draw_normals, _draw_rows, _row_blocks, _standard_normals
+from roughvix.schemes import geometric_projection, vix2_batches
 
-from oracles import single_product
+from oracles import contract_normals, single_product
 
 X0 = math.log(0.235**2)
 PB = ModelParams(H=0.1, eta=0.5, T=0.5, Delta=1.0 / 12.0, x0=X0)
@@ -168,14 +164,15 @@ def test_streams_are_deterministic_and_keyed():
 # --- sampling ---------------------------------------------------------------
 
 
-def test_sample_shapes():
-    spec = gaussian_spec(PB, 6)
-    factor = factor_for(PB, 6)
-    single = sample_fine(factor, spec.mean, stream_for(0, 9))
-    assert single.values.shape == (7,)
-    assert single.grid_n == 6
-    batch = sample_fine(factor, spec.mean, stream_for(0, 9), size=5)
-    assert batch.values.shape == (7, 5)
+def _draws(spec, stream, width):
+    """A batch's draws and normals, formed as the batch kernel forms them:
+    normals into ``[G; 1]``, then ``[F | mean] @ [G; 1]`` by row blocks."""
+    block = np.empty((spec.factor.rank + 1, width))
+    normals = _draw_normals(stream, block)
+    weights = np.column_stack((spec.factor.L, spec.mean))
+    buffer = np.empty(max((b - a) * width for a, b in _row_blocks(spec.grid.n + 1, width)))
+    rows = [rows.copy() for _, rows in _draw_rows(weights, block, buffer)]
+    return np.concatenate(rows), normals
 
 
 def test_sample_consumes_rank_normals_per_draw():
@@ -185,42 +182,25 @@ def test_sample_consumes_rank_normals_per_draw():
     n, m = 40, 6
     spec = gaussian_spec(PB, n)
     factor = factor_for(PB, n)
-    sample = sample_fine(factor, spec.mean, stream_for(5, 1, 0), size=m)
-    raw = stream_for(5, 1, 0).integers(0, 1 << 53, size=(factor.rank, m), dtype=np.uint64)
-    normals = ndtri((raw.astype(np.float64) + 0.5) * 2.0**-53)
+    values, normals = _draws(spec, stream_for(5, 1, 0), m)
+    expected_normals = contract_normals(stream_for(5, 1, 0), (factor.rank, m))
+    np.testing.assert_array_equal(normals, expected_normals)
     expected = np.column_stack((factor.L, spec.mean)) @ np.vstack((normals, np.ones(m)))
-    np.testing.assert_array_equal(sample.values, expected)
-    np.testing.assert_array_equal(sample.normals, normals)
-    # A single draw takes the stream's first r normals.
-    single = sample_fine(factor, spec.mean, stream_for(5, 1, 0))
-    first = normals.ravel()[: factor.rank]
-    np.testing.assert_array_equal(single.normals, first)
-    np.testing.assert_array_equal(
-        single.values, np.column_stack((factor.L, spec.mean)) @ np.append(first, 1.0)
-    )
+    np.testing.assert_array_equal(values, expected)
+    assert values.shape == (n + 1, m)
     assert factor.rank < n + 1
 
 
-@pytest.mark.parametrize("n", [*(6 * 2**level for level in range(8)), 250])
-def test_sample_equals_the_factor_product_plus_mean_at_full_width(n):
-    # At the full batch width of every fig3 grid and of ref-b, the product
-    # formed by row blocks has the bits of the single product, and the
-    # mean folded into the product adds the same bits as a separate pass.
-    spec = gaussian_spec(PB, n)
-    sample = sample_fine(spec.factor, spec.mean, stream_for(3, 1, 0), size=batch_size(n))
-    assert np.array_equal(sample.values, single_product(spec.factor, spec.mean, sample.normals))
-    expected = spec.factor.L @ sample.normals
-    expected += spec.mean[:, None]
-    assert np.array_equal(sample.values, expected)
-
-
-# (n, width): one-block batches, and split batches whose widths are not a
-# multiple of 8, where the row blocks can move a draw's last bits.
+# (n, width): one-block batches, split batches whose widths are not a
+# multiple of 8, and full batch widths whose last block has one row; in
+# both of the latter the row blocks can move a draw's last bits.
 BLOCKED_PRODUCT_CASES = [
     *((250, width) for width in (1, 2, 3, 179, 2365)),
     (6, 3),
     (96, 5669),
+    (96, 32768),
     (768, 5669),
+    (768, 21816),
     (1500, 11177),
     (3000, 179),
 ]
@@ -231,35 +211,29 @@ def test_blocked_product_agrees_with_the_single_product(n, width):
     # Two computations of the same (r+1)-term dot products differ by at
     # most 2 (r+1) 2^-53 |[F | mu]| @ |[G; 1]|, elementwise.
     spec = gaussian_spec(PB, n)
-    sample = sample_fine(spec.factor, spec.mean, stream_for(3, 1, 0), size=width)
-    expected = single_product(spec.factor, spec.mean, sample.normals)
+    values, normals = _draws(spec, stream_for(3, 1, 0), width)
+    expected = single_product(spec.factor, spec.mean, normals)
     weights = np.abs(np.column_stack((spec.factor.L, spec.mean)))
-    stacked = np.abs(np.vstack((sample.normals, np.ones(width))))
+    stacked = np.abs(np.vstack((normals, np.ones(width))))
     scale = 2 * (spec.factor.rank + 1) * 2.0**-53
     for a in range(0, n + 1, 128):  # a few rows at a time, to hold little memory
         bound = scale * (weights[a : a + 128] @ stacked)
-        assert np.all(np.abs(sample.values[a : a + 128] - expected[a : a + 128]) <= bound)
+        assert np.all(np.abs(values[a : a + 128] - expected[a : a + 128]) <= bound)
 
 
 @pytest.mark.parametrize("n", [1, 6, 12, 24, 250, 768, 1500, 3000])
 def test_row_blocks_split_the_product(n):
-    # A one-row product takes BLAS's matrix-vector route, whose bits
-    # differ from the matrix product's, so no block may have one row.
     rows = n + 1
-    for width in (1, 2, 3, 179, 2365, batch_size(n)):
+    for width in (1, 2, 3, 179, 2365, batch_size(n), 2**19, 2**20):
         blocks = _row_blocks(rows, width)
+        assert blocks == _row_blocks(rows, width)
         assert [a for a, _ in blocks] == [0, *(b for _, b in blocks[:-1])]
         assert blocks[-1][1] == rows
-        assert all(b - a >= 2 for a, b in blocks)
-        assert all((b - a) * width <= 2**19 or b - a == 2 for a, b in blocks)
+        assert all(b - a >= 1 for a, b in blocks)
+        assert all((b - a) * width <= 2**19 or b - a == 1 for a, b in blocks)
+        assert all(b - a == blocks[0][1] for a, b in blocks[:-1])
         if rows * width <= 2**19:
             assert blocks == [(0, rows)]
-    # Past 2^18 columns a block holds 2 rows, or 3 to take an odd tail.
-    for width in (2**18 + 1, 2**20):
-        blocks = _row_blocks(rows, width)
-        assert blocks[0][0] == 0 and blocks[-1][1] == rows
-        assert all(2 <= b - a <= 3 for a, b in blocks)
-        assert sum(b - a == 3 for a, b in blocks) == rows % 2
 
 
 def test_normals_match_the_integer_route_and_stream_state():
@@ -279,61 +253,39 @@ def test_normals_match_the_integer_route_and_stream_state():
     )
 
 
-def test_sample_dimension_mismatch_rejected():
-    spec = gaussian_spec(PB, 6)
-    factor = factor_for(PB, 8)
-    with pytest.raises(UsageError):
-        sample_fine(factor, spec.mean, stream_for(0, 9))
-
-
 def test_sampling_is_bit_reproducible():
     spec = gaussian_spec(PB, 10)
-    factor = factor_for(PB, 10)
-    one = sample_fine(factor, spec.mean, stream_for(3, 4, 5), size=8)
-    two = sample_fine(factor, spec.mean, stream_for(3, 4, 5), size=8)
-    np.testing.assert_array_equal(one.values, two.values)
+    one, _ = _draws(spec, stream_for(3, 4, 5), 8)
+    two, _ = _draws(spec, stream_for(3, 4, 5), 8)
+    np.testing.assert_array_equal(one, two)
+    for scheme in SchemeKind:
+        runs = [
+            list(vix2_batches(scheme, spec, 70_001, 3, (4, 5), coarse_steps=(2, 5), geometric=True))
+            for _ in range(2)
+        ]
+        for (f1, c1, v1), (f2, c2, v2) in zip(*runs, strict=True):
+            assert np.array_equal(f1, f2) and np.array_equal(v1, v2)
+            assert all(np.array_equal(a, b) for a, b in zip(c1, c2, strict=True))
 
 
 def test_degenerate_model_samples_equal_the_mean():
     params = ModelParams(H=0.3, eta=0.0, T=0.5, Delta=0.25, x0=-1.0)
     spec = gaussian_spec(params, 5)
-    factor = factor_for(params, 5)
-    sample = sample_fine(factor, spec.mean, stream_for(0, 1), size=3)
-    np.testing.assert_array_equal(sample.values, np.tile(spec.mean[:, None], 3))
+    values, _ = _draws(spec, stream_for(0, 1), 3)
+    np.testing.assert_array_equal(values, np.tile(spec.mean[:, None], 3))
 
 
 def test_empirical_moments_match_the_law():
     n, m = 4, 200_000
     spec = gaussian_spec(PB, n)
-    factor = factor_for(PB, n)
-    sample = sample_fine(factor, spec.mean, stream_for(11, 13), size=m)
-    emp_mean = sample.values.mean(axis=1)
-    emp_cov = np.cov(sample.values)
+    values, _ = _draws(spec, stream_for(11, 13), m)
+    emp_mean = values.mean(axis=1)
+    emp_cov = np.cov(values)
     # Standard error of a mean entry is sqrt(C_ii/m) ~ 1.6e-3.
     assert np.max(np.abs(emp_mean - spec.mean)) < 5 * math.sqrt(
         np.max(np.diag(spec.cov)) / m
     )
     assert np.max(np.abs(emp_cov - spec.cov)) < 8e-3
-
-
-# --- restriction ------------------------------------------------------------
-
-
-def test_restriction_halves_the_grid_keeping_endpoints():
-    spec = gaussian_spec(PB, 8)
-    factor = factor_for(PB, 8)
-    fine = sample_fine(factor, spec.mean, stream_for(0, 2), size=3)
-    coarse = restrict_to_coarse(fine)
-    assert coarse.grid_n == 4
-    np.testing.assert_array_equal(coarse.values, fine.values[::2])
-    again = restrict_to_coarse(coarse)
-    np.testing.assert_array_equal(again.values, fine.values[::4])
-
-
-def test_restriction_needs_even_grid():
-    sample = GaussianSample(values=np.zeros(6), grid_n=5)
-    with pytest.raises(UsageError):
-        restrict_to_coarse(sample)
 
 
 # --- batching ---------------------------------------------------------------

@@ -1,92 +1,83 @@
 """Rectangle and trapezoid discretizations of the VIX^2 window integral."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from roughvix import (
-    GaussianSample,
-    SchemeKind,
-    UsageError,
-    geometric_vix2,
-    rectangle_vix2,
-    scheme_vix2,
-    trapezoid_vix2,
-    vix_from_vix2,
-)
-from roughvix.schemes import _GridMean, quadrature_mean
+from roughvix import SchemeKind, UsageError, stream_for, vix_from_vix2
+from roughvix.schemes import _quadrature_weights, _weight_rows, vix2_batches
 
-from oracles import row_order_scheme_mean
+from oracles import contract_normals, quadrature_weights
 
 
-def _sample(values):
-    arr = np.asarray(values, dtype=float)
-    return GaussianSample(values=arr, grid_n=arr.shape[0] - 1)
+def _law(mean, factor=None):
+    """A stand-in law on grid points 0..n: `mean`, and the factor `factor`
+    (none by default, so every draw is exactly `mean`)."""
+    mean = np.asarray(mean, dtype=float)
+    L = np.zeros((mean.size, 0)) if factor is None else np.asarray(factor, dtype=float)
+    return SimpleNamespace(
+        grid=SimpleNamespace(n=mean.size - 1),
+        mean=mean,
+        factor=SimpleNamespace(L=L, rank=L.shape[1]),
+    )
+
+
+def _kernel(kind, law, total=3, coarse_steps=()):
+    """The kernel's fine and coarse VIX^2 of `total` draws, in one batch."""
+    ((fine, coarse, _),) = vix2_batches(kind, law, total, 0, (1,), coarse_steps)
+    return fine, coarse
 
 
 def _within_bound(value, *summed):
     """`value` against the mean of the exact averages of the `summed` rows.
 
-    Each average is shifted by its first value: over k rows it is within
-    (k+2) * 2**-53 * (1 + shift/mean) of the exact one, relative, and the
-    trapezoid's mean of two averages adds one rounding.
+    Each average is shifted by the first grid value: over k rows it is
+    within (k+2) * 2**-53 * (1 + shift/mean) of the exact one, relative,
+    and the trapezoid's mean of two averages adds one rounding.
     """
     exact = [math.fsum(v) / len(v) for v in summed]
     bound = max((len(v) + 3) * 2.0**-53 * (1.0 + v[0] / m) for v, m in zip(summed, exact))
     return abs(value / (sum(exact) / len(exact)) - 1.0) <= bound
 
 
-def test_scheme_sums_match_fsum_on_positive_input():
-    n = 400
-    x = np.random.default_rng(3).normal(0.0, 2.0, size=n + 1)
-    e = np.exp(x)
-    assert _within_bound(rectangle_vix2(_sample(x)), e[1:])
-    assert _within_bound(trapezoid_vix2(_sample(x)), e[:-1], e[1:])
+# --- weight rows ------------------------------------------------------------
 
 
-def test_scheme_sums_are_columnwise():
-    n = 64
-    x = np.random.default_rng(4).normal(0.0, 2.0, size=(n + 1, 3))
-    e = np.exp(x)
-    rect = rectangle_vix2(_sample(x))
-    trap = trapezoid_vix2(_sample(x))
-    assert rect.shape == trap.shape == (3,)
-    for j in range(3):
-        assert _within_bound(rect[j], e[1:, j])
-        assert _within_bound(trap[j], e[:-1, j], e[1:, j])
+@pytest.mark.parametrize("n", [1, 6, 12, 250, 768])
+@pytest.mark.parametrize("kind", list(SchemeKind))
+def test_weight_rows_are_the_restricted_rules(kind, n):
+    # Every step s dividing n reads the n/s grid's rule on the fine
+    # indices 0, s, 2s, ..., n, and its integer row sums to exactly its
+    # divisor, which makes a flat model exact on every grid.
+    steps = [s for s in range(1, n + 1) if n % s == 0]
+    rows, divisors = _weight_rows(kind, n, steps)
+    assert rows.shape == (len(steps), n + 1)
+    for row, d, step in zip(rows, divisors, steps):
+        assert row.sum() == d
+        assert math.fsum(row) == d
+        assert np.array_equal(row / d, quadrature_weights(kind.value, n, n // step))
+        a, d_coarse = _quadrature_weights(kind, n // step)
+        assert d == d_coarse and np.array_equal(row[::step], a)
+
+
+def test_weight_rows_reject_a_step_that_does_not_divide_the_grid():
+    for step in (0, 5, 24):
+        with pytest.raises(UsageError, match="does not divide"):
+            _weight_rows(SchemeKind.RECTANGLE, 12, (1, step))
+    with pytest.raises(UsageError, match="unknown scheme"):
+        _weight_rows("rect", 12, (1,))
+
+
+# --- the kernel on hand-made values -----------------------------------------
 
 
 def test_rectangle_uses_right_endpoints():
-    x = np.log(np.array([9.0, 1.0, 2.0, 3.0]))
     # The left endpoint must not contribute.
-    assert rectangle_vix2(_sample(x)) == pytest.approx(2.0, rel=1e-15)
-
-
-def test_trapezoid_is_mean_of_left_and_right_rectangles():
-    rng = np.random.default_rng(42)
-    x = rng.normal(size=(9, 7))
-    sample = _sample(x)
-    e = np.exp(x)
-    left = np.mean(e[:-1], axis=0)
-    right = np.mean(e[1:], axis=0)
-    np.testing.assert_allclose(
-        trapezoid_vix2(sample), (left + right) / 2.0, rtol=1e-15
-    )
-
-
-def test_constant_exponent_is_reproduced_exactly():
-    x = np.full(11, -2.5)
-    sample = _sample(x)
-    assert rectangle_vix2(sample) == pytest.approx(math.exp(-2.5), rel=1e-15)
-    assert trapezoid_vix2(sample) == pytest.approx(math.exp(-2.5), rel=1e-15)
-
-
-def test_scheme_dispatch():
-    x = np.linspace(-1.0, 1.0, 5)
-    sample = _sample(x)
-    assert scheme_vix2(SchemeKind.RECTANGLE, sample) == rectangle_vix2(sample)
-    assert scheme_vix2(SchemeKind.TRAPEZOID, sample) == trapezoid_vix2(sample)
+    assert _quadrature_weights(SchemeKind.RECTANGLE, 3)[0][0] == 0.0
+    fine, _ = _kernel(SchemeKind.RECTANGLE, _law(np.log([9.0, 1.0, 2.0, 3.0])))
+    np.testing.assert_allclose(fine, 2.0, rtol=1e-15)
 
 
 def test_small_case_against_exact_sum():
@@ -95,53 +86,71 @@ def test_small_case_against_exact_sum():
     expected_trap = (
         math.fsum(math.exp(v) for v in x[1:]) + math.fsum(math.exp(v) for v in x[:-1])
     ) / 6
-    assert rectangle_vix2(_sample(x)) == pytest.approx(expected_rect, rel=1e-14)
-    assert trapezoid_vix2(_sample(x)) == pytest.approx(expected_trap, rel=1e-14)
+    np.testing.assert_allclose(_kernel(SchemeKind.RECTANGLE, _law(x))[0], expected_rect, rtol=1e-14)
+    np.testing.assert_allclose(_kernel(SchemeKind.TRAPEZOID, _law(x))[0], expected_trap, rtol=1e-14)
 
 
-def test_batched_values_reduce_per_column():
-    # At 40 rows NumPy's pairwise summation, which np.sum uses for a 1-D
-    # draw or a width-1 batch, differs from row order in the last bits, so
-    # equality pins the row order: a column's value is the same whatever
-    # the width of its batch.
-    x = np.random.default_rng(1).normal(size=(40, 5))
-    reducers = [
-        rectangle_vix2,
-        trapezoid_vix2,
-        lambda s: geometric_vix2(s.values, SchemeKind.RECTANGLE),
-        lambda s: geometric_vix2(s.values, SchemeKind.TRAPEZOID),
-    ]
-    for reduce in reducers:
-        out = reduce(_sample(x))
-        assert out.shape == (5,)
-        for j in range(5):
-            column = x[:, j]
-            assert reduce(_sample(column[:, None]))[0] == out[j]
-            assert reduce(_sample(column)) == out[j]
+def test_scheme_sums_match_fsum_on_positive_input():
+    n = 400
+    x = np.random.default_rng(3).normal(0.0, 2.0, size=n + 1)
+    e = np.exp(x)
+    (rect,), _ = _kernel(SchemeKind.RECTANGLE, _law(x), total=1)
+    (trap,), _ = _kernel(SchemeKind.TRAPEZOID, _law(x), total=1)
+    assert _within_bound(rect, e[1:])
+    assert _within_bound(trap, e[:-1], e[1:])
 
 
-@pytest.mark.parametrize("step", [1, 2, 3, 4, 6, 12])
+def test_constant_exponent_is_reproduced_exactly():
+    # Equal grid values shift to zero, so every grid gives the first
+    # exponentiated value itself.
+    law = _law(np.full(13, -2.5))
+    for kind in SchemeKind:
+        fine, coarse = _kernel(kind, law, coarse_steps=(2, 3, 4, 6, 12))
+        assert fine == pytest.approx(math.exp(-2.5), rel=1e-15)
+        for values in coarse:
+            assert np.array_equal(values, fine)
+
+
 @pytest.mark.parametrize("kind", list(SchemeKind))
-def test_running_average_matches_the_one_pass_average(kind, step):
-    # The batch kernel feeds a grid's average one block of consecutive
-    # rows at a time, each block in a reused buffer; whatever the block
-    # bounds, every step-th row must be added as one pass over the
-    # restricted grid adds it, bit for bit.
-    n = 24
-    x = np.random.default_rng(5).normal(size=(n + 1, 4))
-    expected = row_order_scheme_mean(kind, x[::step])
-    np.testing.assert_array_equal(quadrature_mean(kind, x[::step]), expected)
-    # Bounds that split the grid anywhere, including after row 12, so a
-    # side can end in a block that later blocks overwrite.
-    for bounds in ([0, 25], [0, 1, 25], [0, 13, 25], [0, 2, 4, 5, 13, 24, 25], [*range(25), 25]):
-        grid = _GridMean(kind, n, step)
-        buffer = np.empty_like(x)
-        for a, b in zip(bounds, bounds[1:]):
-            block = buffer[: b - a]
-            block[...] = x[a:b]
-            grid.fold(block, a)
-            buffer.fill(np.nan)
-        np.testing.assert_array_equal(grid.value(), expected)
+def test_scheme_sums_are_columnwise(kind):
+    # Each draw (column) is averaged on its own grid values: against the
+    # rule's formula per column, on the draws mean + F G of the batch's
+    # normals.  The kernel forms its draws by a different product, which
+    # moves them by far less than 1e-15 here.
+    n, width = 64, 5
+    rng = np.random.default_rng(4)
+    mean = rng.normal(-3.0, 0.5, size=n + 1)
+    factor = rng.normal(0.0, 0.5, size=(n + 1, 3))
+    fine, _ = _kernel(kind, _law(mean, factor), total=width)
+    draws = np.exp(mean[:, None] + factor @ contract_normals(stream_for(0, 1, 0), (3, width)))
+    assert fine.shape == (width,)
+    for j in range(width):
+        e = draws[:, j]
+        summed = (e[1:],) if kind is SchemeKind.RECTANGLE else (e[:-1], e[1:])
+        exact = sum(math.fsum(v) / n for v in summed) / len(summed)
+        assert fine[j] == pytest.approx(exact, rel=1e-13)
+
+
+def test_trapezoid_is_mean_of_left_and_right_rectangles():
+    x = np.random.default_rng(42).normal(size=25)
+    trap, _ = _kernel(SchemeKind.TRAPEZOID, _law(x))
+    right, _ = _kernel(SchemeKind.RECTANGLE, _law(x))
+    left, _ = _kernel(SchemeKind.RECTANGLE, _law(x[::-1]))
+    np.testing.assert_allclose(trap, (left + right) / 2.0, rtol=1e-15)
+
+
+COARSE_STEPS = (2, 3, 4, 6, 8, 12, 24)
+
+
+@pytest.mark.parametrize("kind", list(SchemeKind))
+def test_coarse_grids_are_the_rule_on_the_restricted_values(kind):
+    # A coarse grid of step s is the n/s grid's rule on the fine values
+    # at 0, s, 2s, ...: the restricted law, coupled to the fine one.
+    x = np.random.default_rng(42).normal(size=25)
+    _, coarse = _kernel(kind, _law(x), coarse_steps=COARSE_STEPS)
+    for step, values in zip(COARSE_STEPS, coarse, strict=True):
+        restricted, _ = _kernel(kind, _law(x[::step]))
+        np.testing.assert_allclose(values, restricted, rtol=1e-14)
 
 
 def test_vix_is_square_root_with_validation():
