@@ -26,6 +26,7 @@ Building blocks:
 """
 
 from .errors import (
+    DegenerateEstimateWarning,
     FactorizationError,
     HypothesisError,
     NumericError,
@@ -100,6 +101,7 @@ __all__ = [
     "HypothesisError",
     "NumericError",
     "FactorizationError",
+    "DegenerateEstimateWarning",
     # model
     "ModelParams",
     "X0Curve",

@@ -28,11 +28,13 @@ its acceptance studies are stated in them.
 from __future__ import annotations
 
 import math
+import warnings
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HypothesisError, NumericError, UsageError
+from .errors import DegenerateEstimateWarning, HypothesisError, NumericError, UsageError
 from .model import ModelParams, gaussian_spec, lambda_integral
 from .payoffs import (
     Payoff,
@@ -225,6 +227,23 @@ class _MomentAccumulator:
         return max(s2 - s1 * s1 / self._count, 0.0) / (self._count - 1)
 
 
+def _warn_if_degenerate(acc: _MomentAccumulator, params: ModelParams, n: int, label: str):
+    """Warn when `acc`'s samples at grid size `n` have a variance of exactly 0.
+
+    A flat law (factor rank 0) is exact, so only a law of rank > 0 warns:
+    there a variance of 0 means every sample came out the same, as when
+    every draw underflows, and a standard error of 0 says nothing.
+    """
+    if acc.variance == 0.0 and gaussian_spec(params, n).factor.rank > 0:
+        warnings.warn(
+            f"{label}: the sample variance of M={acc.count} samples at n={n} is "
+            "exactly 0 under a law that is not flat; the standard error of 0 "
+            "does not bound the estimate's error",
+            DegenerateEstimateWarning,
+            stacklevel=3,
+        )
+
+
 def mc_price(
     scheme: SchemeKind,
     n: int,
@@ -240,6 +259,8 @@ def mc_price(
     With ``use_cv`` the control-variate-corrected payoff is averaged
     instead of the plain one.  ``stream_key`` prefixes the RNG spawn keys
     so that embedding experiments can guarantee stream independence.
+    A sample variance of exactly 0 under a law that is not flat warns
+    with :class:`~roughvix.errors.DegenerateEstimateWarning`.
     """
     if n < 1:
         raise UsageError(f"n must be >= 1, got {n}")
@@ -252,13 +273,15 @@ def mc_price(
     batches = vix2_batches(
         scheme, spec, M, seed, (*stream_key, DOMAIN_MC), geometric=use_cv
     )
-    for vix2, _, geometric in batches:
-        if use_cv:
-            values = cv_corrected_payoff(payoff, vix2, geometric, cv_n)
-        else:
-            values = payoff_eval(payoff, vix2)
-        acc.add(np.asarray(values))
+    with closing(batches):
+        for vix2, _, geometric in batches:
+            if use_cv:
+                values = cv_corrected_payoff(payoff, vix2, geometric, cv_n)
+            else:
+                values = payoff_eval(payoff, vix2)
+            acc.add(np.asarray(values))
 
+    _warn_if_degenerate(acc, params, n, "mc_price")
     variance = acc.variance
     return Estimate(
         value=acc.mean,
@@ -370,11 +393,12 @@ def _level_moments(
         scheme, spec, m, seed, (*stream_key, domain, level),
         coarse_steps=(2,) if level > 0 else (),
     )
-    for fine, coarse, _ in batches:
-        values = payoff_eval(payoff, fine)
-        if level > 0:
-            values = values - payoff_eval(payoff, coarse[0])
-        acc.add(np.asarray(values))
+    with closing(batches):
+        for fine, coarse, _ in batches:
+            values = payoff_eval(payoff, fine)
+            if level > 0:
+                values = values - payoff_eval(payoff, coarse[0])
+            acc.add(np.asarray(values))
     return acc
 
 
@@ -389,7 +413,9 @@ def mlmc_price(
 
     Level 0 averages plain payoffs on the base grid; level l >= 1 averages
     coupled corrections on independent streams.  The reported standard
-    error is ``sqrt(sum_l V_l / M_l)`` from the same run.
+    error is ``sqrt(sum_l V_l / M_l)`` from the same run.  A level whose
+    sample variance is exactly 0 under a law that is not flat warns with
+    :class:`~roughvix.errors.DegenerateEstimateWarning`.
     """
     value = 0.0
     variance_total = 0.0
@@ -398,6 +424,7 @@ def mlmc_price(
         acc = _level_moments(
             plan.scheme, payoff, params, plan.n0, level, m, seed, stream_key, DOMAIN_MLMC
         )
+        _warn_if_degenerate(acc, params, plan.n_levels[level], f"mlmc_price level {level}")
         value += acc.mean
         variance_total += acc.variance / m
         last_mean = acc.mean

@@ -18,6 +18,7 @@ scale used by default, and the original large-scale protocol behind
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -180,12 +181,13 @@ def strong_error_curve(
         scheme, spec, M, seed, (DOMAIN_EXPERIMENT, _EXP_STRONG),
         coarse_steps=[n_ref // n for n in n_values],
     )
-    for v_ref, coarse, _ in batches:
-        for n, v in zip(n_values, coarse):
-            diff = v_ref - v
-            sq = diff * diff
-            sq_sums[n].append(float(np.sum(sq)))
-            quad_sums[n].append(float(np.sum(sq * sq)))
+    with closing(batches):
+        for v_ref, coarse, _ in batches:
+            for n, v in zip(n_values, coarse):
+                diff = v_ref - v
+                sq = diff * diff
+                sq_sums[n].append(float(np.sum(sq)))
+                quad_sums[n].append(float(np.sum(sq * sq)))
 
     errors, halfwidths = [], []
     for n in n_values:

@@ -19,7 +19,8 @@ in docs/formats.md).  Standard normals are produced by inverse-CDF from
 the 53-bit uniforms ``(k + 1/2) 2^-53``, so a stream's output is a pure
 function of (seed, key) and the draw count.  A draw consumes ``r``
 normals, the factor's rank.  Work is split into fixed-size batches that
-depend only on the grid size, so results are bit-identical across runs.
+depend only on the grid size, each with its own stream, so results are
+bit-identical across runs and whichever thread draws a batch.
 The product's bits depend on the batch width and its row blocks (BLAS
 picks its kernel by the product's shape), which the fixed partition
 keeps deterministic.
@@ -30,11 +31,17 @@ formed a block of rows at a time (:func:`_draw_rows` over
 :func:`_row_blocks`, about ``2^19`` values each, so that a block is
 still in cache when it is used).  The estimators never hold the
 ``(n+1, m)`` draw: they exponentiate and weight each row block as it
-is formed (:func:`~roughvix.schemes.vix2_batches`), so a call's peak
-batch memory is one normals block and one row block.
+is formed (:func:`~roughvix.schemes.vix2_batches`).  Meanwhile later
+batches' normals are drawn ahead on worker threads, one per CPU the
+process may run on (:func:`_normals_ahead`), so a call's peak batch
+memory is ``w + 1`` normals blocks for ``w`` workers and one row block.
 """
 
 from __future__ import annotations
+
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.special import ndtri
@@ -57,6 +64,12 @@ _BLOCK_BUDGET = 2**24
 # small enough to stay in cache from its product through its exp and
 # weighting.
 _ROW_BLOCK_BUDGET = 2**19
+
+# Threads that draw batches' normals ahead of the batch being formed: one
+# per CPU the process may run on.
+_WORKERS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
 
 # Stream-key domains (first component of every spawn key).
 DOMAIN_MC = 1
@@ -103,6 +116,55 @@ def _draw_normals(stream: np.random.Generator, block: np.ndarray) -> np.ndarray:
     normals = _standard_normals(stream, block[:-1])
     block[-1] = 1.0
     return normals
+
+
+def _normals_ahead(seed: int, key: tuple, widths: list, rank: int):
+    """Yield batch ``i``'s ``[G; 1]`` block, drawn from ``stream_for(seed, *key, i)``.
+
+    Batch ``i`` of the partition `widths` gets an ``(rank+1) x widths[i]``
+    block filled by :func:`_draw_normals`, valid until the next block is
+    requested.  With ``w = _WORKERS`` workers and more than one batch,
+    the blocks are drawn ahead on a pool of ``w`` threads, up to ``w``
+    batches beyond the one just yielded, in ``w + 1`` reused blocks;
+    ``Generator.random`` and ``ndtri`` release the GIL, so the caller
+    forms a batch while later ones are drawn.  Every batch has its own
+    stream and a block of its own width, so the bits do not depend on
+    the worker count.  The streams are made on the calling thread, so a
+    worker runs only the draw.  One batch, or one CPU, draws inline with
+    no pool; closing the generator, or an error in a worker (raised
+    here), shuts the pool down.
+    """
+    workers = min(_WORKERS, len(widths))
+    size = (rank + 1) * widths[0]
+
+    def place(index, buffer):
+        return buffer[: (rank + 1) * widths[index]].reshape(rank + 1, widths[index])
+
+    if workers < 2:
+        buffer = np.empty(size)
+        for index in range(len(widths)):
+            block = place(index, buffer)
+            _draw_normals(stream_for(seed, *key, index), block)
+            yield block
+        return
+    buffers = [np.empty(size) for _ in range(min(workers + 1, len(widths)))]
+    pool = ThreadPoolExecutor(workers, thread_name_prefix="roughvix-normals")
+
+    def submit(index):
+        block = place(index, buffers[index % len(buffers)])
+        stream = stream_for(seed, *key, index)
+        return pool.submit(_draw_normals, stream, block), block
+
+    try:
+        ahead = deque(submit(index) for index in range(len(buffers)))
+        for index in range(len(widths)):
+            future, block = ahead.popleft()
+            future.result()
+            yield block
+            if index + len(buffers) < len(widths):
+                ahead.append(submit(index + len(buffers)))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _row_blocks(rows: int, width: int) -> list:

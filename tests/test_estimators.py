@@ -2,11 +2,13 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from roughvix import (
+    DegenerateEstimateWarning,
     HypothesisError,
     MlmcPlan,
     ModelParams,
@@ -147,11 +149,49 @@ def test_mc_price_is_finite_at_large_vol_of_vol(scheme, H):
     # more than a thousand units, so exp(X_i - X_0) can overflow where
     # every exp(X_i) is finite or 0: the kernel subtracts exp(X_0) after
     # the exponential, not X_0 before it.  A RuntimeWarning (overflow, or
-    # 0 * inf) fails the test.
+    # 0 * inf) fails the test.  Every draw's VIX^2 is below 1e-100 here, so
+    # every payoff (and control variate) is the same and the estimate warns
+    # that its standard error of 0 is degenerate.
     params = ModelParams(H=H, eta=20.0, T=0.5, Delta=1.0 / 12.0, x0=X0)
     for use_cv in (False, True):
-        est = mc_price(scheme, 250, 2_000, CALL, use_cv, params, seed=1)
+        with pytest.warns(DegenerateEstimateWarning, match="M=2000 samples at n=250"):
+            est = mc_price(scheme, 250, 2_000, CALL, use_cv, params, seed=1)
         assert math.isfinite(est.value) and math.isfinite(est.std_error)
+        assert est.std_error == 0.0
+
+
+def test_mlmc_price_warns_for_each_degenerate_level():
+    params = ModelParams(H=0.1, eta=20.0, T=0.5, Delta=1.0 / 12.0, x0=X0)
+    plan = MlmcPlan(
+        n0=6,
+        L=1,
+        n_levels=(6, 12),
+        m_levels=(300, 100),
+        lam=None,
+        c1=1.0,
+        c2=1.0,
+        epsilon=0.01,
+        scheme=SchemeKind.RECTANGLE,
+    )
+    with pytest.warns(DegenerateEstimateWarning) as record:
+        est = mlmc_price(plan, CALL, params, seed=1)
+    assert est.std_error == 0.0
+    assert [str(w.message).split(":")[0] for w in record] == [
+        "mlmc_price level 0",
+        "mlmc_price level 1",
+    ]
+    assert "M=300 samples at n=6" in str(record[0].message)
+    assert "M=100 samples at n=12" in str(record[1].message)
+
+
+def test_flat_model_estimates_do_not_warn():
+    # A rank-0 law is exact: its variance of 0 is the truth, not a symptom.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DegenerateEstimateWarning)
+        for use_cv in (False, True):
+            assert mc_price(SchemeKind.RECTANGLE, 4, 10, CALL, use_cv, FLAT, seed=0).std_error == 0
+        plan = mlmc_plan(0.01, 6, SchemeKind.RECTANGLE, CALL, FLAT)
+        assert mlmc_price(plan, CALL, FLAT, seed=0).std_error == 0
 
 
 def test_mc_price_validation():
