@@ -9,11 +9,13 @@ round-trips the exact configuration.  Exit codes: 0 success, 2 usage
 error, 3 numeric failure, 4 I/O failure.
 
 :class:`RunConfig` is the one table of keys: each field's annotation is
-the key's type and its metadata holds the help text, choices and any
-flag alias.  The subcommands' parsers, the typing of values and the
-choice checks of :func:`validate` are all built from it.  A flag, a
-``key=value`` entry and a JSON value are typed by the same rule
-(:func:`_coerce`), and any value it cannot type exits 2.
+the key's type and its metadata holds the help text, choices, bound and
+any flag alias.  The subcommands' parsers, the typing of values and the
+choice and bound checks of :func:`validate` are all built from it; the
+presets are written in its keys.  A flag, a ``key=value`` entry and a
+JSON value are typed by the same rule (:func:`_coerce`), and any value
+it cannot type or that breaks its key's bound exits 2.  ``_COMMANDS``
+gives each subcommand its flags, its required keys and its runner.
 
 The environment variable ``ROUGHVIX_OUTPUT_DIR`` sets the default output
 directory; it is ignored when ``--output`` is given.  Parent directories
@@ -72,10 +74,22 @@ _DOMAIN_COV_CHECK = 5
 def _key(help: str, default=None, **flag) -> dataclasses.Field:
     """A CLI key's field, with its help text and flag options.
 
-    The options are ``choices``, ``aliases`` (more flags for the key)
-    and ``negatable`` (a boolean flag that also has a ``--no-`` form).
+    The options are ``choices``, ``aliases`` (more flags for the key),
+    ``negatable`` (a boolean flag that also has a ``--no-`` form) and
+    ``check``, the key's bound as ``(condition, text)``: every value that
+    is set, or every item of a list, must satisfy the condition.
     """
     return dataclasses.field(default=default, metadata={"help": help, **flag})
+
+
+# Bounds are stated as the condition a value must meet, so NaN fails them.
+_POSITIVE = (lambda v: 0 < v < math.inf, "finite and > 0")
+_NONNEGATIVE = (lambda v: 0 <= v < math.inf, "finite and >= 0")
+_FINITE = (math.isfinite, "finite")
+
+
+def _at_least(low: int) -> tuple:
+    return (lambda v: v >= low, f">= {low}")
 
 
 @dataclass
@@ -83,39 +97,51 @@ class RunConfig:
     """Complete, explicit description of one CLI run."""
 
     command: str
-    H: float | None = _key("Hurst index in (0, 1)")
-    eta: float | None = _key("vol-of-vol, >= 0")
-    T: float | None = _key("option maturity in years")
-    Delta: float | None = _key("VIX window width in years")
-    x0: float | None = _key("constant initial log-forward-variance")
+    H: float | None = _key("Hurst index", check=(lambda v: 0 < v < 1, "in (0, 1)"))
+    eta: float | None = _key("vol-of-vol", check=_NONNEGATIVE)
+    T: float | None = _key("option maturity in years", check=_POSITIVE)
+    Delta: float | None = _key("VIX window width in years", check=_POSITIVE)
+    x0: float | None = _key("constant initial log-forward-variance", check=_FINITE)
     x0_csv: str | None = _key("two-column CSV (date, value) with header")
     x0_interp: str = _key(
         "interpolation for --x0-csv (default step)", "step", choices=("step", "linear")
     )
     payoff: str = _key("payoff kind", "call", choices=tuple(_PAYOFFS))
-    strike: float | None = _key("strike (call/put)", aliases=("--kappa",))
+    strike: float | None = _key(
+        "strike (call/put)", aliases=("--kappa",), check=_POSITIVE
+    )
     scheme: str = _key("integration scheme", "rect", choices=tuple(_SCHEMES))
     estimator: str = _key("estimator family", "mc", choices=("mc", "mlmc"))
-    n: int | None = _key("grid size (mc)")
-    M: int | None = _key("sample count (per grid size for weak-error)")
+    n: int | None = _key("grid size (mc)", check=_at_least(1))
+    M: int | None = _key(
+        "sample count (per grid size for weak-error)", check=_at_least(2)
+    )
     cv: bool = _key("control variate on/off (mc only)", False, negatable=True)
-    epsilon: float | None = _key("target RMSE (mlmc)")
-    n0: int = _key("base grid size (mlmc, default 6)", 6)
+    epsilon: float | None = _key("target RMSE (mlmc)", check=_POSITIVE)
+    n0: int = _key("base grid size (mlmc, default 6)", 6, check=_at_least(1))
     plan_constants: str = _key(
         "where the plan constants come from",
         "auto",
         choices=("auto", "closed-form", "pilot"),
     )
-    n_ref: int | None = _key("reference grid size")
-    n_values: tuple[int, ...] | None = _key("comma-separated grid sizes")
+    n_ref: int | None = _key("reference grid size", check=_at_least(2))
+    n_values: tuple[int, ...] | None = _key(
+        "comma-separated grid sizes", check=_at_least(1)
+    )
     family: str | None = _key("estimator family", choices=FAMILIES)
-    epsilons: tuple[float, ...] | None = _key("comma-separated RMSE targets")
-    n_mse: int | None = _key("replications per target")
-    reference_price: float | None = _key("frozen reference")
-    reference_ci: float = _key("reference uncertainty", 0.0)
-    pairs: int = _key("number of random pairs (default 100)", 100)
-    tolerance: float = _key("max relative deviation (default 1e-9)", 1e-9)
-    seed: int = _key("root seed (default 0)", 0)
+    epsilons: tuple[float, ...] | None = _key(
+        "comma-separated RMSE targets", check=_POSITIVE
+    )
+    n_mse: int | None = _key("replications per target", check=_at_least(2))
+    reference_price: float | None = _key("frozen reference", check=_FINITE)
+    reference_ci: float = _key("reference uncertainty", 0.0, check=_NONNEGATIVE)
+    pairs: int = _key("number of random pairs (default 100)", 100, check=_at_least(1))
+    tolerance: float = _key(
+        "max relative deviation (default 1e-9)", 1e-9, check=_POSITIVE
+    )
+    seed: int = _key(
+        "root seed (default 0)", 0, check=(lambda v: 0 <= v < 2**64, "in [0, 2^64)")
+    )
     output: str | None = _key("results file path (default derived name)")
     format: str = _key("results format", "csv", choices=("csv", "json"))
     paper_scale: bool = _key("use the full-scale protocol for the preset", False)
@@ -141,40 +167,13 @@ _TYPES = {
     for name, hint in typing.get_type_hints(RunConfig).items()
 }
 
-# Each subcommand's help line and the keys it takes as flags, besides
-# ``--config``.  The four studies share the model's keys and a preset.
-_STUDY_KEYS = "H eta T Delta x0 x0_csv x0_interp preset paper_scale"
-_COMMANDS = {
-    "price": (
-        "price one option",
-        f"{_STUDY_KEYS} payoff strike scheme estimator n M cv epsilon n0 "
-        "plan_constants seed output format",
-    ),
-    "strong-error": (
-        "L2 error versus grid size",
-        f"{_STUDY_KEYS} scheme n_ref n_values M seed output format",
-    ),
-    "weak-error": (
-        "price bias versus grid size",
-        f"{_STUDY_KEYS} payoff strike scheme n_values M reference_price "
-        "reference_ci seed output format",
-    ),
-    "mse-cost": (
-        "empirical MSE versus normalized cost",
-        f"{_STUDY_KEYS} payoff strike family epsilons n_mse reference_price "
-        "reference_ci n0 plan_constants seed output format",
-    ),
-    "covariance-check": (
-        "closed-form covariance versus quadrature",
-        "pairs tolerance seed output format",
-    ),
-}
-
 
 def _add_flag(p: argparse.ArgumentParser, key: str) -> None:
     meta = _FIELDS[key].metadata
     flags = ["--" + key.replace("_", "-"), *meta.get("aliases", ())]
     options = {"dest": key, "help": meta["help"]}
+    if "check" in meta:
+        options["help"] += f"; must be {meta['check'][1]}"
     # An absent flag parses as None, so a file's or preset's value stands.
     if _TYPES[key] is bool and meta.get("negatable"):
         options["action"] = argparse.BooleanOptionalAction
@@ -191,9 +190,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="VIX option pricing and benchmarks in the rough Bergomi model",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (summary, keys) in _COMMANDS.items():
-        p = sub.add_parser(command, help=summary)
-        for key in keys.split():
+    for command, row in _COMMANDS.items():
+        p = sub.add_parser(command, help=row.summary)
+        for key in row.keys.split():
             _add_flag(p, key)
         p.add_argument("--config", help="config file (JSON or key=value lines)")
     return parser
@@ -277,50 +276,10 @@ def _load_config_file(path: str) -> dict:
 
 
 def _preset_values(name: str, command: str, paper_scale: bool) -> dict:
-    proto = preset(name, paper_scale)
-    if proto["experiment"] != command:
-        raise UsageError(
-            f"preset {name!r} belongs to the {proto['experiment']!r} command"
-        )
-    params = proto["params"]
-    values = {
-        "H": params.H,
-        "eta": params.eta,
-        "T": params.T,
-        "Delta": params.Delta,
-        "x0": params.x0,
-    }
-    if "payoff" in proto:
-        values["payoff"] = proto["payoff"].kind.value
-        values["strike"] = proto["payoff"].strike
-    if command == "strong-error":
-        values.update(
-            n_ref=proto["n_ref"], M=proto["M"], n_values=tuple(proto["n_values"])
-        )
-    elif command == "weak-error":
-        values.update(
-            n_values=tuple(proto["n_values"]),
-            M=proto["M"],
-            reference_price=proto["reference_price"],
-            reference_ci=proto["reference_ci"],
-        )
-    elif command == "mse-cost":
-        values.update(
-            epsilons=tuple(proto["epsilons"]),
-            n_mse=proto["N_mse"],
-            reference_price=proto["reference_price"],
-            reference_ci=proto["reference_ci"],
-            n0=proto["n0"],
-            family=proto["family"],
-        )
-    elif command == "price":
-        values.update(
-            scheme=proto["scheme"].value,
-            estimator="mc",
-            n=proto["n"],
-            M=proto["M"],
-            cv=proto["use_cv"],
-        )
+    values = preset(name, paper_scale)
+    owner = values.pop("command")
+    if owner != command:
+        raise UsageError(f"preset {name!r} belongs to the {owner!r} command")
     return values
 
 
@@ -352,123 +311,68 @@ def parse_config(argv) -> RunConfig:
 # Validation
 
 
-def _require(errors, config, fields):
-    for name in fields:
-        if getattr(config, name) is None:
-            errors.append(f"{name}: required for {config.command}")
+def validate(config: RunConfig) -> RunConfig:
+    """Check every key's bound and the command's rules; report all problems at once.
 
+    A set key is checked against its choices and bound even when the
+    command does not read it.
+    """
+    if config.command not in _COMMANDS:
+        raise UsageError(f"command: unknown command {config.command!r}")
+    row = _COMMANDS[config.command]
+    takes = row.keys.split()
+    errors = []
 
-def _validate_model(errors, config) -> None:
-    _require(errors, config, ("H", "eta", "T", "Delta"))
-    if config.H is not None and not (0.0 < config.H < 1.0):
-        errors.append(f"H: must lie in (0, 1), got {config.H}")
-    if config.eta is not None and config.eta < 0:
-        errors.append(f"eta: must be >= 0, got {config.eta}")
-    if config.T is not None and config.T <= 0:
-        errors.append(f"T: must be > 0, got {config.T}")
-    if config.Delta is not None and config.Delta <= 0:
-        errors.append(f"Delta: must be > 0, got {config.Delta}")
-    if config.x0 is None and config.x0_csv is None:
-        errors.append("x0: give --x0 or --x0-csv")
-    if config.x0 is not None and config.x0_csv is not None:
-        errors.append("x0: --x0 and --x0-csv are mutually exclusive")
+    for field in dataclasses.fields(config):
+        value = getattr(config, field.name)
+        choices = field.metadata.get("choices")
+        check, text = field.metadata.get("check", (None, None))
+        if value is None:
+            continue
+        items = value if isinstance(value, tuple) else (value,)
+        if choices and value not in choices:
+            errors.append(f"{field.name}: {value!r} is not one of {', '.join(choices)}")
+        elif check and not all(map(check, items)):
+            each = "every item " if isinstance(value, tuple) else ""
+            errors.append(f"{field.name}: {each}must be {text}, got {value!r}")
 
+    required = row.required.split()
+    if "estimator" in takes:
+        required += _ESTIMATOR_KEYS.get(config.estimator, "").split()
+    for key in required:
+        if getattr(config, key) in (None, ()):
+            errors.append(f"{key}: required for {config.command}")
 
-def _validate_payoff(errors, config) -> None:
-    if config.payoff in ("call", "put"):
-        if config.strike is None:
+    if "x0" in takes and (config.x0 is None) == (config.x0_csv is None):
+        errors.append("x0: give exactly one of --x0 and --x0-csv")
+    if "payoff" in takes:
+        if config.payoff in ("call", "put") and config.strike is None:
             errors.append(f"strike: required for a {config.payoff}")
-        elif config.strike <= 0:
-            errors.append(f"strike: must be > 0, got {config.strike}")
-    elif config.payoff == "future" and config.strike is not None:
-        errors.append("strike: a future takes no strike")
-
-
-def _validate_closed_form(errors, config) -> None:
-    if config.plan_constants == "closed-form" and config.H is not None and config.H >= 0.5:
+        elif config.payoff == "future" and config.strike is not None:
+            errors.append("strike: a future takes no strike")
+    if "estimator" in takes and config.estimator == "mlmc" and config.cv:
+        errors.append("cv: the multilevel estimator does not take a control variate")
+    if (
+        "plan_constants" in takes
+        and config.plan_constants == "closed-form"
+        and config.H is not None
+        and config.H >= 0.5
+    ):
         errors.append(
             f"plan_constants: the closed-form error constant requires H < 1/2 "
             f"(got H={config.H}); use --plan-constants pilot"
         )
-
-
-def validate(config: RunConfig) -> RunConfig:
-    """Check every field and cross-field rule; report all problems at once."""
-    if config.command not in _COMMANDS:
-        raise UsageError(f"command: unknown command {config.command!r}")
-    errors = []
-
-    if not (0 <= config.seed < 2**64):
-        errors.append(f"seed: must fit in 64 bits, got {config.seed}")
-    for field in dataclasses.fields(config):
-        choices = field.metadata.get("choices")
-        value = getattr(config, field.name)
-        if choices and value is not None and value not in choices:
-            errors.append(f"{field.name}: {value!r} is not one of {', '.join(choices)}")
-
-    if config.command == "price":
-        _validate_model(errors, config)
-        _validate_payoff(errors, config)
-        if config.estimator == "mc":
-            if config.n is None or config.n < 1:
-                errors.append(f"n: must be >= 1 for the mc estimator, got {config.n}")
-            if config.M is None or config.M < 2:
-                errors.append(f"M: must be >= 2 for the mc estimator, got {config.M}")
-        elif config.estimator == "mlmc":
-            if config.epsilon is None or config.epsilon <= 0:
-                errors.append(
-                    f"epsilon: must be > 0 for the mlmc estimator, got {config.epsilon}"
-                )
-            if config.n0 < 1:
-                errors.append(f"n0: must be >= 1, got {config.n0}")
-            if config.cv:
-                errors.append("cv: the multilevel estimator does not take a control variate")
-            _validate_closed_form(errors, config)
-    elif config.command == "strong-error":
-        _validate_model(errors, config)
-        if config.n_ref is None or config.n_ref < 2:
-            errors.append(f"n_ref: must be >= 2, got {config.n_ref}")
-        if not config.n_values:
-            errors.append("n_values: required (comma-separated grid sizes)")
-        elif config.n_ref is not None and config.n_ref >= 2:
-            bad = [n for n in config.n_values if n < 1 or n >= config.n_ref or config.n_ref % n]
+    if config.command == "strong-error":
+        if config.M is not None and config.M < 1000:
+            errors.append(f"M: must be >= 1000 for strong-error, got {config.M}")
+        if config.n_ref is not None and config.n_values:
+            n_ref = config.n_ref
+            bad = [n for n in config.n_values if n < 1 or n >= n_ref or n_ref % n]
             if bad:
                 errors.append(
-                    f"n_values: every n must be a proper divisor of n_ref={config.n_ref}; "
+                    f"n_values: every n must be a proper divisor of n_ref={n_ref}; "
                     f"offending {bad}"
                 )
-        if config.M is None or config.M < 1000:
-            errors.append(f"M: must be >= 1000, got {config.M}")
-    elif config.command == "weak-error":
-        _validate_model(errors, config)
-        _validate_payoff(errors, config)
-        if not config.n_values:
-            errors.append("n_values: required (comma-separated grid sizes)")
-        elif any(n < 1 for n in config.n_values):
-            errors.append("n_values: grid sizes must be >= 1")
-        if config.M is None or config.M < 2:
-            errors.append(f"M: must be >= 2, got {config.M}")
-        _require(errors, config, ("reference_price",))
-        if config.reference_ci < 0:
-            errors.append(f"reference_ci: must be >= 0, got {config.reference_ci}")
-    elif config.command == "mse-cost":
-        _validate_model(errors, config)
-        _validate_payoff(errors, config)
-        _require(errors, config, ("family", "reference_price"))
-        if not config.epsilons:
-            errors.append("epsilons: required (comma-separated targets)")
-        elif any(e <= 0 for e in config.epsilons):
-            errors.append("epsilons: all targets must be > 0")
-        if config.n_mse is None or config.n_mse < 2:
-            errors.append(f"n_mse: must be >= 2, got {config.n_mse}")
-        if config.n0 < 1:
-            errors.append(f"n0: must be >= 1, got {config.n0}")
-        _validate_closed_form(errors, config)
-    elif config.command == "covariance-check":
-        if config.pairs < 1:
-            errors.append(f"pairs: must be >= 1, got {config.pairs}")
-        if config.tolerance <= 0:
-            errors.append(f"tolerance: must be > 0, got {config.tolerance}")
 
     if errors:
         raise UsageError("invalid configuration: " + "; ".join(errors))
@@ -601,7 +505,8 @@ def _resolve_output(config: RunConfig) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Command implementations (each returns header, rows, summary dict, one-liner)
+# Commands (each runner returns header, rows, summary dict, one-liner, and a
+# failure to raise once the outputs are written, or None)
 
 
 def _run_price(config: RunConfig):
@@ -663,7 +568,7 @@ def _run_price(config: RunConfig):
     if est.bias_proxy is not None:
         summary["bias_proxy"] = est.bias_proxy
     line = f"value={est.value!r} ± {hw:.3e} (95% CI), cost={est.cost:.4g}"
-    return header, rows, summary, line
+    return header, rows, summary, line, None
 
 
 def _run_strong(config: RunConfig):
@@ -686,7 +591,7 @@ def _run_strong(config: RunConfig):
     ]
     summary = {"fitted_slope": curve.fitted_slope}
     line = f"fitted log-log slope={curve.fitted_slope:.4f} over n={list(curve.n_values)}"
-    return header, rows, summary, line
+    return header, rows, summary, line, None
 
 
 def _run_weak(config: RunConfig):
@@ -718,7 +623,7 @@ def _run_weak(config: RunConfig):
         "reference_ci_warning": curve.protocol["reference_ci_warning"],
     }
     line = f"fitted log-log slope={curve.fitted_slope:.4f} over n={list(curve.n_values)}"
-    return header, rows, summary, line
+    return header, rows, summary, line, None
 
 
 def _run_mse(config: RunConfig):
@@ -744,7 +649,7 @@ def _run_mse(config: RunConfig):
     ]
     summary = {"fitted_slope": curve.fitted_slope, "plans": curve.protocol["plans"]}
     line = f"MSE-vs-cost slope={curve.fitted_slope:.4f} for {config.family}"
-    return header, rows, summary, line
+    return header, rows, summary, line, None
 
 
 def _run_cov_check(config: RunConfig):
@@ -779,29 +684,71 @@ def _run_cov_check(config: RunConfig):
         rows.append([index, H, eta, T, Delta, u, v, closed, quad, rel])
     summary = {"max_rel_deviation": worst, "tolerance": config.tolerance}
     line = f"max relative deviation={worst:.3e} over {config.pairs} pairs (tolerance {config.tolerance:g})"
-    return header, rows, summary, line, worst
+    failure = None
+    if worst > config.tolerance:
+        failure = NumericError(
+            f"covariance check failed: max relative deviation {worst:.3e} "
+            f"exceeds tolerance {config.tolerance:g}"
+        )
+    return header, rows, summary, line, failure
+
+
+class _Command(typing.NamedTuple):
+    summary: str  # the subcommand's help line
+    keys: str  # the keys it takes as flags, besides ``--config``
+    required: str  # the keys it needs set
+    runner: typing.Callable
+
+
+# The four studies share the model's keys and a preset.
+_MODEL_KEYS = "H eta T Delta"
+_STUDY_KEYS = f"{_MODEL_KEYS} x0 x0_csv x0_interp preset paper_scale"
+_COMMANDS = {
+    "price": _Command(
+        "price one option",
+        f"{_STUDY_KEYS} payoff strike scheme estimator n M cv epsilon n0 "
+        "plan_constants seed output format",
+        _MODEL_KEYS,
+        _run_price,
+    ),
+    "strong-error": _Command(
+        "L2 error versus grid size",
+        f"{_STUDY_KEYS} scheme n_ref n_values M seed output format",
+        f"{_MODEL_KEYS} n_ref n_values M",
+        _run_strong,
+    ),
+    "weak-error": _Command(
+        "price bias versus grid size",
+        f"{_STUDY_KEYS} payoff strike scheme n_values M reference_price "
+        "reference_ci seed output format",
+        f"{_MODEL_KEYS} n_values M reference_price",
+        _run_weak,
+    ),
+    "mse-cost": _Command(
+        "empirical MSE versus normalized cost",
+        f"{_STUDY_KEYS} payoff strike family epsilons n_mse reference_price "
+        "reference_ci n0 plan_constants seed output format",
+        f"{_MODEL_KEYS} family epsilons n_mse reference_price",
+        _run_mse,
+    ),
+    "covariance-check": _Command(
+        "closed-form covariance versus quadrature",
+        "pairs tolerance seed output format",
+        "",
+        _run_cov_check,
+    ),
+}
+
+# The keys a command that takes ``estimator`` also needs, by estimator.
+_ESTIMATOR_KEYS = {"mc": "n M", "mlmc": "epsilon"}
 
 
 def run(config: RunConfig) -> int:
     """Execute a validated config: compute, write results + manifest, summarize."""
     validate(config)
     start = time.perf_counter()
-    failure = None
-    if config.command == "price":
-        header, rows, summary, line = _run_price(config)
-    elif config.command == "strong-error":
-        header, rows, summary, line = _run_strong(config)
-    elif config.command == "weak-error":
-        header, rows, summary, line = _run_weak(config)
-    elif config.command == "mse-cost":
-        header, rows, summary, line = _run_mse(config)
-    else:
-        header, rows, summary, line, worst = _run_cov_check(config)
-        if worst > config.tolerance:
-            failure = NumericError(
-                f"covariance check failed: max relative deviation {worst:.3e} "
-                f"exceeds tolerance {config.tolerance:g}"
-            )
+    runner = _COMMANDS[config.command].runner
+    header, rows, summary, line, failure = runner(config)
     wall = time.perf_counter() - start
 
     results_path = _resolve_output(config)

@@ -326,8 +326,8 @@ def mlmc_plan(
     level gets at least 2 samples, the least that has a sample variance
     (as ``mc_price`` requires ``M >= 2``).
     """
-    if epsilon <= 0:
-        raise UsageError(f"epsilon must be > 0, got {epsilon}")
+    if not (0 < epsilon < math.inf):
+        raise UsageError(f"epsilon must be finite and > 0, got {epsilon}")
     if n0 < 1:
         raise UsageError(f"n0 must be >= 1, got {n0}")
     if constants not in ("auto", "closed-form", "pilot"):

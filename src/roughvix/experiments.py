@@ -20,13 +20,14 @@ from __future__ import annotations
 import math
 from contextlib import closing
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .errors import HypothesisError, UsageError
 from .estimators import lambda_constant, mc_price, mlmc_plan, mlmc_price
 from .model import ModelParams, gaussian_spec
-from .payoffs import Payoff, PayoffKind
+from .payoffs import Payoff
 from .sampler import DOMAIN_EXPERIMENT
 from .schemes import SchemeKind, vix2_batches
 
@@ -249,8 +250,10 @@ def weak_error_curve(
         raise UsageError("n_values must be nonempty")
     if M < 2:
         raise UsageError(f"M must be >= 2, got {M}")
-    if reference_ci < 0:
-        raise UsageError("reference_ci must be >= 0")
+    if not math.isfinite(reference_price):
+        raise UsageError(f"reference_price must be finite, got {reference_price}")
+    if not (0 <= reference_ci < math.inf):
+        raise UsageError(f"reference_ci must be finite and >= 0, got {reference_ci}")
 
     errors, halfwidths, estimates, std_errors = [], [], [], []
     for n in n_values:
@@ -294,45 +297,6 @@ def weak_error_curve(
     )
 
 
-def _mse_point_mc(epsilon, N_mse, reference_price, params, payoff, seed, eps_index):
-    """Plain-MC replications at the ceiling allocation n=1/eps, M=1/eps^2."""
-    n = math.ceil(1.0 / epsilon)
-    M = math.ceil(epsilon**-2)
-    M = max(M, 2)
-    sq_errors = []
-    for rep in range(N_mse):
-        est = mc_price(
-            SchemeKind.RECTANGLE,
-            n,
-            M,
-            payoff,
-            use_cv=False,
-            params=params,
-            seed=seed,
-            stream_key=(DOMAIN_EXPERIMENT, _EXP_MSE, eps_index, rep),
-        )
-        sq_errors.append((est.value - reference_price) ** 2)
-    return float(n) ** 2 * M, sq_errors
-
-
-def _mse_point_ml(
-    scheme, epsilon, N_mse, reference_price, params, payoff, seed, eps_index, n0, constants
-):
-    """Multilevel replications at the planned allocation for `epsilon`."""
-    plan = mlmc_plan(epsilon, n0, scheme, payoff, params, constants=constants)
-    sq_errors = []
-    for rep in range(N_mse):
-        est = mlmc_price(
-            plan,
-            payoff,
-            params,
-            seed=seed,
-            stream_key=(DOMAIN_EXPERIMENT, _EXP_MSE, eps_index, rep),
-        )
-        sq_errors.append((est.value - reference_price) ** 2)
-    return plan.cost, sq_errors, plan
-
-
 def mse_cost_curve(
     estimator_family: str,
     epsilons,
@@ -358,17 +322,23 @@ def mse_cost_curve(
             f"unknown estimator family {estimator_family!r}; choose from {FAMILIES}"
         )
     epsilons = tuple(float(e) for e in epsilons)
-    if len(epsilons) == 0 or any(e <= 0 for e in epsilons):
-        raise UsageError("epsilons must be nonempty and > 0")
+    if len(epsilons) == 0 or not all(0 < e < math.inf for e in epsilons):
+        raise UsageError("epsilons must be nonempty, finite and > 0")
     if N_mse < 2:
         raise UsageError(f"N_mse must be >= 2, got {N_mse}")
+    if not math.isfinite(reference_price):
+        raise UsageError(f"reference_price must be finite, got {reference_price}")
 
     costs, mses, halfwidths = [], [], []
     plans = []
     for eps_index, epsilon in enumerate(epsilons):
         if estimator_family == "mc-rect":
-            cost, sq_errors = _mse_point_mc(
-                epsilon, N_mse, reference_price, params, payoff, seed, eps_index
+            n = math.ceil(1.0 / epsilon)
+            M = max(math.ceil(epsilon**-2), 2)
+            cost = float(n) ** 2 * M
+            price = partial(
+                mc_price, SchemeKind.RECTANGLE, n, M, payoff,
+                use_cv=False, params=params,
             )
         else:
             scheme = (
@@ -376,18 +346,9 @@ def mse_cost_curve(
                 if estimator_family == "ml-rect"
                 else SchemeKind.TRAPEZOID
             )
-            cost, sq_errors, plan = _mse_point_ml(
-                scheme,
-                epsilon,
-                N_mse,
-                reference_price,
-                params,
-                payoff,
-                seed,
-                eps_index,
-                n0,
-                constants,
-            )
+            plan = mlmc_plan(epsilon, n0, scheme, payoff, params, constants=constants)
+            cost = plan.cost
+            price = partial(mlmc_price, plan, payoff, params)
             plans.append(
                 {
                     "epsilon": epsilon,
@@ -396,6 +357,11 @@ def mse_cost_curve(
                     "constants_source": plan.constants_source,
                 }
             )
+        sq_errors = []
+        for rep in range(N_mse):
+            key = (DOMAIN_EXPERIMENT, _EXP_MSE, eps_index, rep)
+            est = price(seed=seed, stream_key=key)
+            sq_errors.append((est.value - reference_price) ** 2)
         mse = math.fsum(sq_errors) / N_mse
         spread = math.fsum((s - mse) ** 2 for s in sq_errors) / (N_mse - 1)
         costs.append(cost)
@@ -429,14 +395,15 @@ def mse_cost_curve(
 # Presets
 
 
-_X0_FLAT = math.log(0.235**2)
+def _model(H: float, T: float) -> dict:
+    return {"H": H, "eta": 0.5, "T": T, "Delta": 1.0 / 12.0, "x0": math.log(0.235**2)}
+
+
+_CALL = {"payoff": "call", "strike": 0.1}
 
 
 def _strong_preset(H: float, paper_scale: bool) -> dict:
-    base = {
-        "experiment": "strong-error",
-        "params": ModelParams(H=H, eta=0.5, T=0.5, Delta=1.0 / 12.0, x0=_X0_FLAT),
-    }
+    base = {"command": "strong-error", **_model(H, 0.5)}
     if paper_scale:
         base.update(n_ref=2000, M=100_000, n_values=(10, 20, 40, 80, 125, 250, 500))
     else:
@@ -453,9 +420,9 @@ def _weak_preset(paper_scale: bool) -> dict:
     # half-width adds ref-a's 5e-8, the coupled run's 4e-9, the
     # trapezoid's own bias at n = 400 (about 1e-8) and rounding.
     return {
-        "experiment": "weak-error",
-        "params": ModelParams(H=0.3, eta=0.5, T=0.25, Delta=1.0 / 12.0, x0=_X0_FLAT),
-        "payoff": Payoff(PayoffKind.CALL, strike=0.1),
+        "command": "weak-error",
+        **_model(0.3, 0.25),
+        **_CALL,
         "n_values": tuple(range(5, 15)),
         "reference_price": 0.13093548,
         "reference_ci": 7e-8,
@@ -465,11 +432,11 @@ def _weak_preset(paper_scale: bool) -> dict:
 
 def _mse_preset(paper_scale: bool) -> dict:
     return {
-        "experiment": "mse-cost",
-        "params": ModelParams(H=0.1, eta=0.5, T=0.5, Delta=1.0 / 12.0, x0=_X0_FLAT),
-        "payoff": Payoff(PayoffKind.CALL, strike=0.1),
+        "command": "mse-cost",
+        **_model(0.1, 0.5),
+        **_CALL,
         "epsilons": (0.04, 0.02, 0.01, 0.005),
-        "N_mse": 400 if paper_scale else 100,
+        "n_mse": 400 if paper_scale else 100,
         "reference_price": 0.121971,
         "reference_ci": 6e-7,
         "n0": 6,
@@ -477,29 +444,31 @@ def _mse_preset(paper_scale: bool) -> dict:
     }
 
 
+# The price presets' reference values (ref-a 0.13093742, ref-b 0.121971)
+# are listed with the presets in docs/formats.md.
 def _ref_a_preset(paper_scale: bool) -> dict:
     return {
-        "experiment": "price",
-        "params": ModelParams(H=0.3, eta=0.5, T=0.25, Delta=1.0 / 12.0, x0=_X0_FLAT),
-        "payoff": Payoff(PayoffKind.CALL, strike=0.1),
-        "scheme": SchemeKind.RECTANGLE,
+        "command": "price",
+        **_model(0.3, 0.25),
+        **_CALL,
+        "scheme": "rect",
+        "estimator": "mc",
         "n": 400,
         "M": 3_000_000 if paper_scale else 100_000,
-        "use_cv": True,
-        "reference_price": 0.13093742,
+        "cv": True,
     }
 
 
 def _ref_b_preset(paper_scale: bool) -> dict:
     return {
-        "experiment": "price",
-        "params": ModelParams(H=0.1, eta=0.5, T=0.5, Delta=1.0 / 12.0, x0=_X0_FLAT),
-        "payoff": Payoff(PayoffKind.CALL, strike=0.1),
-        "scheme": SchemeKind.RECTANGLE,
+        "command": "price",
+        **_model(0.1, 0.5),
+        **_CALL,
+        "scheme": "rect",
+        "estimator": "mc",
         "n": 500 if paper_scale else 250,
         "M": 10_000_000 if paper_scale else 200_000,
-        "use_cv": True,
-        "reference_price": 0.121971,
+        "cv": True,
     }
 
 
@@ -520,10 +489,12 @@ PRESET_NAMES = tuple(sorted(_PRESETS))
 def preset(name: str, paper_scale: bool = False) -> dict:
     """Named experiment protocol, at desk scale or full scale.
 
-    Strong-error presets ``fig1[-h01|-h02|-h03]`` (H in {0.1, 0.2, 0.3})
-    use grids of divisors of the reference size.  ``fig2`` is the weak
-    study, ``fig3`` the MSE-cost study, and ``ref-a``/``ref-b`` the two
-    reference-price protocols.
+    The protocol is a dict of the command-line run's keys: ``command``,
+    the model's ``H``, ``eta``, ``T``, ``Delta`` and ``x0``, and the keys
+    that command reads.  Strong-error presets ``fig1[-h01|-h02|-h03]``
+    (H in {0.1, 0.2, 0.3}) use grids of divisors of the reference size.
+    ``fig2`` is the weak study, ``fig3`` the MSE-cost study, and
+    ``ref-a``/``ref-b`` the two reference-price protocols.
     """
     if name not in _PRESETS:
         raise UsageError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")

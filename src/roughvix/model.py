@@ -121,11 +121,11 @@ class ModelParams:
     H : float
         Hurst index, in (0, 1).
     eta : float
-        Vol-of-vol, >= 0.
+        Vol-of-vol, finite and >= 0.
     T : float
-        Option maturity in years, > 0.
+        Option maturity in years, finite and > 0.
     Delta : float
-        Width of the VIX window in years, > 0.
+        Width of the VIX window in years, finite and > 0.
     x0 : float or X0Curve
         Initial log-forward-variance curve on [T, T + Delta]; a plain float
         means a constant curve.
@@ -140,12 +140,12 @@ class ModelParams:
     def __post_init__(self):
         if not (0.0 < self.H < 1.0):
             raise UsageError(f"H must lie in (0, 1), got {self.H}")
-        if self.eta < 0.0:
-            raise UsageError(f"eta must be >= 0, got {self.eta}")
-        if self.T <= 0.0:
-            raise UsageError(f"T must be > 0, got {self.T}")
-        if self.Delta <= 0.0:
-            raise UsageError(f"Delta must be > 0, got {self.Delta}")
+        if not (0.0 <= self.eta < math.inf):
+            raise UsageError(f"eta must be finite and >= 0, got {self.eta}")
+        if not (0.0 < self.T < math.inf):
+            raise UsageError(f"T must be finite and > 0, got {self.T}")
+        if not (0.0 < self.Delta < math.inf):
+            raise UsageError(f"Delta must be finite and > 0, got {self.Delta}")
         if not isinstance(self.x0, X0Curve):
             x0 = float(self.x0)
             if not math.isfinite(x0):
@@ -185,8 +185,8 @@ class Grid:
     def __post_init__(self):
         if self.n < 1 or int(self.n) != self.n:
             raise UsageError(f"grid step count must be a positive integer, got {self.n}")
-        if self.T <= 0 or self.Delta <= 0:
-            raise UsageError("grid requires T > 0 and Delta > 0")
+        if not (0 < self.T < math.inf and 0 < self.Delta < math.inf):
+            raise UsageError("grid requires finite T > 0 and Delta > 0")
         object.__setattr__(self, "n", int(self.n))
 
     @property

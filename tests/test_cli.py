@@ -170,6 +170,65 @@ def test_validation_requires_strike_for_calls():
         validate(config)
 
 
+# A valid run of each command, and the command a bounded key is tried on.
+CALL = ["--payoff", "call", "--strike", "0.1"]
+RUNS = {
+    "price": ["price", *BASE_MODEL, *CALL, "--n", "4", "--M", "10"],
+    "mlmc": ["price", *BASE_MODEL, *CALL, "--estimator", "mlmc", "--epsilon", "0.01"],
+    "strong-error": ["strong-error", *BASE_MODEL, "--n-ref", "64",
+                     "--n-values", "8,16,32", "--M", "2000"],
+    "weak-error": ["weak-error", *BASE_MODEL, *CALL, "--n-values", "4", "--M", "10",
+                   "--reference-price", "0.1"],
+    "mse-cost": ["mse-cost", *BASE_MODEL, *CALL, "--family", "mc-rect",
+                 "--epsilons", "0.1", "--n-mse", "2", "--reference-price", "0.1"],
+    "covariance-check": ["covariance-check", "--pairs", "2"],
+}
+# Each bounded key: the run it is given to, its NaN if it is a float key,
+# and values just outside its bound.
+OUTSIDE = {
+    "H": ("price", ["nan", "0", "1"]),
+    "eta": ("price", ["nan", "-5e-324", "inf"]),
+    "T": ("price", ["nan", "0", "inf"]),
+    "Delta": ("price", ["nan", "0", "inf"]),
+    "x0": ("price", ["nan", "inf", "-inf"]),
+    "strike": ("price", ["nan", "0", "inf"]),
+    "n": ("price", ["0"]),
+    "M": ("price", ["1"]),
+    "epsilon": ("mlmc", ["nan", "0", "inf"]),
+    "n0": ("mlmc", ["0"]),
+    "n_ref": ("strong-error", ["1"]),
+    "n_values": ("strong-error", ["8,0"]),
+    "epsilons": ("mse-cost", ["nan,0.1", "0.1,0", "0.1,inf"]),
+    "n_mse": ("mse-cost", ["1"]),
+    "reference_price": ("mse-cost", ["nan", "inf"]),
+    "reference_ci": ("weak-error", ["nan", "-5e-324", "inf"]),
+    "pairs": ("covariance-check", ["0"]),
+    "tolerance": ("covariance-check", ["nan", "0", "inf"]),
+    "seed": ("covariance-check", ["-1", str(2**64)]),
+}
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [(key, value) for key, (_, values) in OUTSIDE.items() for value in values],
+)
+def test_each_bound_refuses_values_outside_it(tmp_path, capsys, key, value):
+    hints = typing.get_type_hints(RunConfig)
+    fields = dataclasses.fields(RunConfig)
+    bounded = [field.name for field in fields if "check" in field.metadata]
+    assert sorted(bounded) == sorted(OUTSIDE)
+    floats = [name for name in bounded if "float" in str(hints[name])]
+    assert all(any("nan" in v for v in OUTSIDE[name][1]) for name in floats)
+    out = tmp_path / "x.csv"
+    args = RUNS[OUTSIDE[key][0]]
+    assert main([*args, "--output", str(out)]) == 0
+    out.unlink()
+    flag = "--" + key.replace("_", "-")
+    assert main([*args, f"{flag}={value}", "--output", str(out)]) == 2
+    assert f" {key}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- x0 curve loading -------------------------------------------------------
 
 
@@ -460,7 +519,9 @@ def test_docs_list_every_config_key_with_its_type_and_default():
     keys = [field for field in dataclasses.fields(RunConfig) if field.name != "command"]
     rows = _doc_key_rows()
     assert [row[0] for row in rows] == [f"`{field.name}`" for field in keys]
-    for field, (_, kind, default, _) in zip(keys, rows):
+    for field, (_, kind, default, meaning) in zip(keys, rows):
+        if "check" in field.metadata:
+            assert field.metadata["check"][1] in meaning, field.name
         choices = field.metadata.get("choices")
         hint = hints[field.name]
         if type(None) in typing.get_args(hint):

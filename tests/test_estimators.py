@@ -249,6 +249,12 @@ def test_plan_cost_identities_with_ceilings():
         assert abs(trap.cost - ideal_trap) <= (trap.L + 1) * trap.n_levels[-1] ** 2
 
 
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+def test_plan_refuses_a_non_finite_target(epsilon):
+    with pytest.raises(UsageError, match="epsilon"):
+        mlmc_plan(epsilon, 6, SchemeKind.RECTANGLE, CALL, PB)
+
+
 def test_plan_validation():
     with pytest.raises(UsageError):
         mlmc_plan(0.0, 6, SchemeKind.RECTANGLE, CALL, PB)

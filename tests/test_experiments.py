@@ -209,6 +209,18 @@ def test_weak_error_validation():
         weak_error_curve(SchemeKind.RECTANGLE, (5,), CALL, 0.1, 0.0, 1, PA, seed=0)
 
 
+@pytest.mark.parametrize(
+    "reference_price, reference_ci",
+    [(math.nan, 0.0), (math.inf, 0.0), (0.1, math.nan), (0.1, math.inf)],
+)
+def test_weak_error_refuses_a_non_finite_reference(reference_price, reference_ci):
+    with pytest.raises(UsageError, match="reference"):
+        weak_error_curve(
+            SchemeKind.RECTANGLE, (4,), CALL, reference_price, reference_ci, 10, PA,
+            seed=0,
+        )
+
+
 # --- mse versus cost --------------------------------------------------------
 
 
@@ -221,6 +233,21 @@ def test_mse_cost_validation():
         mse_cost_curve("ml-rect", (-0.1,), 10, 0.121971, PB, CALL, seed=0)
     with pytest.raises(UsageError):
         mse_cost_curve("ml-rect", (0.04,), 1, 0.121971, PB, CALL, seed=0)
+
+
+@pytest.mark.parametrize(
+    "family, epsilons, reference_price",
+    [
+        ("mc-rect", (math.nan,), 0.121971),
+        ("ml-rect", (0.04, math.nan), 0.121971),
+        ("mc-rect", (0.04, math.inf), 0.121971),
+        ("ml-rect", (0.04,), math.nan),
+        ("mc-rect", (0.04,), math.inf),
+    ],
+)
+def test_mse_cost_refuses_non_finite_input(family, epsilons, reference_price):
+    with pytest.raises(UsageError):
+        mse_cost_curve(family, epsilons, 2, reference_price, PB, CALL, seed=0)
 
 
 def test_mse_cost_ml_costs_match_the_plans():
@@ -276,19 +303,19 @@ def test_preset_scales_differ_only_in_effort():
     desk = preset("fig2")
     paper = preset("fig2", paper_scale=True)
     assert desk["M"] < paper["M"]
-    assert desk["params"] == paper["params"]
+    model = ("H", "eta", "T", "Delta", "x0")
+    assert [desk[k] for k in model] == [paper[k] for k in model]
     assert desk["reference_price"] == paper["reference_price"]
     desk3 = preset("fig3")
     paper3 = preset("fig3", paper_scale=True)
-    assert desk3["N_mse"] == 100 and paper3["N_mse"] == 400
+    assert desk3["n_mse"] == 100 and paper3["n_mse"] == 400
     assert desk3["epsilons"] == paper3["epsilons"] == (0.04, 0.02, 0.01, 0.005)
     assert desk3["n0"] == 6
 
 
 def test_reference_price_presets():
     a = preset("ref-a")
-    assert (a["n"], a["M"], a["use_cv"]) == (400, 100_000, True)
-    assert a["reference_price"] == 0.13093742
+    assert (a["n"], a["M"], a["cv"]) == (400, 100_000, True)
     a_full = preset("ref-a", paper_scale=True)
     assert a_full["M"] == 3_000_000
     b = preset("ref-b")

@@ -102,6 +102,14 @@ def test_params_validation():
         ModelParams(H=0.3, eta=0.5, T=1.0, Delta=0.5, x0=float("inf"))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("key", ["eta", "T", "Delta"])
+def test_params_refuse_non_finite_values(key, value):
+    good = dict(H=0.3, eta=0.5, T=1.0, Delta=0.5, x0=0.0)
+    with pytest.raises(UsageError, match=key):
+        ModelParams(**{**good, key: value})
+
+
 # --- grid -------------------------------------------------------------------
 
 
@@ -113,6 +121,14 @@ def test_grid_points_span_the_window():
     assert len(grid.points) == 9
     with pytest.raises(UsageError):
         grid_for(PA, 0)
+
+
+@pytest.mark.parametrize(
+    "T, Delta", [(math.nan, 0.5), (math.inf, 0.5), (1.0, math.nan), (1.0, math.inf)]
+)
+def test_grid_refuses_non_finite_dates(T, Delta):
+    with pytest.raises(UsageError):
+        Grid(T=T, Delta=Delta, n=8)
 
 
 # --- kernel and mean --------------------------------------------------------
