@@ -63,7 +63,8 @@ class Payoff:
     """A claim on the VIX: call ``(sqrt(x)-k)+``, put ``(k-sqrt(x))+``,
     or the future ``sqrt(x)``, as a function of VIX^2 = x.
 
-    Calls and puts require a positive strike; the future carries none.
+    Calls and puts require a finite, positive strike; the future carries
+    none.
     """
 
     kind: PayoffKind
@@ -71,9 +72,9 @@ class Payoff:
 
     def __post_init__(self):
         if self.kind in (PayoffKind.CALL, PayoffKind.PUT):
-            if self.strike is None or not self.strike > 0:
+            if self.strike is None or not 0 < self.strike < math.inf:
                 raise UsageError(
-                    f"{self.kind.value} payoff requires a strike > 0, got {self.strike}"
+                    f"{self.kind.value} strike must be finite and > 0, got {self.strike}"
                 )
         elif self.strike is not None:
             raise UsageError("future payoff carries no strike")

@@ -35,11 +35,19 @@ is formed (:func:`~roughvix.schemes.vix2_batches`).  Meanwhile later
 batches' normals are drawn ahead on worker threads, one per CPU the
 process may run on (:func:`_normals_ahead`), so a call's peak batch
 memory is ``w + 1`` normals blocks for ``w`` workers and one row block.
+While a call runs, OpenBLAS is held at one thread
+(:class:`_OneBlasThread`), so the products run on the calling thread
+and the workers are the only parallelism; a product's bits do not
+depend on the BLAS thread count.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import numbers
 import os
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
@@ -69,6 +77,16 @@ _ROW_BLOCK_BUDGET = 2**19
 # per CPU the process may run on.
 _WORKERS = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
+
+# OpenBLAS's thread-count functions, (get, set) pairs in the order they
+# are looked up: numpy's bundled scipy-openblas (64- and 32-bit integer
+# builds), then a plain OpenBLAS.
+_OPENBLAS_THREAD_FUNCTIONS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
 )
 
 # Stream-key domains (first component of every spawn key).
@@ -118,6 +136,70 @@ def _draw_normals(stream: np.random.Generator, block: np.ndarray) -> np.ndarray:
     return normals
 
 
+@functools.cache
+def _openblas_threads():
+    """OpenBLAS's ``(get, set)`` thread-count functions, or None without OpenBLAS.
+
+    The symbols are looked up in numpy's multiarray extension, whose
+    dependencies ``dlsym`` also searches, so they are those of the
+    OpenBLAS that numpy's products call; the first pair of
+    ``_OPENBLAS_THREAD_FUNCTIONS`` found is returned.
+    """
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    try:
+        library = ctypes.CDLL(umath.__file__)
+    except OSError:
+        return None
+    for get_name, set_name in _OPENBLAS_THREAD_FUNCTIONS:
+        get = getattr(library, get_name, None)
+        set_ = getattr(library, set_name, None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = (), ctypes.c_int
+            set_.argtypes, set_.restype = (ctypes.c_int,), None
+            return get, set_
+    return None
+
+
+class _OneBlasThread:
+    """A counted, process-wide hold of OpenBLAS at one thread.
+
+    The first holder to enter reads OpenBLAS's thread count and sets it
+    to 1; the last to leave restores the count it read.  The holders are
+    counted under a lock, so kernel calls running at once on several
+    threads restore the count once.  While any hold is entered, every
+    BLAS call in the process runs on one thread.  A no-op when
+    :func:`_openblas_threads` finds no OpenBLAS.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._holders = 0
+        self._restore = None
+
+    def __enter__(self):
+        with self._lock:
+            if self._holders == 0 and (threads := _openblas_threads()) is not None:
+                get, set_ = threads
+                self._restore = functools.partial(set_, get())
+                set_(1)
+            self._holders += 1
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._holders -= 1
+            if self._holders == 0 and self._restore is not None:
+                self._restore()
+                self._restore = None
+
+
+# Held by the batch kernel, so that the normals pool is the only
+# parallelism in a sampled batch.
+_ONE_BLAS_THREAD = _OneBlasThread()
+
+
 def _normals_ahead(seed: int, key: tuple, widths: list, rank: int):
     """Yield batch ``i``'s ``[G; 1]`` block, drawn from ``stream_for(seed, *key, i)``.
 
@@ -133,6 +215,12 @@ def _normals_ahead(seed: int, key: tuple, widths: list, rank: int):
     worker runs only the draw.  One batch, or one CPU, draws inline with
     no pool; closing the generator, or an error in a worker (raised
     here), shuts the pool down.
+
+    From its first block until it finishes or is closed (after the pool
+    is shut down), the generator holds OpenBLAS at one thread
+    (:data:`_ONE_BLAS_THREAD`), so the caller's products leave the other
+    CPUs to the workers.  A product's bits do not depend on the BLAS
+    thread count.
     """
     workers = min(_WORKERS, len(widths))
     size = (rank + 1) * widths[0]
@@ -140,31 +228,32 @@ def _normals_ahead(seed: int, key: tuple, widths: list, rank: int):
     def place(index, buffer):
         return buffer[: (rank + 1) * widths[index]].reshape(rank + 1, widths[index])
 
-    if workers < 2:
-        buffer = np.empty(size)
-        for index in range(len(widths)):
-            block = place(index, buffer)
-            _draw_normals(stream_for(seed, *key, index), block)
-            yield block
-        return
-    buffers = [np.empty(size) for _ in range(min(workers + 1, len(widths)))]
-    pool = ThreadPoolExecutor(workers, thread_name_prefix="roughvix-normals")
+    with _ONE_BLAS_THREAD:
+        if workers < 2:
+            buffer = np.empty(size)
+            for index in range(len(widths)):
+                block = place(index, buffer)
+                _draw_normals(stream_for(seed, *key, index), block)
+                yield block
+            return
+        buffers = [np.empty(size) for _ in range(min(workers + 1, len(widths)))]
+        pool = ThreadPoolExecutor(workers, thread_name_prefix="roughvix-normals")
 
-    def submit(index):
-        block = place(index, buffers[index % len(buffers)])
-        stream = stream_for(seed, *key, index)
-        return pool.submit(_draw_normals, stream, block), block
+        def submit(index):
+            block = place(index, buffers[index % len(buffers)])
+            stream = stream_for(seed, *key, index)
+            return pool.submit(_draw_normals, stream, block), block
 
-    try:
-        ahead = deque(submit(index) for index in range(len(buffers)))
-        for index in range(len(widths)):
-            future, block = ahead.popleft()
-            future.result()
-            yield block
-            if index + len(buffers) < len(widths):
-                ahead.append(submit(index + len(buffers)))
-    finally:
-        pool.shutdown(cancel_futures=True)
+        try:
+            ahead = deque(submit(index) for index in range(len(buffers)))
+            for index in range(len(widths)):
+                future, block = ahead.popleft()
+                future.result()
+                yield block
+                if index + len(buffers) < len(widths):
+                    ahead.append(submit(index + len(buffers)))
+        finally:
+            pool.shutdown(cancel_futures=True)
 
 
 def _row_blocks(rows: int, width: int) -> list:
@@ -207,8 +296,8 @@ def batch_size(n: int) -> int:
 
 def batch_sizes(n: int, total: int) -> list:
     """The fixed partition of `total` samples into batches at grid size `n`."""
-    if total < 1:
-        raise UsageError(f"sample count must be >= 1, got {total}")
+    if not (isinstance(total, numbers.Integral) and total >= 1):
+        raise UsageError(f"sample count must be an integer >= 1, got {total!r}")
     width = batch_size(n)
     full, rest = divmod(total, width)
     return [width] * full + ([rest] if rest else [])

@@ -12,7 +12,8 @@ weights placed on fine indices ``0, s, 2s, ...`` (:func:`_weight_rows`).
 
 The estimators evaluate their draws through one batch kernel,
 :func:`vix2_batches`: while worker threads draw later batches' normals
-(:func:`~roughvix.sampler._normals_ahead`), it forms each batch a
+(:func:`~roughvix.sampler._normals_ahead`, which also holds OpenBLAS
+at one thread for the call), it forms each batch a
 cache-sized block of grid rows at a time in one reused buffer,
 exponentiates the block in place,
 and adds one product of the weight rows with the block, shifted by the

@@ -48,6 +48,13 @@ def test_payoff_validation():
         Payoff(PayoffKind.FUTURE, strike=0.1)
 
 
+@pytest.mark.parametrize("strike", [math.inf, math.nan, -math.inf])
+@pytest.mark.parametrize("kind", [PayoffKind.CALL, PayoffKind.PUT])
+def test_payoff_refuses_a_non_finite_strike(kind, strike):
+    with pytest.raises(UsageError, match="strike must be finite and > 0"):
+        Payoff(kind, strike=strike)
+
+
 def test_payoff_eval_on_vix():
     vix2 = np.array([0.0064, 0.0001, 0.09])  # vix = 0.08, 0.01, 0.3
     np.testing.assert_allclose(

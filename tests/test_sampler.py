@@ -9,7 +9,10 @@ from scipy.special import ndtri
 from roughvix import (
     FactorizationError,
     ModelParams,
+    Payoff,
+    PayoffKind,
     SchemeKind,
+    UsageError,
     batch_size,
     batch_sizes,
     cholesky_factor,
@@ -18,7 +21,9 @@ from roughvix import (
     factor_for,
     gaussian_spec,
     grid_for,
+    mc_price,
     stream_for,
+    strong_error_curve,
 )
 from roughvix.sampler import _draw_normals, _draw_rows, _row_blocks, _standard_normals
 from roughvix.schemes import geometric_projection, vix2_batches
@@ -27,6 +32,7 @@ from oracles import contract_normals, single_product
 
 X0 = math.log(0.235**2)
 PB = ModelParams(H=0.1, eta=0.5, T=0.5, Delta=1.0 / 12.0, x0=X0)
+CALL = Payoff(PayoffKind.CALL, strike=0.1)
 
 
 # --- factorization ----------------------------------------------------------
@@ -299,6 +305,20 @@ def test_batch_partition_is_exact_and_capped():
         assert all(s <= batch_size(n) for s in sizes)
     assert batch_size(6) == 32768
     assert batch_size(2**24) == 1
+
+
+def test_a_sample_count_must_be_an_integer():
+    assert batch_sizes(6, np.int64(40_000)) == [32768, 7232]
+    calls = [
+        lambda: batch_sizes(6, 100.5),
+        lambda: batch_sizes(6, 100.0),
+        lambda: mc_price(SchemeKind.RECTANGLE, 8, 100.5, CALL, False, PB, seed=0),
+        lambda: mc_price(SchemeKind.RECTANGLE, 8, math.nan, CALL, True, PB, seed=0),
+        lambda: strong_error_curve(SchemeKind.RECTANGLE, (8,), 16, 2000.5, PB, seed=0),
+    ]
+    for call in calls:
+        with pytest.raises(UsageError, match="sample count must be an integer"):
+            call()
 
 
 def test_batching_does_not_change_the_stream_contract():

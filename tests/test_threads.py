@@ -4,11 +4,20 @@ The batch kernel draws each batch's normals on a pool of
 ``sampler._WORKERS`` threads, ahead of the batch being formed; with one
 worker it draws them inline.  Every batch has its own stream and block,
 so each output must be the same float at every worker count.
+
+While it runs, the kernel holds OpenBLAS at one thread and then
+restores the count it found, once across concurrent calls.  The
+products' bits must not depend on the BLAS thread count.
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +28,8 @@ from roughvix import (
     SchemeKind,
     gaussian_spec,
     mc_price,
+    mlmc_plan,
+    mlmc_price,
     strong_error_curve,
 )
 from roughvix import estimators, sampler
@@ -29,6 +40,8 @@ from roughvix.schemes import vix2_batches
 X0 = math.log(0.235**2)
 PB = ModelParams(H=0.1, eta=0.5, T=0.5, Delta=1.0 / 12.0, x0=X0)
 CALL = Payoff(PayoffKind.CALL, strike=0.1)
+HERE = Path(__file__).resolve().parent
+SRC = HERE.parent / "src"
 
 # Worker counts compared with the inline path (one worker): the pool at
 # two and at three threads, whatever the host's CPU count.
@@ -159,3 +172,213 @@ def test_mc_price_holds_its_normals_blocks_and_one_row_block(monkeypatch, worker
     finally:
         tracemalloc.stop()
     assert peak < bound
+
+
+# --- one BLAS thread while the kernel runs -----------------------------------
+
+
+@pytest.fixture
+def blas_count():
+    """OpenBLAS's thread-count getter, with the count set to 2 for the test.
+
+    The count the kernel must restore then differs from the 1 it holds,
+    whatever the host's default; the prior count is put back afterwards.
+    """
+    threads = sampler._openblas_threads()
+    if threads is None:
+        pytest.skip("numpy links no OpenBLAS with thread-count functions")
+    get, set_ = threads
+    prior = get()
+    set_(2)
+    try:
+        yield get
+    finally:
+        set_(prior)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_kernel_runs_on_one_blas_thread(monkeypatch, blas_count, workers):
+    monkeypatch.setattr(sampler, "_WORKERS", workers)
+    spec = gaussian_spec(PB, 6)
+    inside = [
+        blas_count()
+        for _ in vix2_batches(SchemeKind.RECTANGLE, spec, 3 * batch_size(6), 1, (DOMAIN_MLMC,))
+    ]
+    assert inside == [1, 1, 1]
+    assert blas_count() == 2
+
+
+def test_closing_a_half_consumed_kernel_restores_the_blas_count(monkeypatch, blas_count):
+    monkeypatch.setattr(sampler, "_WORKERS", 2)
+    spec = gaussian_spec(PB, 6)
+    batches = vix2_batches(SchemeKind.RECTANGLE, spec, 5 * batch_size(6), 1, (DOMAIN_MLMC,))
+    next(batches)
+    next(batches)
+    assert blas_count() == 1
+    batches.close()
+    assert blas_count() == 2
+
+
+def test_an_error_in_the_consumer_restores_the_blas_count(monkeypatch, blas_count):
+    monkeypatch.setattr(sampler, "_WORKERS", 2)
+    inside = []
+
+    def failing_payoff(payoff, values):
+        inside.append(blas_count())
+        if len(inside) == 2:
+            raise ArithmeticError("consumer failed")
+        return values
+
+    monkeypatch.setattr(estimators, "payoff_eval", failing_payoff)
+    with pytest.raises(ArithmeticError, match="consumer failed") as excinfo:
+        mc_price(SchemeKind.RECTANGLE, 6, 5 * batch_size(6), CALL, False, PB, seed=1)
+    assert inside == [1, 1]
+    assert blas_count() == 2
+    assert excinfo.traceback  # held until here, with mc_price's frame
+
+
+def test_an_error_in_a_worker_restores_the_blas_count(monkeypatch, blas_count):
+    monkeypatch.setattr(sampler, "_WORKERS", 2)
+    draw = sampler._draw_normals
+    calls = []
+
+    def failing_draw(stream, block):
+        calls.append(None)
+        if len(calls) == 3:
+            raise FloatingPointError("worker failed")
+        return draw(stream, block)
+
+    monkeypatch.setattr(sampler, "_draw_normals", failing_draw)
+    with pytest.raises(FloatingPointError, match="worker failed"):
+        mc_price(SchemeKind.RECTANGLE, 6, 5 * batch_size(6), CALL, False, PB, seed=1)
+    assert blas_count() == 2
+
+
+def test_concurrent_calls_restore_the_blas_count_once(monkeypatch, blas_count):
+    # Each call waits in its first payoff until the other has reached
+    # its own, so both kernels hold at once.
+    get, set_ = sampler._openblas_threads()
+    counts_set = []
+
+    def recording_set(count):
+        counts_set.append(count)
+        set_(count)
+
+    monkeypatch.setattr(sampler, "_openblas_threads", lambda: (get, recording_set))
+    both_inside = threading.Barrier(2, timeout=60)
+    payoff_eval = estimators.payoff_eval
+    waited = set()
+
+    def meeting_payoff(payoff, values):
+        if threading.get_ident() not in waited:
+            waited.add(threading.get_ident())
+            both_inside.wait()
+        return payoff_eval(payoff, values)
+
+    monkeypatch.setattr(estimators, "payoff_eval", meeting_payoff)
+    results, errors = [], []
+
+    def price(seed):
+        try:
+            est = mc_price(SchemeKind.RECTANGLE, 6, 3 * batch_size(6), CALL, False, PB, seed)
+            results.append(est.value)
+        except Exception as error:  # reported by the assertions below
+            errors.append(error)
+
+    threads = [threading.Thread(target=price, args=(seed,)) for seed in (1, 2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == [] and len(results) == 2
+    assert counts_set == [1, 2]
+    assert blas_count() == 2
+
+
+def test_the_hold_survives_many_threads_entering_at_once(monkeypatch):
+    # More threads than cores enter and leave the hold with a short
+    # switch interval, against a stand-in count.  A lost update to the
+    # holder count would either restore it while a holder is inside or
+    # never restore it.
+    count = [5]
+    hold = sampler._OneBlasThread()
+    pair = (lambda: count[0], lambda value: count.__setitem__(0, value))
+    monkeypatch.setattr(sampler, "_openblas_threads", lambda: pair)
+    seen = []
+
+    def enter_and_leave():
+        for _ in range(2000):
+            with hold:
+                seen.append(count[0])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=enter_and_leave) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(seen) == 8 * 2000 and set(seen) == {1}
+    assert count == [5]
+
+
+def test_the_kernel_gives_the_same_bits_without_openblas_control(monkeypatch):
+    n = 250
+    M = 3 * batch_size(n) + 179
+
+    def run():
+        est = mc_price(SchemeKind.RECTANGLE, n, M, CALL, True, PB, seed=6)
+        acc = _level_moments(SchemeKind.TRAPEZOID, CALL, PB, 6, 1, M, 12, (2,), DOMAIN_MLMC)
+        return [x.hex() for x in (est.value, est.std_error, acc.mean, acc.variance)]
+
+    held = run()
+    monkeypatch.setattr(sampler, "_openblas_threads", lambda: None)
+    assert run() == held
+
+
+def _seeded_outputs():
+    """Seeded outputs whose bits must not depend on the BLAS thread count.
+
+    An mc_price with the control variate over three full batches and a
+    remainder at n = 250, and an ml-rect and an ml-trap estimate at
+    5e-3, as hex floats.
+    """
+    est = mc_price(SchemeKind.RECTANGLE, 250, 3 * batch_size(250) + 179, CALL, True, PB, 6)
+    values = [est.value, est.std_error]
+    for k, scheme in enumerate(SchemeKind):
+        est = mlmc_price(mlmc_plan(5e-3, 6, scheme, CALL, PB), CALL, PB, seed=20 + k)
+        values += [est.value, est.std_error]
+    return [x.hex() for x in values]
+
+
+# Prints the BLAS thread count and _seeded_outputs() with the kernel's
+# hold turned off, so the products run on the count the environment sets.
+_UNHELD_OUTPUTS = """
+import json, sys
+sys.path[:0] = sys.argv[1:]
+from roughvix import sampler
+import test_threads
+threads = sampler._openblas_threads()
+sampler._openblas_threads = lambda: None
+print(json.dumps([threads and threads[0](), test_threads._seeded_outputs()]))
+"""
+
+
+def test_the_seeded_outputs_do_not_depend_on_the_blas_thread_count():
+    found = {}
+    for count in (1, 2):
+        proc = subprocess.run(
+            [sys.executable, "-c", _UNHELD_OUTPUTS, str(SRC), str(HERE)],
+            env={**os.environ, "OPENBLAS_NUM_THREADS": str(count)},
+            capture_output=True, text=True, timeout=300, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        found[count] = json.loads(proc.stdout.splitlines()[-1])
+    if sampler._openblas_threads() is not None and sampler._WORKERS >= 2:
+        assert [found[count][0] for count in (1, 2)] == [1, 2]
+    assert found[1][1] == found[2][1] == _seeded_outputs()
