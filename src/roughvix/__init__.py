@@ -12,10 +12,12 @@ Building blocks:
 * :mod:`~roughvix.model` — grids, mean vector, covariance matrix, its
   low-rank pivoted Cholesky factor, the one cache of the law, and a
   quadrature oracle for validating the closed form.
-* :mod:`~roughvix.sampler` — deterministic counter-based streams and
-  draws from the factor, a block of grid rows at a time.
-* :mod:`~roughvix.schemes` — rectangle and trapezoid VIX^2 integration as
-  weight rows, for the fine grid and its restricted coarse grids.
+* :mod:`~roughvix.schemes` — the rectangle and trapezoid quadrature rules
+  as integer weight rows, for the fine grid and its restricted coarse
+  grids, and the control variate's projection onto the normals.
+* :mod:`~roughvix.sampler` — deterministic counter-based streams and the
+  batch kernel, which draws from the factor a block of grid rows at a
+  time and applies the rules to give every grid's VIX^2.
 * :mod:`~roughvix.payoffs` — call/put/future payoffs and the lognormal
   control variate built from the geometric average.
 * :mod:`~roughvix.estimators` — plain Monte Carlo and multilevel Monte

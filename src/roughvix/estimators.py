@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateEstimateWarning, HypothesisError, NumericError, UsageError
-from .model import ModelParams, gaussian_spec, lambda_integral
+from .model import GaussianSpec, ModelParams, _whole, gaussian_spec, lambda_integral
 from .payoffs import (
     Payoff,
     cv_corrected_payoff,
@@ -44,8 +44,8 @@ from .payoffs import (
     lipschitz_constant,
     payoff_eval,
 )
-from .sampler import DOMAIN_MC, DOMAIN_MLMC, DOMAIN_PILOT
-from .schemes import SchemeKind, vix2_batches
+from .sampler import DOMAIN_MC, DOMAIN_MLMC, DOMAIN_PILOT, vix2_batches
+from .schemes import SchemeKind
 
 __all__ = [
     "Estimate",
@@ -227,18 +227,54 @@ class _MomentAccumulator:
         return max(s2 - s1 * s1 / self._count, 0.0) / (self._count - 1)
 
 
-def _warn_if_degenerate(acc: _MomentAccumulator, params: ModelParams, n: int, label: str):
-    """Warn when `acc`'s samples at grid size `n` have a variance of exactly 0.
+def _sample_moments(
+    scheme: SchemeKind,
+    payoff: Payoff,
+    spec: GaussianSpec,
+    m: int,
+    seed: int,
+    key: tuple,
+    coupled: bool = False,
+    cv_n: float | None = None,
+) -> _MomentAccumulator:
+    """Mean/variance accumulator of `m` samples of the law `spec` on stream key `key`.
+
+    A sample is the payoff ``phi(fine)`` of the scheme's VIX^2.  With the
+    control-variate price `cv_n` it is the corrected ``phi(fine) -
+    phi(cv) + cv_n``; otherwise, when `coupled`, it is the correction
+    ``phi(fine) - phi(coarse)``, the coarse value read from the same
+    draw at every 2nd grid point.  :func:`mc_price`, every multilevel
+    level and the pilot sample through this one call of the batch kernel.
+    """
+    acc = _MomentAccumulator()
+    batches = vix2_batches(
+        scheme, spec, m, seed, key,
+        coarse_steps=(2,) if coupled else (), geometric=cv_n is not None,
+    )
+    with closing(batches):
+        for fine, coarse, cv in batches:
+            if cv_n is not None:
+                values = cv_corrected_payoff(payoff, fine, cv, cv_n)
+            elif coupled:
+                values = payoff_eval(payoff, fine) - payoff_eval(payoff, coarse[0])
+            else:
+                values = payoff_eval(payoff, fine)
+            acc.add(np.asarray(values))
+    return acc
+
+
+def _warn_if_degenerate(acc: _MomentAccumulator, spec: GaussianSpec, label: str):
+    """Warn when `acc`'s samples of the law `spec` have a variance of exactly 0.
 
     A flat law (factor rank 0) is exact, so only a law of rank > 0 warns:
     there a variance of 0 means every sample came out the same, as when
     every draw underflows, and a standard error of 0 says nothing.
     """
-    if acc.variance == 0.0 and gaussian_spec(params, n).factor.rank > 0:
+    if acc.variance == 0.0 and spec.factor.rank > 0:
         warnings.warn(
-            f"{label}: the sample variance of M={acc.count} samples at n={n} is "
-            "exactly 0 under a law that is not flat; the standard error of 0 "
-            "does not bound the estimate's error",
+            f"{label}: the sample variance of M={acc.count} samples at "
+            f"n={spec.grid.n} is exactly 0 under a law that is not flat; the "
+            "standard error of 0 does not bound the estimate's error",
             DegenerateEstimateWarning,
             stacklevel=3,
         )
@@ -267,21 +303,9 @@ def mc_price(
     if M < 2:
         raise UsageError(f"M must be >= 2, got {M}")
     spec = gaussian_spec(params, n)
-    cv_n = cv_price(payoff, cv_moments(spec, n, scheme)) if use_cv else 0.0
-
-    acc = _MomentAccumulator()
-    batches = vix2_batches(
-        scheme, spec, M, seed, (*stream_key, DOMAIN_MC), geometric=use_cv
-    )
-    with closing(batches):
-        for vix2, _, geometric in batches:
-            if use_cv:
-                values = cv_corrected_payoff(payoff, vix2, geometric, cv_n)
-            else:
-                values = payoff_eval(payoff, vix2)
-            acc.add(np.asarray(values))
-
-    _warn_if_degenerate(acc, params, n, "mc_price")
+    cv_n = cv_price(payoff, cv_moments(spec, n, scheme)) if use_cv else None
+    acc = _sample_moments(scheme, payoff, spec, M, seed, (*stream_key, DOMAIN_MC), cv_n=cv_n)
+    _warn_if_degenerate(acc, spec, "mc_price")
     variance = acc.variance
     return Estimate(
         value=acc.mean,
@@ -328,8 +352,7 @@ def mlmc_plan(
     """
     if not (0 < epsilon < math.inf):
         raise UsageError(f"epsilon must be finite and > 0, got {epsilon}")
-    if n0 < 1:
-        raise UsageError(f"n0 must be >= 1, got {n0}")
+    n0 = _whole(n0, 1, "n0")
     if constants not in ("auto", "closed-form", "pilot"):
         raise UsageError(f"unknown constants mode: {constants!r}")
 
@@ -369,39 +392,6 @@ def mlmc_plan(
     )
 
 
-def _level_moments(
-    scheme: SchemeKind,
-    payoff: Payoff,
-    params: ModelParams,
-    plan_n0: int,
-    level: int,
-    m: int,
-    seed: int,
-    stream_key: tuple,
-    domain: int,
-) -> _MomentAccumulator:
-    """Mean/variance accumulator for one level's samples.
-
-    Level 0 averages plain payoffs on the base grid; level l >= 1 averages
-    coupled corrections ``phi(fine) - phi(coarse)``, the coarse value taken
-    from the same draw by restriction.
-    """
-    n_fine = plan_n0 * 2**level
-    spec = gaussian_spec(params, n_fine)
-    acc = _MomentAccumulator()
-    batches = vix2_batches(
-        scheme, spec, m, seed, (*stream_key, domain, level),
-        coarse_steps=(2,) if level > 0 else (),
-    )
-    with closing(batches):
-        for fine, coarse, _ in batches:
-            values = payoff_eval(payoff, fine)
-            if level > 0:
-                values = values - payoff_eval(payoff, coarse[0])
-            acc.add(np.asarray(values))
-    return acc
-
-
 def mlmc_price(
     plan: MlmcPlan,
     payoff: Payoff,
@@ -420,11 +410,13 @@ def mlmc_price(
     value = 0.0
     variance_total = 0.0
     last_mean = None
-    for level, m in enumerate(plan.m_levels):
-        acc = _level_moments(
-            plan.scheme, payoff, params, plan.n0, level, m, seed, stream_key, DOMAIN_MLMC
+    for level, (n, m) in enumerate(zip(plan.n_levels, plan.m_levels)):
+        spec = gaussian_spec(params, n)
+        acc = _sample_moments(
+            plan.scheme, payoff, spec, m, seed, (*stream_key, DOMAIN_MLMC, level),
+            coupled=level > 0,
         )
-        _warn_if_degenerate(acc, params, plan.n_levels[level], f"mlmc_price level {level}")
+        _warn_if_degenerate(acc, spec, f"mlmc_price level {level}")
         value += acc.mean
         variance_total += acc.variance / m
         last_mean = acc.mean
@@ -456,18 +448,18 @@ def level_statistics(
     if probe_M < 100:
         raise UsageError(f"probe_M must be >= 100, got {probe_M}")
     stats = []
-    for level in range(plan.L + 1):
-        acc = _level_moments(
-            plan.scheme, payoff, params, plan.n0, level, probe_M, seed, (), DOMAIN_PILOT
+    for level, n in enumerate(plan.n_levels):
+        acc = _sample_moments(
+            plan.scheme, payoff, gaussian_spec(params, n), probe_M, seed,
+            (DOMAIN_PILOT, level), coupled=level > 0,
         )
-        n_fine = plan.n0 * 2**level
         stats.append(
             LevelStat(
                 level=level,
-                n=n_fine,
+                n=n,
                 variance=acc.variance,
                 mean_correction=acc.mean,
-                cost_per_sample=float(n_fine) ** 2,
+                cost_per_sample=float(n) ** 2,
             )
         )
     return tuple(stats)
@@ -483,9 +475,9 @@ def _pilot_constants(n0: int, payoff: Payoff, params: ModelParams) -> tuple:
     """
     c1_terms, c2_terms = [], []
     for level in range(1, _PILOT_LEVELS + 1):
-        acc = _level_moments(
-            SchemeKind.RECTANGLE, payoff, params, n0, level, _PILOT_PROBE_M,
-            _PILOT_SEED, (), DOMAIN_PILOT,
+        acc = _sample_moments(
+            SchemeKind.RECTANGLE, payoff, gaussian_spec(params, n0 * 2**level),
+            _PILOT_PROBE_M, _PILOT_SEED, (DOMAIN_PILOT, level), coupled=True,
         )
         c1_terms.append(abs(acc.mean) * 2.0**level)
         c2_terms.append(acc.variance * 4.0**level)

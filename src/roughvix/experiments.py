@@ -26,10 +26,10 @@ import numpy as np
 
 from .errors import HypothesisError, UsageError
 from .estimators import lambda_constant, mc_price, mlmc_plan, mlmc_price
-from .model import ModelParams, gaussian_spec
+from .model import ModelParams, _whole, gaussian_spec
 from .payoffs import Payoff
-from .sampler import DOMAIN_EXPERIMENT
-from .schemes import SchemeKind, vix2_batches
+from .sampler import DOMAIN_EXPERIMENT, vix2_batches
+from .schemes import SchemeKind
 
 __all__ = [
     "ErrorCurve",
@@ -162,11 +162,10 @@ def strong_error_curve(
     with H < 1/2 and a constant initial curve, the exact first-order
     overlay ``Lambda/n`` is attached for comparison.
     """
-    n_values = tuple(int(n) for n in n_values)
+    n_values = tuple(_whole(n, 1, "grid size") for n in n_values)
+    n_ref = _whole(n_ref, 1, "n_ref")
     if len(n_values) == 0:
         raise UsageError("n_values must be nonempty")
-    if any(n < 1 for n in n_values):
-        raise UsageError("grid sizes must be >= 1")
     for n in n_values:
         if n >= n_ref or n_ref % n != 0:
             raise UsageError(
@@ -245,7 +244,7 @@ def weak_error_curve(
     recorded in the protocol (a warning flag is set when it is not an
     order of magnitude below the smallest measured error).
     """
-    n_values = tuple(int(n) for n in n_values)
+    n_values = tuple(_whole(n, 1, "grid size") for n in n_values)
     if len(n_values) == 0:
         raise UsageError("n_values must be nonempty")
     if M < 2:
@@ -324,8 +323,7 @@ def mse_cost_curve(
     epsilons = tuple(float(e) for e in epsilons)
     if len(epsilons) == 0 or not all(0 < e < math.inf for e in epsilons):
         raise UsageError("epsilons must be nonempty, finite and > 0")
-    if N_mse < 2:
-        raise UsageError(f"N_mse must be >= 2, got {N_mse}")
+    N_mse = _whole(N_mse, 2, "N_mse")
     if not math.isfinite(reference_price):
         raise UsageError(f"reference_price must be finite, got {reference_price}")
 

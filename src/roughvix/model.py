@@ -26,6 +26,7 @@ checks against it.  Everything here is deterministic; sampling lives in
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -174,6 +175,19 @@ class ModelParams:
         return self.x0.values[0] if isinstance(self.x0, X0Curve) else self.x0
 
 
+def _whole(value, least: int, what: str) -> int:
+    """`value` as an int, if it is a whole number ``>= least``; else UsageError.
+
+    Integral floats such as ``8.0`` pass; ``8.7``, nan and inf do not.
+    """
+    if isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer()
+    ):
+        if value >= least:
+            return int(value)
+    raise UsageError(f"{what} must be an integer >= {least}, got {value}")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform grid ``u_i = T + i * Delta / n`` for ``i = 0..n``."""
@@ -183,11 +197,9 @@ class Grid:
     n: int
 
     def __post_init__(self):
-        if self.n < 1 or int(self.n) != self.n:
-            raise UsageError(f"grid step count must be a positive integer, got {self.n}")
+        object.__setattr__(self, "n", _whole(self.n, 1, "grid step count"))
         if not (0 < self.T < math.inf and 0 < self.Delta < math.inf):
             raise UsageError("grid requires finite T > 0 and Delta > 0")
-        object.__setattr__(self, "n", int(self.n))
 
     @property
     def h(self) -> float:

@@ -121,6 +121,8 @@ def black_scholes(kind: PayoffKind, x: float, y: float, z: float) -> float:
     """
     if kind not in (PayoffKind.CALL, PayoffKind.PUT):
         raise UsageError("black_scholes prices calls and puts only")
+    if not all(math.isfinite(v) for v in (x, y, z)):
+        raise UsageError(f"black_scholes requires finite x, y and z, got x={x}, y={y}, z={z}")
     if x <= 0 or y <= 0:
         raise UsageError(f"black_scholes requires x > 0 and y > 0, got x={x}, y={y}")
     if z < 0:

@@ -1,4 +1,4 @@
-"""Exact simulation of the log-forward-variance Gaussian vector.
+"""Exact simulation of the log-forward-variance law, and the batch kernel.
 
 A draw is the one product ``[F | mean] @ [G; 1]``, i.e. ``mean + F @ G``,
 with ``G`` a vector of ``r`` independent standard normals and ``F`` the
@@ -25,20 +25,34 @@ The product's bits depend on the batch width and its row blocks (BLAS
 picks its kernel by the product's shape), which the fixed partition
 keeps deterministic.
 
-A batch of ``m`` draws is drawn from one ``(r+1, m)`` block of normals
-whose last row is ones (:func:`_draw_normals`), and its product is
-formed a block of rows at a time (:func:`_draw_rows` over
-:func:`_row_blocks`, about ``2^19`` values each, so that a block is
-still in cache when it is used).  The estimators never hold the
-``(n+1, m)`` draw: they exponentiate and weight each row block as it
-is formed (:func:`~roughvix.schemes.vix2_batches`).  Meanwhile later
-batches' normals are drawn ahead on worker threads, one per CPU the
-process may run on (:func:`_normals_ahead`), so a call's peak batch
-memory is ``w + 1`` normals blocks for ``w`` workers and one row block.
+The batch kernel
+----------------
+Every sampled estimate runs through :func:`vix2_batches`, which turns
+batches of draws into VIX^2 on the fine grid and its coarse grids with
+the quadrature rules of :mod:`.schemes`.  A batch of ``m`` draws takes
+its normals from one ``(r+1, m)`` block whose last row is ones
+(:func:`_draw_normals`).  Later batches' normals are drawn ahead on
+worker threads, one per CPU the process may run on
+(:func:`_normals_ahead`); each batch keeps its own stream and block, so
+the bits do not depend on the worker count.  The product is formed a
+block of rows at a time (:func:`_row_blocks`, at most ``2^19`` values,
+so that a block is still in cache when it is used) in one reused
+buffer, and each row block is exponentiated in place and weighted as
+soon as it is formed: the weight rows ``A`` of the fine grid and of
+each coarse grid (:func:`~roughvix.schemes._weight_rows`) add ``A[:,
+a:b] @ (block - e0)`` to a ``grids x m`` accumulator, ``e0`` being the
+exponentiated grid row 0, and grid ``g``'s VIX^2 is ``e0 + acc[g] /
+d[g]``.  The integer rows sum to exactly their divisors, so a flat
+model gives exactly ``e0`` on every grid.  No ``(n+1, m)`` draw is ever
+held: a call's peak batch memory is ``k + 1`` normals blocks for ``k``
+workers and one row block.  The control variate's log average is
+linear in the draw, so the kernel takes it from the batch's normals as
+``w . mu + (F^T w) . G`` (:func:`~roughvix.schemes.geometric_projection`).
 While a call runs, OpenBLAS is held at one thread
 (:class:`_OneBlasThread`), so the products run on the calling thread
 and the workers are the only parallelism; a product's bits do not
-depend on the BLAS thread count.
+depend on the BLAS thread count.  Rounding stays far below the
+quadrature error being studied.
 """
 
 from __future__ import annotations
@@ -50,12 +64,14 @@ import os
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 
 import numpy as np
 from scipy.special import ndtri
 
 from .errors import UsageError
-from .model import CholeskyFactor, ModelParams, gaussian_spec
+from .model import CholeskyFactor, GaussianSpec, ModelParams, gaussian_spec
+from .schemes import SchemeKind, _weight_rows, geometric_projection
 
 __all__ = [
     "factor_for",
@@ -268,20 +284,52 @@ def _row_blocks(rows: int, width: int) -> list:
     return [(a, min(a + size, rows)) for a in range(0, rows, size)]
 
 
-def _draw_rows(factor_mean: np.ndarray, block: np.ndarray, buffer: np.ndarray):
-    """Form the draws ``factor_mean @ block`` one row block at a time.
+def vix2_batches(
+    kind: SchemeKind,
+    spec: GaussianSpec,
+    total: int,
+    seed: int,
+    key: tuple,
+    coarse_steps=(),
+    geometric: bool = False,
+):
+    """The batch kernel: VIX^2 of `total` draws of the law `spec`, batch by batch.
 
-    `factor_mean` is ``[F | mean]`` and `block` the batch's ``[G; 1]``
-    (:func:`_draw_normals`).  Yields ``(a, rows)`` for the blocks
-    ``(a, b)`` of :func:`_row_blocks`, `rows` being draw rows ``a..b-1``
-    formed in the leading ``(b-a) x width`` values of `buffer`, which
-    the next block overwrites.
+    Batch ``i`` of the fixed partition ``batch_sizes(n, total)`` draws
+    its normals from ``stream_for(seed, *key, i)``; the module docstring
+    describes how a batch is formed.  Closing the generator, or an error
+    in a worker, stops the workers.
+
+    Yields ``(fine, coarse, cv)`` per batch: the scheme's VIX^2 per draw,
+    the list of VIX^2 arrays of the coarse grids that read every
+    ``step``-th point, for ``step`` in `coarse_steps`, and, when
+    `geometric` is set, the control variate ``exp(w . mu + (F^T w) . G)``
+    from the batch's normals ``G`` (None otherwise): the Gaussian
+    functional that :func:`~roughvix.payoffs.cv_price` prices.
     """
-    width = block.shape[1]
-    for a, b in _row_blocks(factor_mean.shape[0], width):
-        rows = buffer[: (b - a) * width].reshape(b - a, width)
-        np.matmul(factor_mean[a:b], block, out=rows)
-        yield a, rows
+    n = spec.grid.n
+    weight_rows, divisors = _weight_rows(kind, n, (1, *coarse_steps))
+    widths = batch_sizes(n, total)
+    factor_mean = np.column_stack((spec.factor.L, spec.mean))
+    # Every row block fits: no width exceeds widths[0].
+    buffer = np.empty(min((n + 1) * widths[0], _ROW_BLOCK_BUDGET))
+    if geometric:
+        offset, projection = geometric_projection(kind, spec)
+    with closing(_normals_ahead(seed, key, widths, spec.factor.rank)) as stacked_blocks:
+        for stacked in stacked_blocks:
+            width = stacked.shape[1]
+            cv = np.exp(offset + projection @ stacked[:-1]) if geometric else None
+            acc = np.zeros((len(divisors), width))
+            for a, b in _row_blocks(n + 1, width):
+                rows = buffer[: (b - a) * width].reshape(b - a, width)
+                np.matmul(factor_mean[a:b], stacked, out=rows)
+                np.exp(rows, out=rows)
+                if a == 0:
+                    e0 = rows[0].copy()
+                rows -= e0
+                acc += weight_rows[:, a:b] @ rows
+            fine, *coarse = e0 + acc / divisors[:, None]
+            yield fine, coarse, cv
 
 
 def batch_size(n: int) -> int:

@@ -10,34 +10,21 @@ moments.  A coarse grid of the multilevel coupling reads every
 ``s``-th point of the fine grid, so its rule is the ``n/s`` grid's
 weights placed on fine indices ``0, s, 2s, ...`` (:func:`_weight_rows`).
 
-The estimators evaluate their draws through one batch kernel,
-:func:`vix2_batches`: while worker threads draw later batches' normals
-(:func:`~roughvix.sampler._normals_ahead`, which also holds OpenBLAS
-at one thread for the call), it forms each batch a
-cache-sized block of grid rows at a time in one reused buffer,
-exponentiates the block in place,
-and adds one product of the weight rows with the block, shifted by the
-exponentiated grid row 0, to a per-grid accumulator.  The integer rows
-sum to exactly their divisors, so a flat model gives exactly that row 0
-on every grid.  Rounding stays far below the quadrature error being
-studied; a draw's bits may depend on its batch width through the
-factor product and the weight product (see :mod:`.sampler`).  The
-control variate's log average ``w . X`` is linear in the draw, so the
-kernel takes it from the batch's ``r`` normals as ``w . mu + (F^T w) .
-G`` (:func:`geometric_projection`), not from the ``n+1`` grid values.
+The batch kernel (:func:`~roughvix.sampler.vix2_batches`) applies these
+rules to every sampled batch.  The control variate's log average ``w . X``
+is linear in the draw, so :func:`geometric_projection` states it on the
+draw's ``r`` normals, for both the kernel and the exact moments.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import closing
 from enum import Enum
 
 import numpy as np
 
 from .errors import UsageError
 from .model import GaussianSpec
-from .sampler import _draw_rows, _normals_ahead, _row_blocks, batch_sizes
 
 __all__ = [
     "SchemeKind",
@@ -102,64 +89,6 @@ def geometric_projection(kind: SchemeKind, spec: GaussianSpec) -> tuple:
     a, d = _quadrature_weights(kind, spec.grid.n)
     offset = math.fsum((a * spec.mean).tolist()) / d
     return offset, (spec.factor.L.T @ a) / d
-
-
-def vix2_batches(
-    kind: SchemeKind,
-    spec: GaussianSpec,
-    total: int,
-    seed: int,
-    key: tuple,
-    coarse_steps=(),
-    geometric: bool = False,
-):
-    """The batch kernel: VIX^2 of `total` draws of the law `spec`, batch by batch.
-
-    Batch ``i`` of the fixed partition ``batch_sizes(n, total)`` draws
-    its normals ``G`` from ``stream_for(seed, *key, i)`` into an
-    ``(r+1) x width`` block ``[G; 1]``.  With more than one batch and
-    more than one CPU, a pool of worker threads draws up to one batch
-    per CPU ahead of the batch being formed, into reused blocks
-    (:func:`~roughvix.sampler._normals_ahead`); a draw's bits do not
-    depend on the worker count, and closing the generator, or an error
-    in a worker, stops the pool.  The draws ``[F | mu] @ [G; 1]`` are
-    formed one row block at a time (:func:`~roughvix.sampler._draw_rows`)
-    in one small buffer, also reused, and each block is exponentiated
-    in place.  With ``e0``
-    the exponentiated grid row 0, kept from the first block, the weight
-    rows ``A`` of the fine grid and of each coarse grid (every
-    ``step``-th point, for ``step`` in `coarse_steps`) add ``A[:, a:b] @
-    (block - e0)`` to a ``grids x width`` accumulator, and grid ``g``'s
-    VIX^2 is ``e0 + acc[g] / d[g]``.  No ``(n+1) x width`` block is ever
-    held.
-
-    Yields ``(fine, coarse, cv)`` per batch: the scheme's VIX^2 per draw,
-    the list of coarse VIX^2 arrays, and, when `geometric` is set, the
-    control variate ``exp(w . mu + (F^T w) . G)`` from the batch's
-    normals ``G`` and :func:`geometric_projection` (None otherwise): the
-    Gaussian functional that :func:`~roughvix.payoffs.cv_price` prices.
-    """
-    n = spec.grid.n
-    weight_rows, divisors = _weight_rows(kind, n, (1, *coarse_steps))
-    widths = batch_sizes(n, total)
-    factor_mean = np.column_stack((spec.factor.L, spec.mean))
-    block = np.empty(
-        max((b - a) * width for width in set(widths) for a, b in _row_blocks(n + 1, width))
-    )
-    if geometric:
-        offset, projection = geometric_projection(kind, spec)
-    with closing(_normals_ahead(seed, key, widths, spec.factor.rank)) as stacked_blocks:
-        for stacked in stacked_blocks:
-            cv = np.exp(offset + projection @ stacked[:-1]) if geometric else None
-            acc = np.zeros((len(divisors), stacked.shape[1]))
-            for a, rows in _draw_rows(factor_mean, stacked, block):
-                np.exp(rows, out=rows)
-                if a == 0:
-                    e0 = rows[0].copy()
-                rows -= e0
-                acc += weight_rows[:, a : a + len(rows)] @ rows
-            fine, *coarse = e0 + acc / divisors[:, None]
-            yield fine, coarse, cv
 
 
 def vix_from_vix2(v):

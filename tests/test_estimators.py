@@ -27,10 +27,9 @@ from roughvix import (
     stream_for,
 )
 from roughvix.errors import NumericError
-from roughvix.estimators import Estimate, _level_moments
+from roughvix.estimators import Estimate, _sample_moments
 from roughvix.payoffs import cv_corrected_payoff, cv_moments, cv_price
-from roughvix.sampler import DOMAIN_MC, DOMAIN_MLMC
-from roughvix.schemes import vix2_batches
+from roughvix.sampler import DOMAIN_MC, DOMAIN_MLMC, vix2_batches
 
 from oracles import exact_scheme_mean, geometric_vix2, oracle_batches, sample_fine
 
@@ -260,6 +259,12 @@ def test_plan_validation():
         mlmc_plan(0.0, 6, SchemeKind.RECTANGLE, CALL, PB)
     with pytest.raises(UsageError):
         mlmc_plan(0.01, 0, SchemeKind.RECTANGLE, CALL, PB)
+    for n0 in [2.5, math.nan, math.inf]:
+        with pytest.raises(UsageError, match="n0 must be an integer"):
+            mlmc_plan(0.01, n0, SchemeKind.RECTANGLE, CALL, PB)
+    plan = mlmc_plan(0.01, 6.0, SchemeKind.RECTANGLE, CALL, PB)
+    assert plan == mlmc_plan(0.01, 6, SchemeKind.RECTANGLE, CALL, PB)
+    assert all(type(n) is int for n in (plan.n0, *plan.n_levels))
     with pytest.raises(UsageError):
         mlmc_plan(0.01, 6, SchemeKind.RECTANGLE, CALL, PB, constants="guess")
     with pytest.raises(UsageError):
@@ -565,7 +570,9 @@ def test_level_moments_accumulate_the_kernel_values(scheme, level):
         )
     )
     mean, var = _public_moments(draws)
-    acc = _level_moments(scheme, CALL, PB, n0, level, m, seed, key, DOMAIN_MLMC)
+    acc = _sample_moments(
+        scheme, CALL, spec, m, seed, (*key, DOMAIN_MLMC, level), coupled=level > 0
+    )
     assert acc.mean.hex() == mean.hex()
     assert acc.variance.hex() == var.hex()
 

@@ -20,8 +20,7 @@ from roughvix import (
 )
 from roughvix.experiments import PRESET_NAMES
 from roughvix.model import gaussian_spec
-from roughvix.sampler import DOMAIN_EXPERIMENT
-from roughvix.schemes import vix2_batches
+from roughvix.sampler import DOMAIN_EXPERIMENT, vix2_batches
 
 from oracles import oracle_batches
 
@@ -77,6 +76,21 @@ def test_strong_error_requires_divisor_grid_and_enough_samples():
         strong_error_curve(SchemeKind.RECTANGLE, (8,), 64, 999, PB, seed=0)
     with pytest.raises(UsageError):
         strong_error_curve(SchemeKind.RECTANGLE, (), 64, 2000, PB, seed=0)
+    for n_values in [(8.7, 16), (8, math.nan), (math.inf,)]:
+        with pytest.raises(UsageError, match="grid size must be an integer"):
+            strong_error_curve(SchemeKind.RECTANGLE, n_values, 64, 2000, PB, seed=0)
+    with pytest.raises(UsageError, match="n_ref must be an integer"):
+        strong_error_curve(SchemeKind.RECTANGLE, (8,), 64.5, 2000, PB, seed=0)
+
+
+def test_integral_float_grid_sizes_are_accepted():
+    curve = strong_error_curve(SchemeKind.RECTANGLE, (8.0, 16), 32.0, 1000, PB, seed=0)
+    assert curve.n_values == (8, 16)
+    assert all(type(n) is int for n in curve.n_values)
+    same = strong_error_curve(SchemeKind.RECTANGLE, (8, 16), 32, 1000, PB, seed=0)
+    assert (curve.errors, curve.ci_halfwidths) == (same.errors, same.ci_halfwidths)
+    weak = weak_error_curve(SchemeKind.RECTANGLE, (5.0,), CALL, 0.1, 0.0, 10, PA, seed=0)
+    assert weak.n_values == (5,) and type(weak.n_values[0]) is int
 
 
 def test_strong_error_degenerate_model_has_zero_error():
@@ -207,6 +221,9 @@ def test_weak_error_validation():
         weak_error_curve(SchemeKind.RECTANGLE, (5,), CALL, 0.1, -1.0, 100, PA, seed=0)
     with pytest.raises(UsageError):
         weak_error_curve(SchemeKind.RECTANGLE, (5,), CALL, 0.1, 0.0, 1, PA, seed=0)
+    for n_values in [(5.9, 6, 7), (0,), (math.nan,)]:
+        with pytest.raises(UsageError, match="grid size must be an integer"):
+            weak_error_curve(SchemeKind.RECTANGLE, n_values, CALL, 0.1, 0.0, 10, PA, seed=0)
 
 
 @pytest.mark.parametrize(
@@ -233,6 +250,12 @@ def test_mse_cost_validation():
         mse_cost_curve("ml-rect", (-0.1,), 10, 0.121971, PB, CALL, seed=0)
     with pytest.raises(UsageError):
         mse_cost_curve("ml-rect", (0.04,), 1, 0.121971, PB, CALL, seed=0)
+    for N_mse in [2.5, math.nan, math.inf]:
+        with pytest.raises(UsageError, match="N_mse must be an integer"):
+            mse_cost_curve("mc-rect", (0.2,), N_mse, 0.121971, PB, CALL, seed=0)
+    curve = mse_cost_curve("mc-rect", (0.2,), 2.0, 0.121971, PB, CALL, seed=0)
+    assert curve.protocol["N_mse"] == 2 and type(curve.protocol["N_mse"]) is int
+    assert curve.mses == mse_cost_curve("mc-rect", (0.2,), 2, 0.121971, PB, CALL, seed=0).mses
 
 
 @pytest.mark.parametrize(

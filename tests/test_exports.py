@@ -1,6 +1,8 @@
-"""The package's exported names."""
+"""The package's exported names and the layering of its modules."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -23,3 +25,34 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
     assert len(set(module.__all__)) == len(module.__all__)
+
+
+# The package's layers, lowest first: a module may import only the layers
+# below it, so that moving a routine never makes an import cycle.
+LAYERS = (
+    "errors", "hypergeometric", "model", "schemes", "sampler", "payoffs",
+    "estimators", "experiments", "cli",
+)
+PACKAGE = Path(importlib.import_module("roughvix").__file__).parent
+
+
+def _package_imports(layer):
+    """The package modules that `layer` imports, as ``from .x import ...``."""
+    tree = ast.parse((PACKAGE / f"{layer}.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                yield from (alias.name for alias in node.names)
+            else:
+                yield node.module.split(".")[0]
+
+
+def test_every_module_has_a_layer():
+    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+    assert modules == set(LAYERS)
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_no_module_imports_a_layer_above_it(layer):
+    below = LAYERS[: LAYERS.index(layer)]
+    assert [name for name in _package_imports(layer) if name not in below] == []

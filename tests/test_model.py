@@ -131,6 +131,14 @@ def test_grid_refuses_non_finite_dates(T, Delta):
         Grid(T=T, Delta=Delta, n=8)
 
 
+def test_grid_step_count_must_be_a_whole_number():
+    for n in [2.5, 0, -1, math.nan, math.inf]:
+        with pytest.raises(UsageError, match="grid step count must be an integer"):
+            Grid(T=1.0, Delta=0.5, n=n)
+    assert Grid(T=1.0, Delta=0.5, n=8.0) == Grid(T=1.0, Delta=0.5, n=8)
+    assert type(Grid(T=1.0, Delta=0.5, n=np.int64(8)).n) is int
+
+
 # --- kernel and mean --------------------------------------------------------
 
 

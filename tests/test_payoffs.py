@@ -122,6 +122,23 @@ def test_black_scholes_validation():
         black_scholes(PayoffKind.CALL, 1.0, 1.0, -0.2)
 
 
+@pytest.mark.parametrize("kind", [PayoffKind.CALL, PayoffKind.PUT])
+@pytest.mark.parametrize(
+    "x, y, z",
+    [
+        (1.0, 1.0, math.inf),
+        (math.inf, 1.0, 0.2),
+        (math.nan, 1.0, 0.2),
+        (1.0, math.inf, 0.2),
+        (1.0, math.nan, 0.2),
+        (1.0, 1.0, math.nan),
+    ],
+)
+def test_black_scholes_refuses_non_finite_inputs(kind, x, y, z):
+    with pytest.raises(UsageError, match="finite"):
+        black_scholes(kind, x, y, z)
+
+
 # --- control variate --------------------------------------------------------
 
 

@@ -25,8 +25,8 @@ from roughvix import (
     stream_for,
     strong_error_curve,
 )
-from roughvix.sampler import _draw_normals, _draw_rows, _row_blocks, _standard_normals
-from roughvix.schemes import geometric_projection, vix2_batches
+from roughvix.sampler import _draw_normals, _row_blocks, _standard_normals, vix2_batches
+from roughvix.schemes import geometric_projection
 
 from oracles import contract_normals, single_product
 
@@ -176,8 +176,7 @@ def _draws(spec, stream, width):
     block = np.empty((spec.factor.rank + 1, width))
     normals = _draw_normals(stream, block)
     weights = np.column_stack((spec.factor.L, spec.mean))
-    buffer = np.empty(max((b - a) * width for a, b in _row_blocks(spec.grid.n + 1, width)))
-    rows = [rows.copy() for _, rows in _draw_rows(weights, block, buffer)]
+    rows = [weights[a:b] @ block for a, b in _row_blocks(spec.grid.n + 1, width)]
     return np.concatenate(rows), normals
 
 

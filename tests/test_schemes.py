@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from roughvix import SchemeKind, UsageError, stream_for, vix_from_vix2
-from roughvix.schemes import _quadrature_weights, _weight_rows, vix2_batches
+from roughvix.sampler import vix2_batches
+from roughvix.schemes import _quadrature_weights, _weight_rows
 
 from oracles import contract_normals, quadrature_weights
 

@@ -33,9 +33,8 @@ from roughvix import (
     strong_error_curve,
 )
 from roughvix import estimators, sampler
-from roughvix.estimators import _level_moments
-from roughvix.sampler import DOMAIN_MLMC, batch_size
-from roughvix.schemes import vix2_batches
+from roughvix.estimators import _sample_moments
+from roughvix.sampler import DOMAIN_MLMC, batch_size, vix2_batches
 
 X0 = math.log(0.235**2)
 PB = ModelParams(H=0.1, eta=0.5, T=0.5, Delta=1.0 / 12.0, x0=X0)
@@ -79,7 +78,10 @@ def test_level_moments_are_the_same_at_every_worker_count(monkeypatch, scheme, l
     m = 3 * batch_size(n0 * 2**level) + 179
 
     def run():
-        acc = _level_moments(scheme, CALL, PB, n0, level, m, 12, (2,), DOMAIN_MLMC)
+        spec = gaussian_spec(PB, n0 * 2**level)
+        acc = _sample_moments(
+            scheme, CALL, spec, m, 12, (2, DOMAIN_MLMC, level), coupled=level > 0
+        )
         return acc.mean.hex(), acc.variance.hex()
 
     inline, *threaded = _at_each_worker_count(monkeypatch, run)
@@ -333,7 +335,10 @@ def test_the_kernel_gives_the_same_bits_without_openblas_control(monkeypatch):
 
     def run():
         est = mc_price(SchemeKind.RECTANGLE, n, M, CALL, True, PB, seed=6)
-        acc = _level_moments(SchemeKind.TRAPEZOID, CALL, PB, 6, 1, M, 12, (2,), DOMAIN_MLMC)
+        acc = _sample_moments(
+            SchemeKind.TRAPEZOID, CALL, gaussian_spec(PB, 12), M, 12, (2, DOMAIN_MLMC, 1),
+            coupled=True,
+        )
         return [x.hex() for x in (est.value, est.std_error, acc.mean, acc.variance)]
 
     held = run()
