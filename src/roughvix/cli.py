@@ -15,7 +15,8 @@ choice and bound checks of :func:`validate` are all built from it; the
 presets are written in its keys.  A flag, a ``key=value`` entry and a
 JSON value are typed by the same rule (:func:`_coerce`), and any value
 it cannot type or that breaks its key's bound exits 2.  ``_COMMANDS``
-gives each subcommand its flags, its required keys and its runner.
+gives each subcommand its flags, its required keys and its runner, to
+which :func:`run` hands the run's model and payoff, each built once.
 
 The environment variable ``ROUGHVIX_OUTPUT_DIR`` sets the default output
 directory; it is ignored when ``--output`` is given.  Parent directories
@@ -56,19 +57,12 @@ from .model import (
     covariance_quadrature_oracle,
 )
 from .payoffs import Payoff, PayoffKind
-from .sampler import factor_for, stream_for
+from .sampler import DOMAIN_COV_CHECK, factor_for, stream_for
 from .schemes import SchemeKind
 
 __all__ = ["RunConfig", "parse_config", "validate", "run", "main"]
 
 MANIFEST_SCHEMA_VERSION = 2
-
-_SCHEMES = {"rect": SchemeKind.RECTANGLE, "trap": SchemeKind.TRAPEZOID}
-_PAYOFFS = {"call": PayoffKind.CALL, "put": PayoffKind.PUT, "future": PayoffKind.FUTURE}
-
-# Stream namespace for the covariance spot-check's random parameter draws
-# (disjoint from the estimator domains 1-4).
-_DOMAIN_COV_CHECK = 5
 
 
 def _key(help: str, default=None, **flag) -> dataclasses.Field:
@@ -106,11 +100,15 @@ class RunConfig:
     x0_interp: str = _key(
         "interpolation for --x0-csv (default step)", "step", choices=("step", "linear")
     )
-    payoff: str = _key("payoff kind", "call", choices=tuple(_PAYOFFS))
+    payoff: str = _key(
+        "payoff kind", "call", choices=tuple(kind.value for kind in PayoffKind)
+    )
     strike: float | None = _key(
         "strike (call/put)", aliases=("--kappa",), check=_POSITIVE
     )
-    scheme: str = _key("integration scheme", "rect", choices=tuple(_SCHEMES))
+    scheme: str = _key(
+        "integration scheme", "rect", choices=tuple(kind.value for kind in SchemeKind)
+    )
     estimator: str = _key("estimator family", "mc", choices=("mc", "mlmc"))
     n: int | None = _key("grid size (mc)", check=_at_least(1))
     M: int | None = _key(
@@ -410,10 +408,6 @@ def _build_params(config: RunConfig) -> ModelParams:
     return ModelParams(H=config.H, eta=config.eta, T=config.T, Delta=config.Delta, x0=x0)
 
 
-def _build_payoff(config: RunConfig) -> Payoff:
-    return Payoff(_PAYOFFS[config.payoff], strike=config.strike)
-
-
 # ---------------------------------------------------------------------------
 # Output writing
 
@@ -463,14 +457,10 @@ def _sampled_grids(config: RunConfig, summary: dict) -> list:
     return []
 
 
-def _factor_record(config: RunConfig, summary: dict) -> dict:
-    """The factorization's stopping tolerance and its rank on each sampled grid."""
-    grids = _sampled_grids(config, summary)
-    params = _build_params(config) if grids else None
-    return {
-        "rank_tol": RANK_TOL,
-        "ranks": [{"n": n, "rank": factor_for(params, n).rank} for n in grids],
-    }
+def _factor_record(params: ModelParams | None, grids: list) -> dict:
+    """The factorization's stopping tolerance and its rank on each of `grids`."""
+    ranks = [{"n": n, "rank": factor_for(params, n).rank} for n in grids]
+    return {"rank_tol": RANK_TOL, "ranks": ranks}
 
 
 def _write_manifest(
@@ -505,14 +495,13 @@ def _resolve_output(config: RunConfig) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Commands (each runner returns header, rows, summary dict, one-liner, and a
-# failure to raise once the outputs are written, or None)
+# Commands (each runner takes the config and the run's model and payoff, or
+# None for a command without them, and returns header, rows, summary dict,
+# one-liner, and a failure to raise once the outputs are written, or None)
 
 
-def _run_price(config: RunConfig):
-    params = _build_params(config)
-    payoff = _build_payoff(config)
-    scheme = _SCHEMES[config.scheme]
+def _run_price(config: RunConfig, params: ModelParams, payoff: Payoff):
+    scheme = SchemeKind(config.scheme)
     summary: dict = {}
     if config.estimator == "mc":
         est = mc_price(
@@ -571,10 +560,9 @@ def _run_price(config: RunConfig):
     return header, rows, summary, line, None
 
 
-def _run_strong(config: RunConfig):
-    params = _build_params(config)
+def _run_strong(config: RunConfig, params: ModelParams, payoff: None):
     curve = strong_error_curve(
-        _SCHEMES[config.scheme],
+        SchemeKind(config.scheme),
         config.n_values,
         config.n_ref,
         config.M,
@@ -594,11 +582,9 @@ def _run_strong(config: RunConfig):
     return header, rows, summary, line, None
 
 
-def _run_weak(config: RunConfig):
-    params = _build_params(config)
-    payoff = _build_payoff(config)
+def _run_weak(config: RunConfig, params: ModelParams, payoff: Payoff):
     curve = weak_error_curve(
-        _SCHEMES[config.scheme],
+        SchemeKind(config.scheme),
         config.n_values,
         payoff,
         config.reference_price,
@@ -626,9 +612,7 @@ def _run_weak(config: RunConfig):
     return header, rows, summary, line, None
 
 
-def _run_mse(config: RunConfig):
-    params = _build_params(config)
-    payoff = _build_payoff(config)
+def _run_mse(config: RunConfig, params: ModelParams, payoff: Payoff):
     curve = mse_cost_curve(
         config.family,
         config.epsilons,
@@ -652,8 +636,8 @@ def _run_mse(config: RunConfig):
     return header, rows, summary, line, None
 
 
-def _run_cov_check(config: RunConfig):
-    rng = stream_for(config.seed, _DOMAIN_COV_CHECK)
+def _run_cov_check(config: RunConfig, params: None, payoff: None):
+    rng = stream_for(config.seed, DOMAIN_COV_CHECK)
     header = [
         "index",
         "H",
@@ -726,8 +710,8 @@ _COMMANDS = {
     ),
     "mse-cost": _Command(
         "empirical MSE versus normalized cost",
-        f"{_STUDY_KEYS} payoff strike family epsilons n_mse reference_price "
-        "reference_ci n0 plan_constants seed output format",
+        f"{_STUDY_KEYS} payoff strike family epsilons n_mse reference_price n0 "
+        "plan_constants seed output format",
         f"{_MODEL_KEYS} family epsilons n_mse reference_price",
         _run_mse,
     ),
@@ -747,14 +731,19 @@ def run(config: RunConfig) -> int:
     """Execute a validated config: compute, write results + manifest, summarize."""
     validate(config)
     start = time.perf_counter()
-    runner = _COMMANDS[config.command].runner
-    header, rows, summary, line, failure = runner(config)
+    row = _COMMANDS[config.command]
+    takes = row.keys.split()
+    params = _build_params(config) if "x0" in takes else None
+    payoff = None
+    if "payoff" in takes:
+        payoff = Payoff(PayoffKind(config.payoff), config.strike)
+    header, rows, summary, line, failure = row.runner(config, params, payoff)
     wall = time.perf_counter() - start
 
     results_path = _resolve_output(config)
     manifest_path = results_path + ".manifest.json"
     _write_results(results_path, config.format, header, rows)
-    factor = _factor_record(config, summary)
+    factor = _factor_record(params, _sampled_grids(config, summary))
     _write_manifest(manifest_path, config, [results_path], summary, factor, wall)
     print(f"{config.command}: {line}, wall={wall:.2f}s -> {results_path}")
     if failure is not None:

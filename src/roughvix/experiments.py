@@ -146,6 +146,14 @@ def _payoff_dict(payoff: Payoff) -> dict:
     return {"kind": payoff.kind.value, "strike": payoff.strike}
 
 
+def _grid_sizes(n_values) -> tuple:
+    """A curve's grid sizes as ints: whole numbers >= 1, not empty, no repeats."""
+    n_values = tuple(_whole(n, 1, "grid size") for n in n_values)
+    if len(n_values) == 0 or len(set(n_values)) < len(n_values):
+        raise UsageError(f"n_values must be nonempty, without repeats, got {n_values}")
+    return n_values
+
+
 def strong_error_curve(
     scheme: SchemeKind,
     n_values,
@@ -162,10 +170,8 @@ def strong_error_curve(
     with H < 1/2 and a constant initial curve, the exact first-order
     overlay ``Lambda/n`` is attached for comparison.
     """
-    n_values = tuple(_whole(n, 1, "grid size") for n in n_values)
+    n_values = _grid_sizes(n_values)
     n_ref = _whole(n_ref, 1, "n_ref")
-    if len(n_values) == 0:
-        raise UsageError("n_values must be nonempty")
     for n in n_values:
         if n >= n_ref or n_ref % n != 0:
             raise UsageError(
@@ -244,9 +250,7 @@ def weak_error_curve(
     recorded in the protocol (a warning flag is set when it is not an
     order of magnitude below the smallest measured error).
     """
-    n_values = tuple(_whole(n, 1, "grid size") for n in n_values)
-    if len(n_values) == 0:
-        raise UsageError("n_values must be nonempty")
+    n_values = _grid_sizes(n_values)
     if M < 2:
         raise UsageError(f"M must be >= 2, got {M}")
     if not math.isfinite(reference_price):
@@ -436,7 +440,6 @@ def _mse_preset(paper_scale: bool) -> dict:
         "epsilons": (0.04, 0.02, 0.01, 0.005),
         "n_mse": 400 if paper_scale else 100,
         "reference_price": 0.121971,
-        "reference_ci": 6e-7,
         "n0": 6,
         "family": "ml-rect",
     }

@@ -362,12 +362,10 @@ def _check_grid(grid: Grid, params: ModelParams) -> None:
 
 
 def mean_vector(grid: Grid, params: ModelParams) -> np.ndarray:
-    """Exact mean of ``(X_T^{u_i})`` over all n+1 grid points."""
+    """Exact mean ``x0(u) - C(u, u)/2`` of ``(X_T^{u_i})`` over all n+1 grid points."""
     _check_grid(grid, params)
     u = grid.points
-    H, eta, T = params.H, params.eta, params.T
-    drift = eta**2 / (4.0 * H) * (u ** (2 * H) - (u - T) ** (2 * H))
-    return params.x0_at(u) - drift
+    return params.x0_at(u) - 0.5 * _variance_at(u, params)
 
 
 def _variance_at(u, params: ModelParams):

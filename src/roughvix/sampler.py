@@ -110,6 +110,7 @@ DOMAIN_MC = 1
 DOMAIN_MLMC = 2
 DOMAIN_PILOT = 3
 DOMAIN_EXPERIMENT = 4
+DOMAIN_COV_CHECK = 5  # the CLI's covariance spot-check draws
 
 
 def factor_for(params: ModelParams, n: int) -> CholeskyFactor:

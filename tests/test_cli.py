@@ -9,7 +9,7 @@ import typing
 
 import pytest
 
-from roughvix import UsageError
+from roughvix import UsageError, cli
 from roughvix.cli import RunConfig, main, parse_config, run, validate
 
 X0 = math.log(0.235**2)
@@ -229,6 +229,15 @@ def test_each_bound_refuses_values_outside_it(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["strong-error", "weak-error"])
+def test_a_repeated_grid_size_exits_2_without_results(tmp_path, capsys, command):
+    out = tmp_path / "x.csv"
+    args = [*RUNS[command], "--n-values", "8,8,16", "--output", str(out)]
+    assert main(args) == 2
+    assert "without repeats" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- x0 curve loading -------------------------------------------------------
 
 
@@ -244,6 +253,27 @@ def test_x0_csv_step_curve(tmp_path):
     validate(config)
     assert run(config) == 0
     assert (tmp_path / "out.csv").exists()
+
+
+def test_x0_csv_is_read_once_per_run(tmp_path, monkeypatch):
+    path = tmp_path / "curve.csv"
+    path.write_text("date,x0\n0.5,-2.9\n0.54,-2.7\n")
+    reads = []
+    load_x0_csv = cli._load_x0_csv
+
+    def load(*args):
+        reads.append(args)
+        return load_x0_csv(*args)
+
+    monkeypatch.setattr(cli, "_load_x0_csv", load)
+    code = main(
+        ["price", "--H", "0.1", "--eta", "0.5", "--T", "0.5", "--Delta",
+         "0.08333333333333333", "--x0-csv", str(path), "--payoff", "call",
+         "--strike", "0.1", "--n", "8", "--M", "100",
+         "--output", str(tmp_path / "out.csv")]
+    )
+    assert code == 0
+    assert len(reads) == 1
 
 
 def test_x0_csv_malformed_rows_are_usage_errors(tmp_path):
@@ -323,7 +353,7 @@ def test_manifest_round_trips_the_exact_config(tmp_path):
         (["price", "--n", "10", "--M", "100"], [10]),
         # L = 2 at this epsilon, n0 = 6.
         (["price", "--estimator", "mlmc", "--epsilon", "0.001"], [6, 12, 24]),
-        (["weak-error", "--n-values", "8,4,8", "--M", "100",
+        (["weak-error", "--n-values", "8,4", "--M", "100",
           "--reference-price", "0.1"], [4, 8]),
         (["mse-cost", "--family", "mc-rect", "--epsilons", "0.1,0.05",
           "--n-mse", "2", "--reference-price", "0.1"], [10, 20]),
@@ -428,8 +458,8 @@ FLAGS = {
     "weak-error": COMMON_FLAGS | MODEL_FLAGS | PAYOFF_FLAGS | PRESET_FLAGS | {
         "--scheme", "--n-values", "--M", "--reference-price", "--reference-ci"},
     "mse-cost": COMMON_FLAGS | MODEL_FLAGS | PAYOFF_FLAGS | PRESET_FLAGS | {
-        "--family", "--epsilons", "--n-mse", "--reference-price", "--reference-ci",
-        "--n0", "--plan-constants"},
+        "--family", "--epsilons", "--n-mse", "--reference-price", "--n0",
+        "--plan-constants"},
     "covariance-check": COMMON_FLAGS | {"--pairs", "--tolerance"},
 }
 

@@ -79,6 +79,9 @@ def test_strong_error_requires_divisor_grid_and_enough_samples():
     for n_values in [(8.7, 16), (8, math.nan), (math.inf,)]:
         with pytest.raises(UsageError, match="grid size must be an integer"):
             strong_error_curve(SchemeKind.RECTANGLE, n_values, 64, 2000, PB, seed=0)
+    for n_values in [(8, 8, 16), (16, 8, 16.0)]:
+        with pytest.raises(UsageError, match="without repeats"):
+            strong_error_curve(SchemeKind.RECTANGLE, n_values, 64, 2000, PB, seed=0)
     with pytest.raises(UsageError, match="n_ref must be an integer"):
         strong_error_curve(SchemeKind.RECTANGLE, (8,), 64.5, 2000, PB, seed=0)
 
@@ -223,6 +226,9 @@ def test_weak_error_validation():
         weak_error_curve(SchemeKind.RECTANGLE, (5,), CALL, 0.1, 0.0, 1, PA, seed=0)
     for n_values in [(5.9, 6, 7), (0,), (math.nan,)]:
         with pytest.raises(UsageError, match="grid size must be an integer"):
+            weak_error_curve(SchemeKind.RECTANGLE, n_values, CALL, 0.1, 0.0, 10, PA, seed=0)
+    for n_values in [(5, 5), (5, 6, 5.0)]:
+        with pytest.raises(UsageError, match="without repeats"):
             weak_error_curve(SchemeKind.RECTANGLE, n_values, CALL, 0.1, 0.0, 10, PA, seed=0)
 
 

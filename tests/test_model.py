@@ -163,6 +163,9 @@ def test_mean_vector_frozen_and_formula():
     H, eta, T = PA.H, PA.eta, PA.T
     expected0 = X0 - eta**2 / (4 * H) * T ** (2 * H)
     assert mean[0] == pytest.approx(expected0, rel=1e-15)
+    # The drift is half the diagonal of the covariance, bit for bit.
+    half_variance = [0.5 * covariance_entry(u, u, PA) for u in grid.points]
+    assert np.array_equal(mean, X0 - np.array(half_variance))
 
 
 def test_mean_vector_with_curve_matches_constant():
