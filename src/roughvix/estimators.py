@@ -109,14 +109,14 @@ class Estimate:
 class MlmcPlan:
     """A fully specified multilevel allocation.
 
-    ``n_levels[l] = n0 * 2**l``; ``m_levels`` are the per-level sample
-    counts; `lam` is the closed-form error constant when available
-    (None when constants came from a pilot run).
+    A plan is its base grid size `n0` and its per-level sample counts
+    `m_levels`; the finest level :attr:`L` and the grids :attr:`n_levels`
+    follow from them.  The other fields record where the counts came
+    from: `lam` is the closed-form error constant when available (None
+    when constants came from a pilot run).
     """
 
     n0: int
-    L: int
-    n_levels: tuple
     m_levels: tuple
     lam: float | None
     c1: float
@@ -126,17 +126,23 @@ class MlmcPlan:
     constants_source: str = "closed-form"
 
     def __post_init__(self):
-        if self.L < 0 or len(self.n_levels) != self.L + 1 or len(self.m_levels) != self.L + 1:
-            raise UsageError("plan must carry L+1 grid sizes and sample counts")
-        for level, n in enumerate(self.n_levels):
-            if n != self.n0 * 2**level:
-                raise UsageError(
-                    f"n_levels[{level}] = {n} != n0 * 2^{level} = {self.n0 * 2 ** level}"
-                )
+        object.__setattr__(self, "n0", _whole(self.n0, 1, "n0"))
+        if not self.m_levels:
+            raise UsageError("m_levels must not be empty")
         if any(m < 1 for m in self.m_levels):
             raise UsageError("all m_levels must be >= 1")
         if any(b > a for a, b in zip(self.m_levels, self.m_levels[1:])):
             raise UsageError("m_levels must be monotone nonincreasing")
+
+    @property
+    def L(self) -> int:
+        """Index of the finest level, ``len(m_levels) - 1``."""
+        return len(self.m_levels) - 1
+
+    @property
+    def n_levels(self) -> tuple:
+        """Grid size of each level, ``n0 * 2**l``."""
+        return tuple(self.n0 * 2**level for level in range(len(self.m_levels)))
 
     @property
     def cost(self) -> float:
@@ -298,12 +304,10 @@ def mc_price(
     A sample variance of exactly 0 under a law that is not flat warns
     with :class:`~roughvix.errors.DegenerateEstimateWarning`.
     """
-    if n < 1:
-        raise UsageError(f"n must be >= 1, got {n}")
     if M < 2:
         raise UsageError(f"M must be >= 2, got {M}")
     spec = gaussian_spec(params, n)
-    cv_n = cv_price(payoff, cv_moments(spec, n, scheme)) if use_cv else None
+    cv_n = cv_price(payoff, cv_moments(spec, scheme)) if use_cv else None
     acc = _sample_moments(scheme, payoff, spec, M, seed, (*stream_key, DOMAIN_MC), cv_n=cv_n)
     _warn_if_degenerate(acc, spec, "mc_price")
     variance = acc.variance
@@ -380,8 +384,6 @@ def mlmc_plan(
     )
     return MlmcPlan(
         n0=n0,
-        L=levels,
-        n_levels=tuple(n0 * 2**level for level in range(levels + 1)),
         m_levels=m_levels,
         lam=lam,
         c1=c1,
@@ -442,8 +444,9 @@ def level_statistics(
 
     Draws `probe_M` samples at every level of `plan` (on streams
     independent of :func:`mlmc_price` runs) and reports a
-    :class:`LevelStat` per level; used for diagnostics and pilot
-    constant estimation.
+    :class:`LevelStat` per level, for diagnostics.  The pilot
+    (:func:`_pilot_constants`) does not call it: it runs its own loop
+    over correction levels on the same ``(DOMAIN_PILOT, l)`` stream keys.
     """
     if probe_M < 100:
         raise UsageError(f"probe_M must be >= 100, got {probe_M}")

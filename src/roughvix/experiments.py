@@ -337,7 +337,6 @@ def mse_cost_curve(
         if estimator_family == "mc-rect":
             n = math.ceil(1.0 / epsilon)
             M = max(math.ceil(epsilon**-2), 2)
-            cost = float(n) ** 2 * M
             price = partial(
                 mc_price, SchemeKind.RECTANGLE, n, M, payoff,
                 use_cv=False, params=params,
@@ -349,7 +348,6 @@ def mse_cost_curve(
                 else SchemeKind.TRAPEZOID
             )
             plan = mlmc_plan(epsilon, n0, scheme, payoff, params, constants=constants)
-            cost = plan.cost
             price = partial(mlmc_price, plan, payoff, params)
             plans.append(
                 {
@@ -366,7 +364,7 @@ def mse_cost_curve(
             sq_errors.append((est.value - reference_price) ** 2)
         mse = math.fsum(sq_errors) / N_mse
         spread = math.fsum((s - mse) ** 2 for s in sq_errors) / (N_mse - 1)
-        costs.append(cost)
+        costs.append(est.cost)
         mses.append(mse)
         halfwidths.append(Z95 * math.sqrt(spread / N_mse))
 

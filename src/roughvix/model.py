@@ -224,13 +224,9 @@ class CholeskyFactor:
         ``(n+1) x r`` matrix with ``L @ L.T`` reconstructing the
         covariance up to rounding.  Its columns are in pivot order, so
         it is not triangular; ``r = 0`` for a zero covariance.
-    source_key : tuple
-        Identifier of what was factored (parameter set and grid size, or
-        a caller-supplied tag).
     """
 
     L: np.ndarray
-    source_key: tuple
 
     @property
     def rank(self) -> int:
@@ -253,7 +249,8 @@ def cholesky_factor(cov: np.ndarray, source_key: tuple = ()) -> CholeskyFactor:
     ------
     FactorizationError
         If a residual variance falls below ``-1e-10 * max diag(cov)``,
-        i.e. the matrix is indefinite beyond rounding.
+        i.e. the matrix is indefinite beyond rounding.  Its message names
+        `source_key`.
     """
     cov = np.asarray(cov, dtype=float)
     return _pivoted_cholesky(np.diag(cov).copy(), lambda p: cov[p], source_key)
@@ -264,6 +261,7 @@ def _pivoted_cholesky(residual: np.ndarray, row, source_key: tuple) -> CholeskyF
 
     `residual` is the diagonal, updated in place; ``row(p)`` returns row
     ``p`` of the matrix.  Only the diagonal and the r pivot rows are read.
+    `source_key` labels the matrix in a :class:`FactorizationError`.
     """
     dim = residual.shape[0]
     scale = float(np.max(residual, initial=0.0))
@@ -287,7 +285,7 @@ def _pivoted_cholesky(residual: np.ndarray, row, source_key: tuple) -> CholeskyF
         residual -= column * column
         residual[pivot] = 0.0
         rank += 1
-    return CholeskyFactor(np.ascontiguousarray(rows[:rank].T), source_key)
+    return CholeskyFactor(np.ascontiguousarray(rows[:rank].T))
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,7 +329,7 @@ class GaussianSpec:
         O(n^2) closed-form entries; sampling and the control variate do
         not read it.
         """
-        cov = covariance_matrix(self.grid, self.params)
+        cov = covariance_matrix(self.params, self.grid.n)
         cov.flags.writeable = False
         return cov
 
@@ -352,19 +350,13 @@ def kernel_eval(u: float, s: float, params: ModelParams) -> float:
     return params.eta * (u - s) ** (params.H - 0.5)
 
 
-def _check_grid(grid: Grid, params: ModelParams) -> None:
-    if grid.T != params.T or grid.Delta != params.Delta:
-        raise UsageError(
-            "grid window does not match params: "
-            f"grid has (T={grid.T}, Delta={grid.Delta}), "
-            f"params have (T={params.T}, Delta={params.Delta})"
-        )
+def mean_vector(params: ModelParams, n: int) -> np.ndarray:
+    """Exact mean ``x0(u) - C(u, u)/2`` of ``(X_T^{u_i})`` on the n-step grid.
 
-
-def mean_vector(grid: Grid, params: ModelParams) -> np.ndarray:
-    """Exact mean ``x0(u) - C(u, u)/2`` of ``(X_T^{u_i})`` over all n+1 grid points."""
-    _check_grid(grid, params)
-    u = grid.points
+    The grid is ``grid_for(params, n)`` over the VIX window of `params`;
+    the vector covers all n+1 points.
+    """
+    u = grid_for(params, n).points
     return params.x0_at(u) - 0.5 * _variance_at(u, params)
 
 
@@ -429,15 +421,14 @@ def covariance_entry(u_i: float, u_j: float, params: ModelParams) -> float:
     )
 
 
-def covariance_matrix(grid: Grid, params: ModelParams) -> np.ndarray:
-    """Full ``(n+1) x (n+1)`` covariance matrix on the grid.
+def covariance_matrix(params: ModelParams, n: int) -> np.ndarray:
+    """Full ``(n+1) x (n+1)`` covariance matrix on the n-step grid of `params`.
 
     Each unordered pair is computed once and mirrored, so the result is
     symmetric by construction.
     """
-    _check_grid(grid, params)
-    u = grid.points
-    m = grid.n + 1
+    u = grid_for(params, n).points
+    m = u.shape[0]
     cov = np.empty((m, m), dtype=float)
     cov[np.diag_indices(m)] = _variance_at(u, params)
     iu, ju = np.triu_indices(m, k=1)
@@ -530,7 +521,6 @@ def gaussian_spec(params: ModelParams, n: int) -> GaussianSpec:
     0.3 MB, and reading ``.cov`` adds 32 MB to it.
     ``gaussian_spec.cache_clear()`` frees all of them.
     """
-    grid = grid_for(params, n)
-    mean = mean_vector(grid, params)
+    mean = mean_vector(params, n)
     mean.flags.writeable = False
-    return GaussianSpec(grid=grid, mean=mean, params=params)
+    return GaussianSpec(grid=grid_for(params, n), mean=mean, params=params)

@@ -149,21 +149,18 @@ class CvMoments:
             raise UsageError(f"sigma_n must be >= 0, got {self.sigma_n}")
 
 
-def cv_moments(
-    spec: GaussianSpec, n: int, scheme: SchemeKind = SchemeKind.RECTANGLE
-) -> CvMoments:
+def cv_moments(spec: GaussianSpec, scheme: SchemeKind = SchemeKind.RECTANGLE) -> CvMoments:
     """Exact moments of the scheme-weighted average of ``X`` (module docstring).
 
     ``mu_n = w . mu`` and ``sigma_n^2 = |F^T w|^2`` for the law's factor
     ``F``, i.e. ``w^T C w`` for the covariance the draws are sampled
-    from; both sums are accumulated in extended precision.  The pair
-    ``(w . mu, F^T w)`` is the one the batch kernel samples the control
-    variate from (:func:`~roughvix.schemes.geometric_projection`), so the
-    price and the samples share one projection.  For the rectangle (the
+    from; both sums are accumulated in extended precision.  The grid
+    size n is the law's own, ``spec.grid.n``.  The pair ``(w . mu,
+    F^T w)`` is the one the batch kernel samples the control variate
+    from (:func:`~roughvix.schemes.geometric_projection`), so the price
+    and the samples share one projection.  For the rectangle (the
     default) this is the plain average over right points 1..n.
     """
-    if spec.grid.n != n:
-        raise UsageError(f"spec was built for n={spec.grid.n}, requested n={n}")
     mu, projection = geometric_projection(scheme, spec)
     var = math.fsum((projection * projection).tolist())
     return CvMoments(mu_n=mu, sigma_n=math.sqrt(var))

@@ -30,7 +30,6 @@ from roughvix import (
     factor_for,
     fit_loglog_slope,
     gaussian_spec,
-    grid_for,
     lambda_constant,
     level_statistics,
     mc_price,
@@ -243,7 +242,7 @@ def _limit_price_a(M: int, seed: int) -> tuple:
     spec = gaussian_spec(PARAMS_A, n)
     factor = factor_for(PARAMS_A, n)
     schemes = (SchemeKind.RECTANGLE, SchemeKind.TRAPEZOID)
-    cv_n = {s: cv_price(CALL, cv_moments(spec, n, s)) for s in schemes}
+    cv_n = {s: cv_price(CALL, cv_moments(spec, s)) for s in schemes}
     diffs = []
     for index, width in enumerate(batch_sizes(n, M)):
         sample = sample_fine(
@@ -353,8 +352,6 @@ def test_criterion_6_level_variance_decay(capsys):
 
         plan = MlmcPlan(
             n0=n0,
-            L=5,
-            n_levels=tuple(n0 * 2**level for level in range(6)),
             m_levels=(1, 1, 1, 1, 1, 1),
             lam=None,
             c1=1.0,
@@ -468,8 +465,7 @@ def test_criterion_9_property_suite(capsys):
     checks = []
 
     # Covariance matrix structure.
-    grid = grid_for(PARAMS_B, 32)
-    cov = covariance_matrix(grid, PARAMS_B)
+    cov = covariance_matrix(PARAMS_B, 32)
     checks.append(("covariance symmetry", bool(np.array_equal(cov, cov.T))))
     eigmin = float(np.linalg.eigvalsh(cov).min())
     checks.append(("covariance PSD", eigmin >= -1e-12 * float(np.trace(cov))))
@@ -520,7 +516,7 @@ def test_criterion_9_property_suite(capsys):
         ),
     )
     se = float(np.std(draws, ddof=1)) / math.sqrt(m)
-    cv_gap = abs(float(np.mean(draws)) - cv_price(CALL, cv_moments(spec, n)))
+    cv_gap = abs(float(np.mean(draws)) - cv_price(CALL, cv_moments(spec)))
     checks.append(("CV closed form vs simulation", cv_gap <= 4 * se))
 
     # Flat model (zero vol-of-vol) is priced exactly by both schemes.
@@ -536,7 +532,7 @@ def test_criterion_9_property_suite(capsys):
             )
     checks.append(("flat-model exactness", flat_ok))
     plan = MlmcPlan(
-        n0=6, L=2, n_levels=(6, 12, 24), m_levels=(50, 30, 10), lam=None,
+        n0=6, m_levels=(50, 30, 10), lam=None,
         c1=1.0, c2=1.0, epsilon=0.1, scheme=SchemeKind.RECTANGLE,
     )
     ml = mlmc_price(plan, CALL, flat, seed=0)

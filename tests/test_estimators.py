@@ -163,8 +163,6 @@ def test_mlmc_price_warns_for_each_degenerate_level():
     params = ModelParams(H=0.1, eta=20.0, T=0.5, Delta=1.0 / 12.0, x0=X0)
     plan = MlmcPlan(
         n0=6,
-        L=1,
-        n_levels=(6, 12),
         m_levels=(300, 100),
         lam=None,
         c1=1.0,
@@ -267,30 +265,18 @@ def test_plan_validation():
     assert all(type(n) is int for n in (plan.n0, *plan.n_levels))
     with pytest.raises(UsageError):
         mlmc_plan(0.01, 6, SchemeKind.RECTANGLE, CALL, PB, constants="guess")
+    fields = dict(lam=None, c1=1.0, c2=1.0, epsilon=0.1, scheme=SchemeKind.RECTANGLE)
     with pytest.raises(UsageError):
-        MlmcPlan(
-            n0=6,
-            L=1,
-            n_levels=(6, 13),
-            m_levels=(4, 2),
-            lam=None,
-            c1=1.0,
-            c2=1.0,
-            epsilon=0.1,
-            scheme=SchemeKind.RECTANGLE,
-        )
-    with pytest.raises(UsageError):
-        MlmcPlan(
-            n0=6,
-            L=1,
-            n_levels=(6, 12),
-            m_levels=(2, 4),
-            lam=None,
-            c1=1.0,
-            c2=1.0,
-            epsilon=0.1,
-            scheme=SchemeKind.RECTANGLE,
-        )
+        MlmcPlan(n0=6, m_levels=(2, 4), **fields)
+    with pytest.raises(UsageError, match="m_levels must not be empty"):
+        MlmcPlan(n0=6, m_levels=(), **fields)
+    for n0 in [2.5, 0, math.nan, math.inf]:
+        with pytest.raises(UsageError, match="n0 must be an integer"):
+            MlmcPlan(n0=n0, m_levels=(4, 2), **fields)
+    # A plan built by hand derives its level count and grids like a built one.
+    hand = MlmcPlan(n0=6.0, m_levels=(4, 2, 1), **fields)
+    assert (hand.L, hand.n_levels) == (2, (6, 12, 24))
+    assert all(type(n) is int for n in (hand.n0, *hand.n_levels))
 
 
 def test_plan_pilot_fallback_when_closed_form_unavailable():
@@ -338,8 +324,6 @@ def test_mlmc_flat_model_is_exact_with_zero_corrections():
     assert est.std_error == 0.0
     forced = MlmcPlan(
         n0=6,
-        L=2,
-        n_levels=(6, 12, 24),
         m_levels=(50, 30, 10),
         lam=None,
         c1=1.0,
@@ -355,8 +339,6 @@ def test_mlmc_flat_model_is_exact_with_zero_corrections():
 def test_mlmc_single_level_agrees_with_plain_mc_in_law():
     plan = MlmcPlan(
         n0=6,
-        L=0,
-        n_levels=(6,),
         m_levels=(20_000,),
         lam=None,
         c1=1.0,
@@ -377,8 +359,6 @@ def test_mlmc_telescopes_to_the_finest_grid_price():
     # coupling or telescoping mistake against an independent plain run.
     plan = MlmcPlan(
         n0=6,
-        L=2,
-        n_levels=(6, 12, 24),
         m_levels=(60_000, 16_000, 4_000),
         lam=None,
         c1=1.0,
@@ -415,8 +395,6 @@ def test_mlmc_determinism():
 def test_level_statistics_flat_model_has_zero_corrections():
     plan = MlmcPlan(
         n0=6,
-        L=3,
-        n_levels=(6, 12, 24, 48),
         m_levels=(200, 200, 200, 200),
         lam=None,
         c1=1.0,
@@ -441,8 +419,6 @@ def test_level_statistics_validation():
 def test_level_variances_decay_with_refinement():
     plan = MlmcPlan(
         n0=6,
-        L=3,
-        n_levels=(6, 12, 24, 48),
         m_levels=(500, 500, 500, 500),
         lam=None,
         c1=1.0,
@@ -546,7 +522,7 @@ def test_mc_price_accumulates_the_kernel_values(scheme, use_cv):
     # values, bit for bit, across a full batch and a remainder batch.
     n, M, seed = 250, 32_768 + 179, 4
     spec = gaussian_spec(PB, n)
-    cv_n = cv_price(CALL, cv_moments(spec, n, scheme))
+    cv_n = cv_price(CALL, cv_moments(spec, scheme))
     draws = (
         cv_corrected_payoff(CALL, fine, cv, cv_n) if use_cv else payoff_eval(CALL, fine)
         for fine, _, cv in vix2_batches(scheme, spec, M, seed, (DOMAIN_MC,), geometric=use_cv)

@@ -156,7 +156,7 @@ def test_kernel_requires_prior_time():
 
 def test_mean_vector_frozen_and_formula():
     grid = grid_for(PA, 4)
-    mean = mean_vector(grid, PA)
+    mean = mean_vector(PA, 4)
     # Frozen value at the right endpoint u = T + Delta.
     assert mean[-1] == pytest.approx(-2.957198248749224, rel=1e-15)
     # Direct formula at the left endpoint u = T.
@@ -171,10 +171,7 @@ def test_mean_vector_frozen_and_formula():
 def test_mean_vector_with_curve_matches_constant():
     flat_curve = X0Curve(knots=(PA.T,), values=(X0,))
     params = ModelParams(H=PA.H, eta=PA.eta, T=PA.T, Delta=PA.Delta, x0=flat_curve)
-    grid = grid_for(params, 6)
-    np.testing.assert_allclose(
-        mean_vector(grid, params), mean_vector(grid, PA), rtol=0, atol=0
-    )
+    np.testing.assert_allclose(mean_vector(params, 6), mean_vector(PA, 6), rtol=0, atol=0)
 
 
 # --- covariance -------------------------------------------------------------
@@ -221,7 +218,7 @@ def test_closed_form_matches_quadrature(H):
 
 def test_covariance_matrix_properties():
     grid = grid_for(PB, 16)
-    cov = covariance_matrix(grid, PB)
+    cov = covariance_matrix(PB, 16)
     assert cov.shape == (17, 17)
     np.testing.assert_allclose(cov, cov.T, rtol=0, atol=0)
     # PSD up to roundoff.
@@ -277,7 +274,7 @@ def test_gaussian_spec_shapes_and_cache():
     assert "cov" not in vars(spec1)
     assert spec1.cov.shape == (13, 13)
     assert spec1.cov is spec1.cov
-    np.testing.assert_array_equal(spec1.cov, covariance_matrix(grid_for(PA, 12), PA))
+    np.testing.assert_array_equal(spec1.cov, covariance_matrix(PA, 12))
     assert not spec1.mean.flags.writeable
     assert not spec1.cov.flags.writeable
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -324,7 +321,7 @@ def test_factor_from_rows_equals_factor_of_full_matrix(H, T, Delta, n):
     params = ModelParams(H=H, eta=0.5, T=T, Delta=Delta, x0=X0)
     gaussian_spec.cache_clear()
     spec = gaussian_spec(params, n)
-    reference = cholesky_factor(covariance_matrix(grid_for(params, n), params))
+    reference = cholesky_factor(covariance_matrix(params, n))
     assert np.array_equal(spec.factor.L, reference.L)
     assert "cov" not in vars(spec)
 

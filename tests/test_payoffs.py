@@ -144,14 +144,14 @@ def test_black_scholes_refuses_non_finite_inputs(kind, x, y, z):
 
 def test_cv_moments_frozen_values():
     spec = gaussian_spec(PB, 8)
-    mom = cv_moments(spec, 8)
+    mom = cv_moments(spec)
     assert mom.mu_n == pytest.approx(-3.120433379563016, rel=1e-15)
     assert mom.sigma_n == pytest.approx(0.6659837829364103, rel=1e-15)
 
 
 def test_cv_moments_match_exact_rational_mean():
     spec = gaussian_spec(PB, 8)
-    mom = cv_moments(spec, 8)
+    mom = cv_moments(spec)
     mean = np.asarray(spec.mean)
     assert mom.mu_n == pytest.approx(fraction_mean(mean[1:]), rel=1e-15)
     cov = np.asarray(spec.cov)
@@ -161,7 +161,7 @@ def test_cv_moments_match_exact_rational_mean():
 
 def test_cv_price_frozen_values():
     spec = gaussian_spec(PB, 8)
-    mom = cv_moments(spec, 8)
+    mom = cv_moments(spec)
     assert cv_price(FUTURE, mom) == pytest.approx(0.22206727779518431, rel=1e-14)
     assert cv_price(CALL, mom) == pytest.approx(0.12220240441973863, rel=1e-14)
 
@@ -178,7 +178,7 @@ def test_cv_price_is_the_geometric_payoff_expectation():
         draws = payoff_eval(payoff, geo)
         se = float(np.std(draws, ddof=1)) / math.sqrt(m)
         assert float(np.mean(draws)) == pytest.approx(
-            cv_price(payoff, cv_moments(spec, n)), abs=4 * se
+            cv_price(payoff, cv_moments(spec)), abs=4 * se
         )
 
 
@@ -189,7 +189,7 @@ def test_corrected_payoff_shifts_by_the_control_term():
     sample = sample_fine(factor, spec.mean, stream_for(5, 5), size=m)
     vix2 = scheme_vix2(SchemeKind.RECTANGLE, sample)
     geo = geometric_vix2(sample.values)
-    cv_n = cv_price(CALL, cv_moments(spec, n))
+    cv_n = cv_price(CALL, cv_moments(spec))
     corrected = cv_corrected_payoff(CALL, vix2, geo, cv_n)
     plain = payoff_eval(CALL, vix2)
     control = payoff_eval(CALL, geo)
@@ -203,7 +203,7 @@ def test_corrected_payoff_variance_is_much_smaller():
     sample = sample_fine(factor, spec.mean, stream_for(17, 3), size=m)
     vix2 = scheme_vix2(SchemeKind.RECTANGLE, sample)
     geo = geometric_vix2(sample.values)
-    cv_n = cv_price(CALL, cv_moments(spec, n))
+    cv_n = cv_price(CALL, cv_moments(spec))
     corrected = cv_corrected_payoff(CALL, vix2, geo, cv_n)
     plain = payoff_eval(CALL, vix2)
     assert np.var(corrected) < 1e-3 * np.var(plain)
@@ -212,7 +212,7 @@ def test_corrected_payoff_variance_is_much_smaller():
 def test_trapezoid_cv_moments_use_trapezoid_weights():
     n = 8
     spec = gaussian_spec(PB, n)
-    mom = cv_moments(spec, n, SchemeKind.TRAPEZOID)
+    mom = cv_moments(spec, SchemeKind.TRAPEZOID)
     w = np.full(n + 1, 1.0 / n)
     w[0] = w[-1] = 0.5 / n
     mean = np.asarray(spec.mean)
@@ -240,7 +240,7 @@ def test_trapezoid_cv_price_is_its_geometric_payoff_expectation():
     spec = gaussian_spec(PB, n)
     sample = sample_fine(factor_for(PB, n), spec.mean, stream_for(21, 7), size=m)
     geo = geometric_vix2(sample.values, SchemeKind.TRAPEZOID)
-    mom = cv_moments(spec, n, SchemeKind.TRAPEZOID)
+    mom = cv_moments(spec, SchemeKind.TRAPEZOID)
     for payoff in (CALL, PUT, FUTURE):
         draws = payoff_eval(payoff, geo)
         se = float(np.std(draws, ddof=1)) / math.sqrt(m)
@@ -266,7 +266,7 @@ def test_trapezoid_cv_corrects_the_endpoint_term():
         variances = {}
         for cv_scheme in (SchemeKind.RECTANGLE, SchemeKind.TRAPEZOID):
             geo = geometric_vix2(sample.values, cv_scheme)
-            cv_n = cv_price(CALL, cv_moments(spec, n, cv_scheme))
+            cv_n = cv_price(CALL, cv_moments(spec, cv_scheme))
             corrected = cv_corrected_payoff(CALL, vix2, geo, cv_n)
             variances[cv_scheme] = float(np.var(corrected))
         ratio = variances[SchemeKind.TRAPEZOID] / variances[SchemeKind.RECTANGLE]
@@ -276,8 +276,6 @@ def test_trapezoid_cv_corrects_the_endpoint_term():
 def test_cv_moments_validation():
     spec = gaussian_spec(PB, 8)
     with pytest.raises(UsageError):
-        cv_moments(spec, 4)
-    with pytest.raises(UsageError):
-        cv_moments(spec, 8, "trap")
+        cv_moments(spec, "trap")
     with pytest.raises(UsageError):
         CvMoments(mu_n=0.0, sigma_n=-1.0)

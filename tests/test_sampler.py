@@ -20,7 +20,6 @@ from roughvix import (
     cv_moments,
     factor_for,
     gaussian_spec,
-    grid_for,
     mc_price,
     stream_for,
     strong_error_curve,
@@ -43,7 +42,7 @@ def test_cholesky_reconstructs_the_matrix():
     # at every n, so the pivoted factor is thin and still reproduces the
     # matrix at rounding level.
     for n in (32, 250, 1000):
-        cov = covariance_matrix(grid_for(PB, n), PB)
+        cov = covariance_matrix(PB, n)
         factor = cholesky_factor(cov)
         assert factor.L.shape == (n + 1, factor.rank)
         assert factor.rank <= 20
@@ -65,7 +64,7 @@ def test_cholesky_reconstructs_the_matrix():
 )
 def test_factor_reconstructs_across_the_domain(H, T, Delta):
     params = ModelParams(H=H, eta=0.5, T=T, Delta=Delta, x0=X0)
-    cov = covariance_matrix(grid_for(params, 1000), params)
+    cov = covariance_matrix(params, 1000)
     factor = cholesky_factor(cov)
     recon = factor.L @ factor.L.T
     assert np.max(np.abs(recon - cov)) <= 1e-10 * np.max(np.abs(cov))
@@ -76,6 +75,12 @@ def test_well_conditioned_matrix_factors_at_full_rank():
     factor = cholesky_factor(cov)
     assert factor.rank == 3
     np.testing.assert_allclose(factor.L @ factor.L.T, cov, rtol=0, atol=1e-15)
+    # More than 32 pivots: the factor's row buffer grows past its first size.
+    a = np.random.default_rng(40).standard_normal((40, 40))
+    cov = a @ a.T + 40.0 * np.eye(40)
+    factor = cholesky_factor(cov)
+    assert factor.rank == 40
+    assert np.max(np.abs(factor.L @ factor.L.T - cov)) <= 1e-15 * np.max(cov)
 
 
 def test_zero_matrix_factors_to_zero():
@@ -114,7 +119,7 @@ def test_cv_moments_match_the_sampled_law():
         (SchemeKind.TRAPEZOID, trapezoid, 2 * n),
     ):
         full = math.fsum((np.outer(a, a) * spec.cov).ravel().tolist()) / d**2
-        sampled = cv_moments(spec, n, scheme).sigma_n ** 2
+        sampled = cv_moments(spec, scheme).sigma_n ** 2
         assert abs(sampled - full) <= 1e-12 * full
 
 
@@ -126,7 +131,7 @@ def test_cv_moments_share_the_kernel_projection(scheme, n):
     # same pair, bit for bit.
     spec = gaussian_spec(PB, n)
     offset, projection = geometric_projection(scheme, spec)
-    moments = cv_moments(spec, n, scheme)
+    moments = cv_moments(spec, scheme)
     assert projection.shape == (spec.factor.rank,)
     assert moments.mu_n == offset
     assert moments.sigma_n == math.sqrt(math.fsum((projection * projection).tolist()))
