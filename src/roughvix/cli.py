@@ -16,7 +16,9 @@ presets are written in its keys.  A flag, a ``key=value`` entry and a
 JSON value are typed by the same rule (:func:`_coerce`), and any value
 it cannot type or that breaks its key's bound exits 2.  ``_COMMANDS``
 gives each subcommand its flags, its required keys and its runner, to
-which :func:`run` hands the run's model and payoff, each built once.
+which :func:`run` hands the run's model and payoff, each built once.  A
+runner returns its rows as records and the grid sizes it sampled, which
+the manifest's rank record reads.
 
 The environment variable ``ROUGHVIX_OUTPUT_DIR`` sets the default output
 directory; it is ignored when ``--output`` is given.  Parent directories
@@ -422,39 +424,23 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _write_results(path: str, fmt: str, header: list, rows: list) -> None:
+def _write_results(path: str, fmt: str, rows: list) -> None:
+    """Write the records `rows`; a CSV's header is the first record's keys."""
     if fmt == "csv":
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
+            writer.writerow(rows[0].keys())
             for row in rows:
-                writer.writerow([_format_cell(cell) for cell in row])
+                writer.writerow([_format_cell(cell) for cell in row.values()])
     else:
-        payload = [dict(zip(header, row)) for row in rows]
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            json.dump(rows, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 
 def _config_hash(config: RunConfig) -> str:
     canon = json.dumps(config.to_dict(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
-
-
-def _sampled_grids(config: RunConfig, summary: dict) -> list:
-    """Grid sizes the run's results were sampled on (pilot probes aside)."""
-    if config.command == "price":
-        return summary["plan"]["n_levels"] if "plan" in summary else [config.n]
-    if config.command == "strong-error":
-        return [config.n_ref]
-    if config.command == "weak-error":
-        return sorted(set(config.n_values))
-    if config.command == "mse-cost":
-        if config.family == "mc-rect":
-            return sorted({math.ceil(1.0 / e) for e in config.epsilons})
-        levels = max(plan["L"] for plan in summary["plans"])
-        return [config.n0 * 2**level for level in range(levels + 1)]
-    return []
 
 
 def _factor_record(params: ModelParams | None, grids: list) -> dict:
@@ -496,8 +482,10 @@ def _resolve_output(config: RunConfig) -> str:
 
 # ---------------------------------------------------------------------------
 # Commands (each runner takes the config and the run's model and payoff, or
-# None for a command without them, and returns header, rows, summary dict,
-# one-liner, and a failure to raise once the outputs are written, or None)
+# None for a command without them, and returns its rows as records (one dict
+# per row, keys in column order), summary dict, one-liner, the grid sizes it
+# sampled (pilot probes aside), and a failure to raise once the outputs are
+# written, or None)
 
 
 def _run_price(config: RunConfig, params: ModelParams, payoff: Payoff):
@@ -507,6 +495,7 @@ def _run_price(config: RunConfig, params: ModelParams, payoff: Payoff):
         est = mc_price(
             scheme, config.n, config.M, payoff, config.cv, params, config.seed
         )
+        grids = [config.n]
     else:
         plan = mlmc_plan(
             config.epsilon,
@@ -517,6 +506,7 @@ def _run_price(config: RunConfig, params: ModelParams, payoff: Payoff):
             constants=config.plan_constants,
         )
         est = mlmc_price(plan, payoff, params, config.seed)
+        grids = list(plan.n_levels)
         summary["plan"] = {
             "n0": plan.n0,
             "L": plan.L,
@@ -529,27 +519,12 @@ def _run_price(config: RunConfig, params: ModelParams, payoff: Payoff):
             "constants_source": plan.constants_source,
         }
     hw = Z95 * est.std_error
-    header = [
-        "estimator",
-        "scheme",
-        "cv",
-        "value",
-        "std_error",
-        "ci95_halfwidth",
-        "cost",
-        "samples",
-    ]
     rows = [
-        [
-            config.estimator,
-            config.scheme,
-            est.cv_used,
-            est.value,
-            est.std_error,
-            hw,
-            est.cost,
-            ";".join(str(m) for m in est.samples_used),
-        ]
+        dict(
+            estimator=config.estimator, scheme=config.scheme, cv=est.cv_used,
+            value=est.value, std_error=est.std_error, ci95_halfwidth=hw,
+            cost=est.cost, samples=";".join(str(m) for m in est.samples_used),
+        )
     ]
     summary.update(
         value=est.value, std_error=est.std_error, ci95_halfwidth=hw, cost=est.cost
@@ -557,7 +532,7 @@ def _run_price(config: RunConfig, params: ModelParams, payoff: Payoff):
     if est.bias_proxy is not None:
         summary["bias_proxy"] = est.bias_proxy
     line = f"value={est.value!r} ± {hw:.3e} (95% CI), cost={est.cost:.4g}"
-    return header, rows, summary, line, None
+    return rows, summary, line, grids, None
 
 
 def _run_strong(config: RunConfig, params: ModelParams, payoff: None):
@@ -569,17 +544,16 @@ def _run_strong(config: RunConfig, params: ModelParams, payoff: None):
         params,
         config.seed,
     )
-    header = ["n", "error", "ci95_halfwidth", "lambda_over_n"]
     overlay = curve.lambda_over_n or (None,) * len(curve.n_values)
     rows = [
-        [n, e, hw, ov]
+        dict(n=n, error=e, ci95_halfwidth=hw, lambda_over_n=ov)
         for n, e, hw, ov in zip(
             curve.n_values, curve.errors, curve.ci_halfwidths, overlay
         )
     ]
     summary = {"fitted_slope": curve.fitted_slope}
     line = f"fitted log-log slope={curve.fitted_slope:.4f} over n={list(curve.n_values)}"
-    return header, rows, summary, line, None
+    return rows, summary, line, [config.n_ref], None
 
 
 def _run_weak(config: RunConfig, params: ModelParams, payoff: Payoff):
@@ -593,9 +567,8 @@ def _run_weak(config: RunConfig, params: ModelParams, payoff: Payoff):
         params,
         config.seed,
     )
-    header = ["n", "estimate", "std_error", "abs_error", "ci95_halfwidth"]
     rows = [
-        [n, est, se, err, hw]
+        dict(n=n, estimate=est, std_error=se, abs_error=err, ci95_halfwidth=hw)
         for n, est, se, err, hw in zip(
             curve.n_values,
             curve.protocol["estimates"],
@@ -609,7 +582,7 @@ def _run_weak(config: RunConfig, params: ModelParams, payoff: Payoff):
         "reference_ci_warning": curve.protocol["reference_ci_warning"],
     }
     line = f"fitted log-log slope={curve.fitted_slope:.4f} over n={list(curve.n_values)}"
-    return header, rows, summary, line, None
+    return rows, summary, line, sorted(curve.n_values), None
 
 
 def _run_mse(config: RunConfig, params: ModelParams, payoff: Payoff):
@@ -624,32 +597,19 @@ def _run_mse(config: RunConfig, params: ModelParams, payoff: Payoff):
         n0=config.n0,
         constants=config.plan_constants,
     )
-    header = ["epsilon", "cost", "mse", "mse_ci95_halfwidth"]
     rows = [
-        [e, c, m, hw]
+        dict(epsilon=e, cost=c, mse=m, mse_ci95_halfwidth=hw)
         for e, c, m, hw in zip(
             curve.epsilons, curve.costs, curve.mses, curve.mse_ci_halfwidths
         )
     ]
     summary = {"fitted_slope": curve.fitted_slope, "plans": curve.protocol["plans"]}
     line = f"MSE-vs-cost slope={curve.fitted_slope:.4f} for {config.family}"
-    return header, rows, summary, line, None
+    return rows, summary, line, curve.protocol["grids"], None
 
 
 def _run_cov_check(config: RunConfig, params: None, payoff: None):
     rng = stream_for(config.seed, DOMAIN_COV_CHECK)
-    header = [
-        "index",
-        "H",
-        "eta",
-        "T",
-        "Delta",
-        "u",
-        "v",
-        "closed_form",
-        "quadrature",
-        "rel_deviation",
-    ]
     rows = []
     worst = 0.0
     for index in range(config.pairs):
@@ -665,7 +625,10 @@ def _run_cov_check(config: RunConfig, params: None, payoff: None):
         quad = covariance_quadrature_oracle(u, v, params)
         rel = abs(closed - quad) / max(abs(quad), 1e-300)
         worst = max(worst, rel)
-        rows.append([index, H, eta, T, Delta, u, v, closed, quad, rel])
+        rows.append(
+            dict(index=index, H=H, eta=eta, T=T, Delta=Delta, u=u, v=v,
+                 closed_form=closed, quadrature=quad, rel_deviation=rel)
+        )
     summary = {"max_rel_deviation": worst, "tolerance": config.tolerance}
     line = f"max relative deviation={worst:.3e} over {config.pairs} pairs (tolerance {config.tolerance:g})"
     failure = None
@@ -674,7 +637,7 @@ def _run_cov_check(config: RunConfig, params: None, payoff: None):
             f"covariance check failed: max relative deviation {worst:.3e} "
             f"exceeds tolerance {config.tolerance:g}"
         )
-    return header, rows, summary, line, failure
+    return rows, summary, line, [], failure
 
 
 class _Command(typing.NamedTuple):
@@ -737,13 +700,13 @@ def run(config: RunConfig) -> int:
     payoff = None
     if "payoff" in takes:
         payoff = Payoff(PayoffKind(config.payoff), config.strike)
-    header, rows, summary, line, failure = row.runner(config, params, payoff)
+    rows, summary, line, grids, failure = row.runner(config, params, payoff)
     wall = time.perf_counter() - start
 
     results_path = _resolve_output(config)
     manifest_path = results_path + ".manifest.json"
-    _write_results(results_path, config.format, header, rows)
-    factor = _factor_record(params, _sampled_grids(config, summary))
+    _write_results(results_path, config.format, rows)
+    factor = _factor_record(params, grids)
     _write_manifest(manifest_path, config, [results_path], summary, factor, wall)
     print(f"{config.command}: {line}, wall={wall:.2f}s -> {results_path}")
     if failure is not None:

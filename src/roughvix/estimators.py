@@ -127,11 +127,11 @@ class MlmcPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "n0", _whole(self.n0, 1, "n0"))
-        if not self.m_levels:
+        m_levels = tuple(_whole(m, 1, "m_levels entry") for m in self.m_levels)
+        object.__setattr__(self, "m_levels", m_levels)
+        if not m_levels:
             raise UsageError("m_levels must not be empty")
-        if any(m < 1 for m in self.m_levels):
-            raise UsageError("all m_levels must be >= 1")
-        if any(b > a for a, b in zip(self.m_levels, self.m_levels[1:])):
+        if any(b > a for a, b in zip(m_levels, m_levels[1:])):
             raise UsageError("m_levels must be monotone nonincreasing")
 
     @property
@@ -279,7 +279,7 @@ def _warn_if_degenerate(acc: _MomentAccumulator, spec: GaussianSpec, label: str)
     if acc.variance == 0.0 and spec.factor.rank > 0:
         warnings.warn(
             f"{label}: the sample variance of M={acc.count} samples at "
-            f"n={spec.grid.n} is exactly 0 under a law that is not flat; the "
+            f"n={spec.n} is exactly 0 under a law that is not flat; the "
             "standard error of 0 does not bound the estimate's error",
             DegenerateEstimateWarning,
             stacklevel=3,

@@ -55,9 +55,11 @@ _EXP_MSE = 3
 class ErrorCurve:
     """A fitted error-versus-grid-size table.
 
-    ``lambda_over_n`` carries the exact-asymptotics overlay ``Lambda/n``
-    for the rectangle scheme when the closed-form constant applies, else
-    None.  `protocol` records every input needed to reproduce the run.
+    ``lambda_over_n`` carries the overlay ``Lambda/n``, the rectangle
+    scheme's leading-order error against the exact integral, when the
+    closed-form constant applies, else None.  An error measured against
+    a finite reference grid ``n_ref`` tends to ``Lambda*(1/n - 1/n_ref)``.
+    `protocol` records every input needed to reproduce the run.
     """
 
     n_values: tuple
@@ -167,8 +169,10 @@ def strong_error_curve(
     Every `n` must divide `n_ref`; the coarse vector is the restriction
     of the same reference-grid Gaussian draw, so the squared differences
     share all randomness with the reference.  For the rectangle scheme
-    with H < 1/2 and a constant initial curve, the exact first-order
-    overlay ``Lambda/n`` is attached for comparison.
+    with H < 1/2 and a constant initial curve, the overlay ``Lambda/n``
+    is attached: the leading-order error against the exact integral.
+    The distance measured here, to the `n_ref` grid, tends to
+    ``Lambda*(1/n - 1/n_ref)`` instead.
     """
     n_values = _grid_sizes(n_values)
     n_ref = _whole(n_ref, 1, "n_ref")
@@ -318,7 +322,8 @@ def mse_cost_curve(
     ``M = ceil(1/eps^2)``), ``"ml-rect"`` and ``"ml-trap"`` (multilevel
     at the planned allocations with base grid `n0`).  Each target runs
     `N_mse` independent replications; the MSE half-width is the normal
-    95% interval for the mean of the squared errors.
+    95% interval for the mean of the squared errors.  ``protocol["grids"]``
+    lists the grid sizes the estimates were sampled on.
     """
     if estimator_family not in FAMILIES:
         raise UsageError(
@@ -333,10 +338,12 @@ def mse_cost_curve(
 
     costs, mses, halfwidths = [], [], []
     plans = []
+    grids = set()
     for eps_index, epsilon in enumerate(epsilons):
         if estimator_family == "mc-rect":
             n = math.ceil(1.0 / epsilon)
             M = max(math.ceil(epsilon**-2), 2)
+            grids.add(n)
             price = partial(
                 mc_price, SchemeKind.RECTANGLE, n, M, payoff,
                 use_cv=False, params=params,
@@ -348,6 +355,7 @@ def mse_cost_curve(
                 else SchemeKind.TRAPEZOID
             )
             plan = mlmc_plan(epsilon, n0, scheme, payoff, params, constants=constants)
+            grids.update(plan.n_levels)
             price = partial(mlmc_price, plan, payoff, params)
             plans.append(
                 {
@@ -379,6 +387,7 @@ def mse_cost_curve(
         "seed": seed,
         "n0": n0,
         "plans": plans,
+        "grids": sorted(grids),
     }
     return MseCostCurve(
         family=estimator_family,

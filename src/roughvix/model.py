@@ -234,7 +234,7 @@ class CholeskyFactor:
         return self.L.shape[1]
 
 
-def cholesky_factor(cov: np.ndarray, source_key: tuple = ()) -> CholeskyFactor:
+def cholesky_factor(cov: np.ndarray) -> CholeskyFactor:
     """Pivoted Cholesky factor of a symmetric PSD matrix, stopped at rounding level.
 
     Each step takes the largest residual variance as pivot and subtracts
@@ -249,19 +249,20 @@ def cholesky_factor(cov: np.ndarray, source_key: tuple = ()) -> CholeskyFactor:
     ------
     FactorizationError
         If a residual variance falls below ``-1e-10 * max diag(cov)``,
-        i.e. the matrix is indefinite beyond rounding.  Its message names
-        `source_key`.
+        i.e. the matrix is indefinite beyond rounding.
     """
     cov = np.asarray(cov, dtype=float)
-    return _pivoted_cholesky(np.diag(cov).copy(), lambda p: cov[p], source_key)
+    return _pivoted_cholesky(np.diag(cov).copy(), lambda p: cov[p])
 
 
-def _pivoted_cholesky(residual: np.ndarray, row, source_key: tuple) -> CholeskyFactor:
+def _pivoted_cholesky(
+    residual: np.ndarray, row, source_key: tuple | None = None
+) -> CholeskyFactor:
     """The loop of :func:`cholesky_factor`, reading the matrix only through `row`.
 
     `residual` is the diagonal, updated in place; ``row(p)`` returns row
     ``p`` of the matrix.  Only the diagonal and the r pivot rows are read.
-    `source_key` labels the matrix in a :class:`FactorizationError`.
+    `source_key`, if given, labels the matrix in a :class:`FactorizationError`.
     """
     dim = residual.shape[0]
     scale = float(np.max(residual, initial=0.0))
@@ -270,10 +271,11 @@ def _pivoted_cholesky(residual: np.ndarray, row, source_key: tuple) -> CholeskyF
     while True:
         worst = int(np.argmin(residual))
         if residual[worst] < -_INDEFINITE_TOL * scale:
+            key = "" if source_key is None else f", key={source_key}"
             raise FactorizationError(
                 f"covariance matrix is not positive semidefinite: residual "
                 f"variance {residual[worst]:.3e} at index {worst} after {rank} "
-                f"pivots (max diagonal {scale:.3e}, key={source_key})"
+                f"pivots (max diagonal {scale:.3e}{key})"
             )
         pivot = int(np.argmax(residual))
         if rank == dim or residual[pivot] <= RANK_TOL * scale:
@@ -292,14 +294,15 @@ def _pivoted_cholesky(residual: np.ndarray, row, source_key: tuple) -> CholeskyF
 class GaussianSpec:
     """Mean vector and covariance factor of ``(X_T^{u_i})`` on a grid.
 
-    Arrays cover indices 0..n; the rectangle scheme reads entries 1..n,
-    the trapezoid all of them.  `params` is the parameter set the law
-    belongs to.  The full covariance :attr:`cov` is built only when read.
+    The law belongs to the parameter set `params` on its n-step grid,
+    ``grid_for(params, n)``.  Arrays cover indices 0..n; the rectangle
+    scheme reads entries 1..n, the trapezoid all of them.  The full
+    covariance :attr:`cov` is built only when read.
     """
 
-    grid: Grid
-    mean: np.ndarray
     params: ModelParams
+    n: int
+    mean: np.ndarray
 
     @cached_property
     def factor(self) -> CholeskyFactor:
@@ -311,13 +314,13 @@ class GaussianSpec:
         :class:`~roughvix.errors.FactorizationError` is not cached: every
         access retries the factorization and raises again.
         """
-        u, params = self.grid.points, self.params
+        u, params = grid_for(self.params, self.n).points, self.params
 
         def row(p):
             return _covariance_pairs(np.minimum(u, u[p]), np.maximum(u, u[p]), params)
 
         factor = _pivoted_cholesky(
-            _variance_at(u, params), row, source_key=(params, self.grid.n)
+            _variance_at(u, params), row, source_key=(params, self.n)
         )
         factor.L.flags.writeable = False
         return factor
@@ -329,7 +332,7 @@ class GaussianSpec:
         O(n^2) closed-form entries; sampling and the control variate do
         not read it.
         """
-        cov = covariance_matrix(self.params, self.grid.n)
+        cov = covariance_matrix(self.params, self.n)
         cov.flags.writeable = False
         return cov
 
@@ -523,4 +526,4 @@ def gaussian_spec(params: ModelParams, n: int) -> GaussianSpec:
     """
     mean = mean_vector(params, n)
     mean.flags.writeable = False
-    return GaussianSpec(grid=grid_for(params, n), mean=mean, params=params)
+    return GaussianSpec(params=params, n=int(n), mean=mean)

@@ -155,7 +155,7 @@ def cv_moments(spec: GaussianSpec, scheme: SchemeKind = SchemeKind.RECTANGLE) ->
     ``mu_n = w . mu`` and ``sigma_n^2 = |F^T w|^2`` for the law's factor
     ``F``, i.e. ``w^T C w`` for the covariance the draws are sampled
     from; both sums are accumulated in extended precision.  The grid
-    size n is the law's own, ``spec.grid.n``.  The pair ``(w . mu,
+    size n is the law's own, ``spec.n``.  The pair ``(w . mu,
     F^T w)`` is the one the batch kernel samples the control variate
     from (:func:`~roughvix.schemes.geometric_projection`), so the price
     and the samples share one projection.  For the rectangle (the

@@ -308,7 +308,7 @@ def vix2_batches(
     from the batch's normals ``G`` (None otherwise): the Gaussian
     functional that :func:`~roughvix.payoffs.cv_price` prices.
     """
-    n = spec.grid.n
+    n = spec.n
     weight_rows, divisors = _weight_rows(kind, n, (1, *coarse_steps))
     widths = batch_sizes(n, total)
     factor_mean = np.column_stack((spec.factor.L, spec.mean))

@@ -86,7 +86,7 @@ def geometric_projection(kind: SchemeKind, spec: GaussianSpec) -> tuple:
     sampled control variate and its exact moments
     (:func:`~roughvix.payoffs.cv_moments`) both come from this pair.
     """
-    a, d = _quadrature_weights(kind, spec.grid.n)
+    a, d = _quadrature_weights(kind, spec.n)
     offset = math.fsum((a * spec.mean).tolist()) / d
     return offset, (spec.factor.L.T @ a) / d
 

@@ -155,7 +155,7 @@ def geometric_log_average(kind, spec, normals) -> np.ndarray:
     documented contract, ``w = a/d`` with the scheme's integer weights
     ``a`` (``(0, 1, ..., 1)/n`` or ``(1, 2, ..., 2, 1)/2n``) and ``a . mu``
     summed exactly."""
-    n = spec.grid.n
+    n = spec.n
     if kind.value == "rect":
         a, d = np.r_[0.0, np.ones(n)], n
     else:
@@ -229,7 +229,7 @@ def oracle_batches(kind, spec, total, seed, key, coarse_steps=()):
     G)`` from the draw's normals ``G``.  Yields ``(fine, coarse, cv)`` as
     ``vix2_batches`` does.
     """
-    n = spec.grid.n
+    n = spec.n
     for index, width in enumerate(batch_sizes(n, total)):
         stream = stream_for(seed, *key, index)
         fine = sample_fine(spec.factor, spec.mean, stream, size=width)

@@ -273,6 +273,11 @@ def test_plan_validation():
     for n0 in [2.5, 0, math.nan, math.inf]:
         with pytest.raises(UsageError, match="n0 must be an integer"):
             MlmcPlan(n0=n0, m_levels=(4, 2), **fields)
+    for m in [2.5, math.nan, math.inf]:
+        with pytest.raises(UsageError, match="m_levels entry must be an integer"):
+            MlmcPlan(n0=6, m_levels=(m,), **fields)
+    counts = MlmcPlan(n0=6, m_levels=(4.0, 2), **fields).m_levels
+    assert counts == (4, 2) and all(type(m) is int for m in counts)
     # A plan built by hand derives its level count and grids like a built one.
     hand = MlmcPlan(n0=6.0, m_levels=(4, 2, 1), **fields)
     assert (hand.L, hand.n_levels) == (2, (6, 12, 24))

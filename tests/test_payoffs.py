@@ -228,7 +228,7 @@ def test_trapezoid_geometric_value_uses_trapezoid_weights():
     # The kernel's control variate is exp(w.mu + (F^T w).G); for a law
     # whose factor is the identity, F^T w is the weight vector itself.
     values = np.random.default_rng(4).normal(-3.0, 0.5, size=7)
-    law = SimpleNamespace(grid=SimpleNamespace(n=6), mean=values, factor=SimpleNamespace(L=np.eye(7)))
+    law = SimpleNamespace(n=6, mean=values, factor=SimpleNamespace(L=np.eye(7)))
     offset, projection = geometric_projection(SchemeKind.TRAPEZOID, law)
     np.testing.assert_allclose(projection, np.r_[0.5, np.ones(5), 0.5] / 6, rtol=1e-15)
     logs = (0.5 * values[0] + values[1:-1].sum() + 0.5 * values[-1]) / 6

@@ -104,6 +104,16 @@ def test_indefinite_matrix_is_rejected():
         cholesky_factor(indefinite)
 
 
+def test_factorization_error_names_only_a_law():
+    # A bare matrix has no key to name; a law's failure names (params, n).
+    with pytest.raises(FactorizationError) as dense:
+        cholesky_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    assert "key=" not in str(dense.value)
+    bad = ModelParams(H=0.99, eta=0.5, T=1e-6, Delta=1.0 / 12.0, x0=X0)
+    with pytest.raises(FactorizationError, match=r"key=\(ModelParams\(H=0\.99, .*\), 1000\)"):
+        factor_for(bad, 1000)
+
+
 def test_cv_moments_match_the_sampled_law():
     # The control variate's variance is that of the sampled law,
     # |F^T w|^2 with w = a/d.  It must agree with a^T C a / d^2 from the
@@ -181,7 +191,7 @@ def _draws(spec, stream, width):
     block = np.empty((spec.factor.rank + 1, width))
     normals = _draw_normals(stream, block)
     weights = np.column_stack((spec.factor.L, spec.mean))
-    rows = [weights[a:b] @ block for a, b in _row_blocks(spec.grid.n + 1, width)]
+    rows = [weights[a:b] @ block for a, b in _row_blocks(spec.n + 1, width)]
     return np.concatenate(rows), normals
 
 

@@ -19,7 +19,7 @@ def _law(mean, factor=None):
     mean = np.asarray(mean, dtype=float)
     L = np.zeros((mean.size, 0)) if factor is None else np.asarray(factor, dtype=float)
     return SimpleNamespace(
-        grid=SimpleNamespace(n=mean.size - 1),
+        n=mean.size - 1,
         mean=mean,
         factor=SimpleNamespace(L=L, rank=L.shape[1]),
     )
