@@ -304,8 +304,7 @@ def mc_price(
     A sample variance of exactly 0 under a law that is not flat warns
     with :class:`~roughvix.errors.DegenerateEstimateWarning`.
     """
-    if M < 2:
-        raise UsageError(f"M must be >= 2, got {M}")
+    M = _whole(M, 2, "M, the sample count")
     spec = gaussian_spec(params, n)
     cv_n = cv_price(payoff, cv_moments(spec, scheme)) if use_cv else None
     acc = _sample_moments(scheme, payoff, spec, M, seed, (*stream_key, DOMAIN_MC), cv_n=cv_n)

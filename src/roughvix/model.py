@@ -178,13 +178,14 @@ class ModelParams:
 def _whole(value, least: int, what: str) -> int:
     """`value` as an int, if it is a whole number ``>= least``; else UsageError.
 
-    Integral floats such as ``8.0`` pass; ``8.7``, nan and inf do not.
+    Integral floats such as ``8.0`` pass; ``8.7``, nan, inf and bools do not.
     """
-    if isinstance(value, numbers.Integral) or (
-        isinstance(value, numbers.Real) and float(value).is_integer()
-    ):
-        if value >= least:
-            return int(value)
+    whole = not isinstance(value, bool) and (
+        isinstance(value, numbers.Integral)
+        or (isinstance(value, numbers.Real) and float(value).is_integer())
+    )
+    if whole and value >= least:
+        return int(value)
     raise UsageError(f"{what} must be an integer >= {least}, got {value}")
 
 

@@ -20,7 +20,7 @@ the 53-bit uniforms ``(k + 1/2) 2^-53``, so a stream's output is a pure
 function of (seed, key) and the draw count.  A draw consumes ``r``
 normals, the factor's rank.  Work is split into fixed-size batches that
 depend only on the grid size, each with its own stream, so results are
-bit-identical across runs and whichever thread draws a batch.
+bit-identical across runs and whichever thread forms a batch.
 The product's bits depend on the batch width and its row blocks (BLAS
 picks its kernel by the product's shape), which the fixed partition
 keeps deterministic.
@@ -31,26 +31,33 @@ Every sampled estimate runs through :func:`vix2_batches`, which turns
 batches of draws into VIX^2 on the fine grid and its coarse grids with
 the quadrature rules of :mod:`.schemes`.  A batch of ``m`` draws takes
 its normals from one ``(r+1, m)`` block whose last row is ones
-(:func:`_draw_normals`).  Later batches' normals are drawn ahead on
-worker threads, one per CPU the process may run on
-(:func:`_normals_ahead`); each batch keeps its own stream and block, so
-the bits do not depend on the worker count.  The product is formed a
-block of rows at a time (:func:`_row_blocks`, at most ``2^19`` values,
-so that a block is still in cache when it is used) in one reused
-buffer, and each row block is exponentiated in place and weighted as
-soon as it is formed: the weight rows ``A`` of the fine grid and of
-each coarse grid (:func:`~roughvix.schemes._weight_rows`) add ``A[:,
-a:b] @ (block - e0)`` to a ``grids x m`` accumulator, ``e0`` being the
-exponentiated grid row 0, and grid ``g``'s VIX^2 is ``e0 + acc[g] /
-d[g]``.  The integer rows sum to exactly their divisors, so a flat
-model gives exactly ``e0`` on every grid.  No ``(n+1, m)`` draw is ever
-held: a call's peak batch memory is ``k + 1`` normals blocks for ``k``
-workers and one row block.  The control variate's log average is
-linear in the draw, so the kernel takes it from the batch's normals as
-``w . mu + (F^T w) . G`` (:func:`~roughvix.schemes.geometric_projection`).
-While a call runs, OpenBLAS is held at one thread
-(:class:`_OneBlasThread`), so the products run on the calling thread
-and the workers are the only parallelism; a product's bits do not
+(:func:`_draw_normals`).  The product is formed a block of rows at a
+time (:func:`_row_blocks`, at most ``2^19`` values, so that a block is
+still in cache when it is used) in one reused buffer, and each row
+block is exponentiated in place and weighted as soon as it is formed:
+the weight rows ``A`` of the fine grid and of each coarse grid
+(:func:`~roughvix.schemes._weight_rows`) add ``A[:, a:b] @ (block -
+e0)`` to a ``grids x m`` accumulator, ``e0`` being the exponentiated
+grid row 0, and grid ``g``'s VIX^2 is ``e0 + acc[g] / d[g]``.  The
+integer rows sum to exactly their divisors, so a flat model gives
+exactly ``e0`` on every grid.  No ``(n+1, m)`` draw is ever held.  The
+control variate's log average is linear in the draw, so the kernel
+takes it from the batch's normals as ``w . mu + (F^T w) . G``
+(:func:`~roughvix.schemes.geometric_projection`).
+
+Each batch is one task, from its normals to its VIX^2, on a pool of
+``w`` worker threads, one per CPU the process may run on and at most one
+per batch; a call with one batch, or a process with one CPU, forms its
+batches inline with no pool.  Batch ``i`` forms in worker slot
+``i % w``: a normals block, a row buffer, ``e0``, the accumulator and
+one product's temporary, made when the call starts, and reused by batch
+``i + w``, which starts only after batch ``i``'s result is taken.  The
+calling thread makes every stream and every batch's outputs and yields
+the results in batch order, so the workers allocate nothing; a call
+holds ``w`` slots and the outputs of at most ``w`` batches in flight and
+the one its caller holds.  While a call runs, OpenBLAS is held at one
+thread (:class:`_OneBlasThread`), so each worker's products run on one
+thread and the pool is the only parallelism; a product's bits do not
 depend on the BLAS thread count.  Rounding stays far below the
 quadrature error being studied.
 """
@@ -62,9 +69,7 @@ import functools
 import numbers
 import os
 import threading
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
 
 import numpy as np
 from scipy.special import ndtri
@@ -89,8 +94,7 @@ _BLOCK_BUDGET = 2**24
 # weighting.
 _ROW_BLOCK_BUDGET = 2**19
 
-# Threads that draw batches' normals ahead of the batch being formed: one
-# per CPU the process may run on.
+# Threads that form a call's batches: one per CPU the process may run on.
 _WORKERS = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
@@ -212,65 +216,14 @@ class _OneBlasThread:
                 self._restore = None
 
 
-# Held by the batch kernel, so that the normals pool is the only
+# Held by the batch kernel, so that its worker pool is the only
 # parallelism in a sampled batch.
 _ONE_BLAS_THREAD = _OneBlasThread()
 
 
-def _normals_ahead(seed: int, key: tuple, widths: list, rank: int):
-    """Yield batch ``i``'s ``[G; 1]`` block, drawn from ``stream_for(seed, *key, i)``.
-
-    Batch ``i`` of the partition `widths` gets an ``(rank+1) x widths[i]``
-    block filled by :func:`_draw_normals`, valid until the next block is
-    requested.  With ``w = _WORKERS`` workers and more than one batch,
-    the blocks are drawn ahead on a pool of ``w`` threads, up to ``w``
-    batches beyond the one just yielded, in ``w + 1`` reused blocks;
-    ``Generator.random`` and ``ndtri`` release the GIL, so the caller
-    forms a batch while later ones are drawn.  Every batch has its own
-    stream and a block of its own width, so the bits do not depend on
-    the worker count.  The streams are made on the calling thread, so a
-    worker runs only the draw.  One batch, or one CPU, draws inline with
-    no pool; closing the generator, or an error in a worker (raised
-    here), shuts the pool down.
-
-    From its first block until it finishes or is closed (after the pool
-    is shut down), the generator holds OpenBLAS at one thread
-    (:data:`_ONE_BLAS_THREAD`), so the caller's products leave the other
-    CPUs to the workers.  A product's bits do not depend on the BLAS
-    thread count.
-    """
-    workers = min(_WORKERS, len(widths))
-    size = (rank + 1) * widths[0]
-
-    def place(index, buffer):
-        return buffer[: (rank + 1) * widths[index]].reshape(rank + 1, widths[index])
-
-    with _ONE_BLAS_THREAD:
-        if workers < 2:
-            buffer = np.empty(size)
-            for index in range(len(widths)):
-                block = place(index, buffer)
-                _draw_normals(stream_for(seed, *key, index), block)
-                yield block
-            return
-        buffers = [np.empty(size) for _ in range(min(workers + 1, len(widths)))]
-        pool = ThreadPoolExecutor(workers, thread_name_prefix="roughvix-normals")
-
-        def submit(index):
-            block = place(index, buffers[index % len(buffers)])
-            stream = stream_for(seed, *key, index)
-            return pool.submit(_draw_normals, stream, block), block
-
-        try:
-            ahead = deque(submit(index) for index in range(len(buffers)))
-            for index in range(len(widths)):
-                future, block = ahead.popleft()
-                future.result()
-                yield block
-                if index + len(buffers) < len(widths):
-                    ahead.append(submit(index + len(buffers)))
-        finally:
-            pool.shutdown(cancel_futures=True)
+def _leading(buffer: np.ndarray, rows: int, width: int) -> np.ndarray:
+    """The leading ``rows x width`` values of the flat `buffer`, as a C-contiguous view."""
+    return buffer[: rows * width].reshape(rows, width)
 
 
 def _row_blocks(rows: int, width: int) -> list:
@@ -298,39 +251,76 @@ def vix2_batches(
 
     Batch ``i`` of the fixed partition ``batch_sizes(n, total)`` draws
     its normals from ``stream_for(seed, *key, i)``; the module docstring
-    describes how a batch is formed.  Closing the generator, or an error
-    in a worker, stops the workers.
+    describes how a batch is formed, and on which threads.  Closing the
+    generator, or an error in a worker (raised here), shuts the pool down.
 
     Yields ``(fine, coarse, cv)`` per batch: the scheme's VIX^2 per draw,
     the list of VIX^2 arrays of the coarse grids that read every
     ``step``-th point, for ``step`` in `coarse_steps`, and, when
     `geometric` is set, the control variate ``exp(w . mu + (F^T w) . G)``
     from the batch's normals ``G`` (None otherwise): the Gaussian
-    functional that :func:`~roughvix.payoffs.cv_price` prices.
+    functional that :func:`~roughvix.payoffs.cv_price` prices.  Each
+    batch's arrays are its own.
     """
-    n = spec.n
+    n, rank = spec.n, spec.factor.rank
     weight_rows, divisors = _weight_rows(kind, n, (1, *coarse_steps))
-    widths = batch_sizes(n, total)
+    grids, widths = len(divisors), batch_sizes(n, total)
     factor_mean = np.column_stack((spec.factor.L, spec.mean))
-    # Every row block fits: no width exceeds widths[0].
-    buffer = np.empty(min((n + 1) * widths[0], _ROW_BLOCK_BUDGET))
     if geometric:
         offset, projection = geometric_projection(kind, spec)
-    with closing(_normals_ahead(seed, key, widths, spec.factor.rank)) as stacked_blocks:
-        for stacked in stacked_blocks:
-            width = stacked.shape[1]
-            cv = np.exp(offset + projection @ stacked[:-1]) if geometric else None
-            acc = np.zeros((len(divisors), width))
-            for a, b in _row_blocks(n + 1, width):
-                rows = buffer[: (b - a) * width].reshape(b - a, width)
-                np.matmul(factor_mean[a:b], stacked, out=rows)
-                np.exp(rows, out=rows)
-                if a == 0:
-                    e0 = rows[0].copy()
-                rows -= e0
-                acc += weight_rows[:, a:b] @ rows
-            fine, *coarse = e0 + acc / divisors[:, None]
-            yield fine, coarse, cv
+    workers = min(_WORKERS, len(widths))
+    # Each worker's slot, sized for the widest batch: the normals block, the
+    # row buffer (every row block fits), e0, acc and one product's temporary.
+    m = widths[0]
+    sizes = ((rank + 1) * m, min((n + 1) * m, _ROW_BLOCK_BUDGET), m, grids * m, grids * m)
+    slots = [[np.empty(size) for size in sizes] for _ in range(workers)]
+
+    def task(index):
+        """Batch `index`'s stream, slot and fresh outputs, made on the calling thread."""
+        width = widths[index]
+        cv = np.empty(width) if geometric else None
+        return stream_for(seed, *key, index), slots[index % workers], np.empty((grids, width)), cv
+
+    def form(stream, slot, out, cv):
+        """Form one batch into `out` and `cv`, writing only into its arguments."""
+        block, buffer, e0, acc, tmp = slot
+        width = out.shape[1]
+        stacked = _leading(block, rank + 1, width)
+        e0, acc, tmp = e0[:width], _leading(acc, grids, width), _leading(tmp, grids, width)
+        normals = _draw_normals(stream, stacked)
+        if geometric:
+            np.matmul(projection, normals, out=cv)
+            cv += offset
+            np.exp(cv, out=cv)
+        acc.fill(0.0)
+        for a, b in _row_blocks(n + 1, width):
+            rows = _leading(buffer, b - a, width)
+            np.matmul(factor_mean[a:b], stacked, out=rows)
+            np.exp(rows, out=rows)
+            if a == 0:
+                e0[:] = rows[0]
+            rows -= e0
+            np.matmul(weight_rows[:, a:b], rows, out=tmp)
+            acc += tmp
+        np.divide(acc, divisors[:, None], out=out)
+        out += e0
+        fine, *coarse = out
+        return fine, coarse, cv
+
+    with _ONE_BLAS_THREAD:
+        if workers < 2:
+            for index in range(len(widths)):
+                yield form(*task(index))
+            return
+        pool = ThreadPoolExecutor(workers, thread_name_prefix="roughvix-batches")
+        try:
+            running = [pool.submit(form, *task(index)) for index in range(workers)]
+            for index in range(len(widths)):
+                yield running[index % workers].result()
+                if index + workers < len(widths):
+                    running[index % workers] = pool.submit(form, *task(index + workers))
+        finally:
+            pool.shutdown(cancel_futures=True)
 
 
 def batch_size(n: int) -> int:
@@ -338,14 +328,14 @@ def batch_size(n: int) -> int:
 
     At most 32768 and at most ``2^24 / (n+1)``.  The widths fix the
     streams and the product's bits; they do not bound the estimators'
-    memory, which holds one row block of a batch at a time.
+    memory, which holds one row block per worker at a time.
     """
     return max(1, min(32_768, _BLOCK_BUDGET // (n + 1)))
 
 
 def batch_sizes(n: int, total: int) -> list:
     """The fixed partition of `total` samples into batches at grid size `n`."""
-    if not (isinstance(total, numbers.Integral) and total >= 1):
+    if isinstance(total, bool) or not (isinstance(total, numbers.Integral) and total >= 1):
         raise UsageError(f"sample count must be an integer >= 1, got {total!r}")
     width = batch_size(n)
     full, rest = divmod(total, width)

@@ -196,6 +196,14 @@ def test_mc_price_validation():
         mc_price(SchemeKind.RECTANGLE, 0, 10, CALL, False, PB, seed=0)
     with pytest.raises(UsageError):
         mc_price(SchemeKind.RECTANGLE, 4, 1, CALL, False, PB, seed=0)
+    with pytest.raises(UsageError, match="grid step count must be an integer"):
+        mc_price(SchemeKind.RECTANGLE, True, 100, CALL, False, PB, seed=0)
+    for M in [2.5, math.nan, True]:
+        with pytest.raises(UsageError, match="M, the sample count must be an integer >= 2"):
+            mc_price(SchemeKind.RECTANGLE, 4, M, CALL, False, PB, seed=0)
+    whole = mc_price(SchemeKind.RECTANGLE, 4, 1000.0, CALL, False, PB, seed=0)
+    assert whole == mc_price(SchemeKind.RECTANGLE, 4, 1000, CALL, False, PB, seed=0)
+    assert type(whole.samples_used[0]) is int
 
 
 # --- allocations ------------------------------------------------------------
@@ -257,7 +265,7 @@ def test_plan_validation():
         mlmc_plan(0.0, 6, SchemeKind.RECTANGLE, CALL, PB)
     with pytest.raises(UsageError):
         mlmc_plan(0.01, 0, SchemeKind.RECTANGLE, CALL, PB)
-    for n0 in [2.5, math.nan, math.inf]:
+    for n0 in [2.5, math.nan, math.inf, True]:
         with pytest.raises(UsageError, match="n0 must be an integer"):
             mlmc_plan(0.01, n0, SchemeKind.RECTANGLE, CALL, PB)
     plan = mlmc_plan(0.01, 6.0, SchemeKind.RECTANGLE, CALL, PB)
@@ -270,10 +278,10 @@ def test_plan_validation():
         MlmcPlan(n0=6, m_levels=(2, 4), **fields)
     with pytest.raises(UsageError, match="m_levels must not be empty"):
         MlmcPlan(n0=6, m_levels=(), **fields)
-    for n0 in [2.5, 0, math.nan, math.inf]:
+    for n0 in [2.5, 0, math.nan, math.inf, True]:
         with pytest.raises(UsageError, match="n0 must be an integer"):
             MlmcPlan(n0=n0, m_levels=(4, 2), **fields)
-    for m in [2.5, math.nan, math.inf]:
+    for m in [2.5, math.nan, math.inf, True]:
         with pytest.raises(UsageError, match="m_levels entry must be an integer"):
             MlmcPlan(n0=6, m_levels=(m,), **fields)
     counts = MlmcPlan(n0=6, m_levels=(4.0, 2), **fields).m_levels

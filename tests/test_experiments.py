@@ -76,14 +76,15 @@ def test_strong_error_requires_divisor_grid_and_enough_samples():
         strong_error_curve(SchemeKind.RECTANGLE, (8,), 64, 999, PB, seed=0)
     with pytest.raises(UsageError):
         strong_error_curve(SchemeKind.RECTANGLE, (), 64, 2000, PB, seed=0)
-    for n_values in [(8.7, 16), (8, math.nan), (math.inf,)]:
+    for n_values in [(8.7, 16), (8, math.nan), (math.inf,), (True,)]:
         with pytest.raises(UsageError, match="grid size must be an integer"):
             strong_error_curve(SchemeKind.RECTANGLE, n_values, 64, 2000, PB, seed=0)
     for n_values in [(8, 8, 16), (16, 8, 16.0)]:
         with pytest.raises(UsageError, match="without repeats"):
             strong_error_curve(SchemeKind.RECTANGLE, n_values, 64, 2000, PB, seed=0)
-    with pytest.raises(UsageError, match="n_ref must be an integer"):
-        strong_error_curve(SchemeKind.RECTANGLE, (8,), 64.5, 2000, PB, seed=0)
+    for n_ref in [64.5, True]:
+        with pytest.raises(UsageError, match="n_ref must be an integer"):
+            strong_error_curve(SchemeKind.RECTANGLE, (8,), n_ref, 2000, PB, seed=0)
 
 
 def test_integral_float_grid_sizes_are_accepted():

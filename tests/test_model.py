@@ -132,7 +132,7 @@ def test_grid_refuses_non_finite_dates(T, Delta):
 
 
 def test_grid_step_count_must_be_a_whole_number():
-    for n in [2.5, 0, -1, math.nan, math.inf]:
+    for n in [2.5, 0, -1, math.nan, math.inf, True]:
         with pytest.raises(UsageError, match="grid step count must be an integer"):
             Grid(T=1.0, Delta=0.5, n=n)
     assert Grid(T=1.0, Delta=0.5, n=8.0) == Grid(T=1.0, Delta=0.5, n=8)

@@ -326,6 +326,7 @@ def test_a_sample_count_must_be_an_integer():
     calls = [
         lambda: batch_sizes(6, 100.5),
         lambda: batch_sizes(6, 100.0),
+        lambda: batch_sizes(6, True),
         lambda: mc_price(SchemeKind.RECTANGLE, 8, 100.5, CALL, False, PB, seed=0),
         lambda: mc_price(SchemeKind.RECTANGLE, 8, math.nan, CALL, True, PB, seed=0),
         lambda: strong_error_curve(SchemeKind.RECTANGLE, (8,), 16, 2000.5, PB, seed=0),

@@ -1,9 +1,9 @@
-"""Normals drawn ahead on worker threads: the inline bits, and no thread left behind.
+"""Batches formed on worker threads: the inline bits, and no thread left behind.
 
-The batch kernel draws each batch's normals on a pool of
-``sampler._WORKERS`` threads, ahead of the batch being formed; with one
-worker it draws them inline.  Every batch has its own stream and block,
-so each output must be the same float at every worker count.
+The batch kernel forms each batch, from its normals to its VIX^2, as one
+task on a pool of ``sampler._WORKERS`` threads; with one worker it forms
+them inline.  Every batch has its own stream and block, so each output
+must be the same float at every worker count.
 
 While it runs, the kernel holds OpenBLAS at one thread and then
 restores the count it found, once across concurrent calls.  The
@@ -146,27 +146,31 @@ def test_an_error_in_a_worker_reaches_the_caller(monkeypatch):
     baseline = threading.active_count()
     with pytest.raises(FloatingPointError, match="worker failed") as excinfo:
         mc_price(SchemeKind.RECTANGLE, 6, 5 * batch_size(6), CALL, False, PB, seed=1)
-    assert threads[2].startswith("roughvix-normals")
+    assert threads[2].startswith("roughvix-batches")
     assert threading.active_count() == baseline
     assert excinfo.traceback  # held until here, with mc_price's frame
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
-def test_mc_price_holds_its_normals_blocks_and_one_row_block(monkeypatch, workers):
+def test_mc_price_holds_its_worker_slots_and_batch_outputs(monkeypatch, workers):
     # The ref-b protocol, M = 2e5 with the control variate: six batches of
-    # 32768 draws and one of 3392 at n = 250 (r = 14).  With w workers the
-    # kernel keeps w + 1 blocks of (r+1) x 32768 normals (one, inline), and
-    # forms the draws a row block of 2^19 values at a time; the rest is a
-    # few vectors of the batch's width (VIX^2, the control variate, the
-    # payoffs and their accumulation), bounded here by 16 of them.
+    # 32768 draws and one of 3392 at n = 250 (r = 14), on g = 1 grid.
+    # With w workers (one slot, inline) each slot holds a block of
+    # (r+1) x W normals, a row buffer of at most 2^19 values, and e0, the
+    # accumulator and a product's temporary, (2g+1) x W; at most w + 1
+    # batches' outputs of (g+1) x W (VIX^2 per grid and the control
+    # variate) are alive.  The rest is a few vectors of the batch's width
+    # (the payoffs and their accumulation), bounded here by 16 of them.
     monkeypatch.setattr(sampler, "_WORKERS", workers)
-    n, M = 250, 200_000
+    n, M, g = 250, 200_000, 1
     spec = gaussian_spec(PB, n)
     width = batch_size(n)
     batches = -(-M // width)
     assert batches == 7
-    blocks = min(workers + 1, batches) if workers > 1 else 1
-    bound = 8 * (blocks * (spec.factor.rank + 1) * width + 2**19 + 16 * width)
+    slots = min(workers, batches)
+    slot = (spec.factor.rank + 1) * width + min((n + 1) * width, 2**19) + (2 * g + 1) * width
+    outputs = min(workers + 1, batches) * (g + 1) * width
+    bound = 8 * (slots * slot + outputs + 16 * width)
     tracemalloc.start()
     try:
         mc_price(SchemeKind.RECTANGLE, n, M, CALL, True, PB, seed=2)
@@ -174,6 +178,64 @@ def test_mc_price_holds_its_normals_blocks_and_one_row_block(monkeypatch, worker
     finally:
         tracemalloc.stop()
     assert peak < bound
+
+
+def test_fewer_batches_than_workers_give_the_inline_bits(monkeypatch):
+    n = 250
+    M = batch_size(n) + 179
+
+    def run(workers):
+        monkeypatch.setattr(sampler, "_WORKERS", workers)
+        est = mc_price(SchemeKind.RECTANGLE, n, M, CALL, True, PB, seed=6)
+        return est.value.hex(), est.std_error.hex()
+
+    assert run(3) == run(1)
+
+
+def test_batches_of_many_row_blocks_with_a_coarse_grid_are_the_same_at_every_worker_count(
+    monkeypatch,
+):
+    # A coupled trapezoid level at n = 768: 33 row blocks per batch, and
+    # three full batches and a remainder.
+    n = 768
+    assert len(sampler._row_blocks(n + 1, batch_size(n))) == 33
+    m = 3 * batch_size(n) + 179
+    spec = gaussian_spec(PB, n)
+
+    def run():
+        acc = _sample_moments(
+            SchemeKind.TRAPEZOID, CALL, spec, m, 12, (2, DOMAIN_MLMC, 7), coupled=True
+        )
+        return acc.mean.hex(), acc.variance.hex()
+
+    inline, *threaded = _at_each_worker_count(monkeypatch, run)
+    assert threaded == [inline] * len(threaded)
+
+
+def _fail_on_third_row_blocks(monkeypatch):
+    """Make `sampler._row_blocks` raise on its 3rd call; returns the callers' thread names."""
+    row_blocks = sampler._row_blocks
+    threads = []
+
+    def failing_row_blocks(rows, width):
+        threads.append(threading.current_thread().name)
+        if len(threads) == 3:
+            raise FloatingPointError("product failed")
+        return row_blocks(rows, width)
+
+    monkeypatch.setattr(sampler, "_row_blocks", failing_row_blocks)
+    return threads
+
+
+def test_an_error_in_a_workers_product_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(sampler, "_WORKERS", 2)
+    threads = _fail_on_third_row_blocks(monkeypatch)
+    baseline = threading.active_count()
+    with pytest.raises(FloatingPointError, match="product failed") as excinfo:
+        mc_price(SchemeKind.RECTANGLE, 6, 5 * batch_size(6), CALL, False, PB, seed=1)
+    assert threads[2].startswith("roughvix-batches")
+    assert threading.active_count() == baseline
+    assert excinfo.traceback  # held until here, with mc_price's frame
 
 
 # --- one BLAS thread while the kernel runs -----------------------------------
@@ -252,6 +314,14 @@ def test_an_error_in_a_worker_restores_the_blas_count(monkeypatch, blas_count):
 
     monkeypatch.setattr(sampler, "_draw_normals", failing_draw)
     with pytest.raises(FloatingPointError, match="worker failed"):
+        mc_price(SchemeKind.RECTANGLE, 6, 5 * batch_size(6), CALL, False, PB, seed=1)
+    assert blas_count() == 2
+
+
+def test_an_error_in_a_workers_product_restores_the_blas_count(monkeypatch, blas_count):
+    monkeypatch.setattr(sampler, "_WORKERS", 2)
+    _fail_on_third_row_blocks(monkeypatch)
+    with pytest.raises(FloatingPointError, match="product failed"):
         mc_price(SchemeKind.RECTANGLE, 6, 5 * batch_size(6), CALL, False, PB, seed=1)
     assert blas_count() == 2
 
