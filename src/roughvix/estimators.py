@@ -44,7 +44,7 @@ from .payoffs import (
     lipschitz_constant,
     payoff_eval,
 )
-from .sampler import DOMAIN_MC, DOMAIN_MLMC, DOMAIN_PILOT, vix2_batches
+from .sampler import DOMAIN_MC, DOMAIN_MLMC, DOMAIN_PILOT, vix2_runs
 from .schemes import SchemeKind
 
 __all__ = [
@@ -236,37 +236,35 @@ class _MomentAccumulator:
 def _sample_moments(
     scheme: SchemeKind,
     payoff: Payoff,
-    spec: GaussianSpec,
-    m: int,
+    levels,
     seed: int,
-    key: tuple,
-    coupled: bool = False,
     cv_n: float | None = None,
-) -> _MomentAccumulator:
-    """Mean/variance accumulator of `m` samples of the law `spec` on stream key `key`.
+) -> list:
+    """Mean/variance accumulators of each level's samples, from one kernel call.
 
-    A sample is the payoff ``phi(fine)`` of the scheme's VIX^2.  With the
-    control-variate price `cv_n` it is the corrected ``phi(fine) -
-    phi(cv) + cv_n``; otherwise, when `coupled`, it is the correction
-    ``phi(fine) - phi(coarse)``, the coarse value read from the same
-    draw at every 2nd grid point.  :func:`mc_price`, every multilevel
-    level and the pilot sample through this one call of the batch kernel.
+    A level is ``(spec, m, key, coupled)``: `m` samples of the law `spec`
+    on stream key `key`.  A sample is the payoff ``phi(fine)`` of the
+    scheme's VIX^2.  With the control-variate price `cv_n` it is the
+    corrected ``phi(fine) - phi(cv) + cv_n``; otherwise, when `coupled`,
+    it is the correction ``phi(fine) - phi(coarse)``, the coarse value
+    read from the same draw at every 2nd grid point.  :func:`mc_price`
+    (one level), the multilevel levels and the pilot sample through this
+    one call of the batch kernel, whose one pool forms every level's
+    batches; each level's accumulator takes its batches in batch order.
     """
-    acc = _MomentAccumulator()
-    batches = vix2_batches(
-        scheme, spec, m, seed, key,
-        coarse_steps=(2,) if coupled else (), geometric=cv_n is not None,
-    )
+    accs = [_MomentAccumulator() for _ in levels]
+    runs = [(spec, m, key, (2,) if coupled else ()) for spec, m, key, coupled in levels]
+    batches = vix2_runs(scheme, runs, seed, geometric=cv_n is not None)
     with closing(batches):
-        for fine, coarse, cv in batches:
+        for level, fine, coarse, cv in batches:
             if cv_n is not None:
                 values = cv_corrected_payoff(payoff, fine, cv, cv_n)
-            elif coupled:
+            elif coarse:
                 values = payoff_eval(payoff, fine) - payoff_eval(payoff, coarse[0])
             else:
                 values = payoff_eval(payoff, fine)
-            acc.add(np.asarray(values))
-    return acc
+            accs[level].add(np.asarray(values))
+    return accs
 
 
 def _warn_if_degenerate(acc: _MomentAccumulator, spec: GaussianSpec, label: str):
@@ -307,7 +305,8 @@ def mc_price(
     M = _whole(M, 2, "M, the sample count")
     spec = gaussian_spec(params, n)
     cv_n = cv_price(payoff, cv_moments(spec, scheme)) if use_cv else None
-    acc = _sample_moments(scheme, payoff, spec, M, seed, (*stream_key, DOMAIN_MC), cv_n=cv_n)
+    level = (spec, M, (*stream_key, DOMAIN_MC), False)
+    (acc,) = _sample_moments(scheme, payoff, [level], seed, cv_n)
     _warn_if_degenerate(acc, spec, "mc_price")
     variance = acc.variance
     return Estimate(
@@ -408,19 +407,17 @@ def mlmc_price(
     sample variance is exactly 0 under a law that is not flat warns with
     :class:`~roughvix.errors.DegenerateEstimateWarning`.
     """
-    value = 0.0
-    variance_total = 0.0
-    last_mean = None
-    for level, (n, m) in enumerate(zip(plan.n_levels, plan.m_levels)):
-        spec = gaussian_spec(params, n)
-        acc = _sample_moments(
-            plan.scheme, payoff, spec, m, seed, (*stream_key, DOMAIN_MLMC, level),
-            coupled=level > 0,
-        )
+    specs = [gaussian_spec(params, n) for n in plan.n_levels]
+    levels = [
+        (spec, m, (*stream_key, DOMAIN_MLMC, level), level > 0)
+        for level, (spec, m) in enumerate(zip(specs, plan.m_levels))
+    ]
+    accs = _sample_moments(plan.scheme, payoff, levels, seed)
+    value = variance_total = 0.0
+    for level, (acc, spec, m) in enumerate(zip(accs, specs, plan.m_levels)):
         _warn_if_degenerate(acc, spec, f"mlmc_price level {level}")
         value += acc.mean
         variance_total += acc.variance / m
-        last_mean = acc.mean
     return Estimate(
         value=value,
         std_error=math.sqrt(variance_total),
@@ -428,7 +425,7 @@ def mlmc_price(
         samples_used=plan.m_levels,
         scheme=plan.scheme,
         cv_used=False,
-        bias_proxy=abs(last_mean) if plan.L >= 1 else None,
+        bias_proxy=abs(accs[-1].mean) if plan.L >= 1 else None,
     )
 
 
@@ -442,29 +439,27 @@ def level_statistics(
     """Empirical per-level variances and mean corrections.
 
     Draws `probe_M` samples at every level of `plan` (on streams
-    independent of :func:`mlmc_price` runs) and reports a
-    :class:`LevelStat` per level, for diagnostics.  The pilot
-    (:func:`_pilot_constants`) does not call it: it runs its own loop
-    over correction levels on the same ``(DOMAIN_PILOT, l)`` stream keys.
+    independent of :func:`mlmc_price` runs), all levels in one kernel
+    call, and reports a :class:`LevelStat` per level, for diagnostics.
+    The pilot (:func:`_pilot_constants`) does not call it: it samples its
+    own correction levels on the same ``(DOMAIN_PILOT, l)`` stream keys.
     """
-    if probe_M < 100:
-        raise UsageError(f"probe_M must be >= 100, got {probe_M}")
-    stats = []
-    for level, n in enumerate(plan.n_levels):
-        acc = _sample_moments(
-            plan.scheme, payoff, gaussian_spec(params, n), probe_M, seed,
-            (DOMAIN_PILOT, level), coupled=level > 0,
+    probe_M = _whole(probe_M, 100, "probe_M, the sample count")
+    levels = [
+        (gaussian_spec(params, n), probe_M, (DOMAIN_PILOT, level), level > 0)
+        for level, n in enumerate(plan.n_levels)
+    ]
+    accs = _sample_moments(plan.scheme, payoff, levels, seed)
+    return tuple(
+        LevelStat(
+            level=level,
+            n=n,
+            variance=acc.variance,
+            mean_correction=acc.mean,
+            cost_per_sample=float(n) ** 2,
         )
-        stats.append(
-            LevelStat(
-                level=level,
-                n=n,
-                variance=acc.variance,
-                mean_correction=acc.mean,
-                cost_per_sample=float(n) ** 2,
-            )
-        )
-    return tuple(stats)
+        for level, (n, acc) in enumerate(zip(plan.n_levels, accs))
+    )
 
 
 def _pilot_constants(n0: int, payoff: Payoff, params: ModelParams) -> tuple:
@@ -472,17 +467,16 @@ def _pilot_constants(n0: int, payoff: Payoff, params: ModelParams) -> tuple:
 
     Fits ``|mean correction| ~ c1 * 2^-l`` and ``variance ~ c2 * 2^-2l``
     over correction levels ``1.._PILOT_LEVELS`` of a fixed probe geometry,
-    taking medians across levels for robustness.  Uses a fixed internal
-    seed so plans stay deterministic.
+    sampled in one kernel call, taking medians across levels for
+    robustness.  Uses a fixed internal seed so plans stay deterministic.
     """
-    c1_terms, c2_terms = [], []
-    for level in range(1, _PILOT_LEVELS + 1):
-        acc = _sample_moments(
-            SchemeKind.RECTANGLE, payoff, gaussian_spec(params, n0 * 2**level),
-            _PILOT_PROBE_M, _PILOT_SEED, (DOMAIN_PILOT, level), coupled=True,
-        )
-        c1_terms.append(abs(acc.mean) * 2.0**level)
-        c2_terms.append(acc.variance * 4.0**level)
+    levels = [
+        (gaussian_spec(params, n0 * 2**level), _PILOT_PROBE_M, (DOMAIN_PILOT, level), True)
+        for level in range(1, _PILOT_LEVELS + 1)
+    ]
+    accs = _sample_moments(SchemeKind.RECTANGLE, payoff, levels, _PILOT_SEED)
+    c1_terms = [abs(acc.mean) * 2.0**level for level, acc in enumerate(accs, 1)]
+    c2_terms = [acc.variance * 4.0**level for level, acc in enumerate(accs, 1)]
     c1 = float(np.median(c1_terms))
     c2 = float(np.median(c2_terms))
     if c1 <= 0 or c2 <= 0:

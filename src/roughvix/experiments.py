@@ -181,8 +181,7 @@ def strong_error_curve(
             raise UsageError(
                 f"every n must be a proper divisor of n_ref={n_ref}; offending n={n}"
             )
-    if M < 1_000:
-        raise UsageError(f"M must be >= 1000, got {M}")
+    M = _whole(M, 1_000, "M, the sample count")
 
     spec = gaussian_spec(params, n_ref)
     sq_sums = {n: [] for n in n_values}

@@ -27,9 +27,10 @@ keeps deterministic.
 
 The batch kernel
 ----------------
-Every sampled estimate runs through :func:`vix2_batches`, which turns
+Every sampled estimate runs through :func:`vix2_runs`, which turns
 batches of draws into VIX^2 on the fine grid and its coarse grids with
-the quadrature rules of :mod:`.schemes`.  A batch of ``m`` draws takes
+the quadrature rules of :mod:`.schemes`, for one or more runs (a
+multilevel estimate's levels) in one call.  A batch of ``m`` draws takes
 its normals from one ``(r+1, m)`` block whose last row is ones
 (:func:`_draw_normals`).  The product is formed a block of rows at a
 time (:func:`_row_blocks`, at most ``2^19`` values, so that a block is
@@ -45,21 +46,23 @@ control variate's log average is linear in the draw, so the kernel
 takes it from the batch's normals as ``w . mu + (F^T w) . G``
 (:func:`~roughvix.schemes.geometric_projection`).
 
-Each batch is one task, from its normals to its VIX^2, on a pool of
-``w`` worker threads, one per CPU the process may run on and at most one
-per batch; a call with one batch, or a process with one CPU, forms its
-batches inline with no pool.  Batch ``i`` forms in worker slot
-``i % w``: a normals block, a row buffer, ``e0``, the accumulator and
-one product's temporary, made when the call starts, and reused by batch
-``i + w``, which starts only after batch ``i``'s result is taken.  The
-calling thread makes every stream and every batch's outputs and yields
-the results in batch order, so the workers allocate nothing; a call
-holds ``w`` slots and the outputs of at most ``w`` batches in flight and
-the one its caller holds.  While a call runs, OpenBLAS is held at one
-thread (:class:`_OneBlasThread`), so each worker's products run on one
-thread and the pool is the only parallelism; a product's bits do not
-depend on the BLAS thread count.  Rounding stays far below the
-quadrature error being studied.
+Each batch is one task, from its normals to its VIX^2, on one pool of
+``w`` worker threads per call, one per CPU the process may run on and at
+most one per task; a call with one batch, or a process with one CPU,
+forms its batches inline with no pool.  The pool spans the call's runs:
+the tasks are run 0's batches in order, then run 1's, and so on, and
+task ``t`` forms in worker slot ``t % w``: a normals block, a row
+buffer, ``e0``, the accumulator and one product's temporary, each sized
+for the largest run, made when the call starts, and reused by task
+``t + w``, which starts only after task ``t``'s result is taken.  The
+calling thread makes each run's tables once, every stream and every
+batch's outputs, and yields the results in task order, so the workers
+allocate nothing; a call holds ``w`` slots and the outputs of at most
+``w`` batches in flight and the one its caller holds.  While a call
+runs, OpenBLAS is held at one thread (:class:`_OneBlasThread`), so each
+worker's products run on one thread and the pool is the only
+parallelism; a product's bits do not depend on the BLAS thread count.
+Rounding stays far below the quadrature error being studied.
 """
 
 from __future__ import annotations
@@ -70,6 +73,7 @@ import numbers
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 
 import numpy as np
 from scipy.special import ndtri
@@ -238,58 +242,59 @@ def _row_blocks(rows: int, width: int) -> list:
     return [(a, min(a + size, rows)) for a in range(0, rows, size)]
 
 
-def vix2_batches(
-    kind: SchemeKind,
-    spec: GaussianSpec,
-    total: int,
-    seed: int,
-    key: tuple,
-    coarse_steps=(),
-    geometric: bool = False,
-):
-    """The batch kernel: VIX^2 of `total` draws of the law `spec`, batch by batch.
+def vix2_runs(kind: SchemeKind, runs, seed: int, geometric: bool = False):
+    """The batch kernel: VIX^2 of every run's draws, batch by batch, on one pool.
 
-    Batch ``i`` of the fixed partition ``batch_sizes(n, total)`` draws
-    its normals from ``stream_for(seed, *key, i)``; the module docstring
-    describes how a batch is formed, and on which threads.  Closing the
-    generator, or an error in a worker (raised here), shuts the pool down.
+    A run is ``(spec, total, key, coarse_steps)``: `total` draws of the
+    law `spec`, whose batch ``i`` of the fixed partition ``batch_sizes(n,
+    total)`` draws its normals from ``stream_for(seed, *key, i)``.  The
+    runs' batches form one task list, run 0's batches in order, then run
+    1's, and so on; the module docstring describes how a batch is formed,
+    and on which threads.  Closing the generator, or an error in a worker
+    (raised here), shuts the pool down.
 
-    Yields ``(fine, coarse, cv)`` per batch: the scheme's VIX^2 per draw,
-    the list of VIX^2 arrays of the coarse grids that read every
-    ``step``-th point, for ``step`` in `coarse_steps`, and, when
-    `geometric` is set, the control variate ``exp(w . mu + (F^T w) . G)``
-    from the batch's normals ``G`` (None otherwise): the Gaussian
-    functional that :func:`~roughvix.payoffs.cv_price` prices.  Each
-    batch's arrays are its own.
+    Yields ``(run, fine, coarse, cv)`` per batch, in task order: the
+    run's index, the scheme's VIX^2 per draw, the list of VIX^2 arrays of
+    the coarse grids that read every ``step``-th point, for ``step`` in
+    the run's `coarse_steps`, and, when `geometric` is set, the control
+    variate ``exp(w . mu + (F^T w) . G)`` from the batch's normals ``G``
+    (None otherwise): the Gaussian functional that
+    :func:`~roughvix.payoffs.cv_price` prices.  Each batch's arrays are
+    its own.
     """
-    n, rank = spec.n, spec.factor.rank
-    weight_rows, divisors = _weight_rows(kind, n, (1, *coarse_steps))
-    grids, widths = len(divisors), batch_sizes(n, total)
-    factor_mean = np.column_stack((spec.factor.L, spec.mean))
-    if geometric:
-        offset, projection = geometric_projection(kind, spec)
-    workers = min(_WORKERS, len(widths))
-    # Each worker's slot, sized for the widest batch: the normals block, the
-    # row buffer (every row block fits), e0, acc and one product's temporary.
-    m = widths[0]
-    sizes = ((rank + 1) * m, min((n + 1) * m, _ROW_BLOCK_BUDGET), m, grids * m, grids * m)
-    slots = [[np.empty(size) for size in sizes] for _ in range(workers)]
+    tables, tasks, sizes = [], [], []
+    for run, (spec, total, key, coarse_steps) in enumerate(runs):
+        n, rank = spec.n, spec.factor.rank
+        weight_rows, divisors = _weight_rows(kind, n, (1, *coarse_steps))
+        widths = batch_sizes(n, total)
+        factor_mean = np.column_stack((spec.factor.L, spec.mean))
+        projection = geometric_projection(kind, spec) if geometric else None
+        tables.append((n, rank, weight_rows, divisors, factor_mean, projection))
+        m, g = widths[0], len(divisors)
+        tasks += [(run, key, index, (g, width)) for index, width in enumerate(widths)]
+        # The run's slot at its widest batch: the normals block, the row buffer
+        # (every row block fits), e0, acc and one product's temporary.
+        sizes.append(((rank + 1) * m, min((n + 1) * m, _ROW_BLOCK_BUDGET), m, g * m, g * m))
+    workers = min(_WORKERS, len(tasks))
+    slots = [[np.empty(max(column)) for column in zip(*sizes)] for _ in range(workers)]
 
-    def task(index):
-        """Batch `index`'s stream, slot and fresh outputs, made on the calling thread."""
-        width = widths[index]
-        cv = np.empty(width) if geometric else None
-        return stream_for(seed, *key, index), slots[index % workers], np.empty((grids, width)), cv
+    def task(t):
+        """Task `t`'s run, stream, slot and fresh outputs, made on the calling thread."""
+        run, key, index, shape = tasks[t]
+        cv = np.empty(shape[1]) if geometric else None
+        return run, stream_for(seed, *key, index), slots[t % workers], np.empty(shape), cv
 
-    def form(stream, slot, out, cv):
-        """Form one batch into `out` and `cv`, writing only into its arguments."""
+    def form(run, stream, slot, out, cv):
+        """Form one batch of `run` into `out` and `cv`, writing only into its arguments."""
+        n, rank, weight_rows, divisors, factor_mean, projection = tables[run]
         block, buffer, e0, acc, tmp = slot
-        width = out.shape[1]
+        grids, width = out.shape
         stacked = _leading(block, rank + 1, width)
         e0, acc, tmp = e0[:width], _leading(acc, grids, width), _leading(tmp, grids, width)
         normals = _draw_normals(stream, stacked)
         if geometric:
-            np.matmul(projection, normals, out=cv)
+            offset, weights = projection
+            np.matmul(weights, normals, out=cv)
             cv += offset
             np.exp(cv, out=cv)
         acc.fill(0.0)
@@ -305,22 +310,37 @@ def vix2_batches(
         np.divide(acc, divisors[:, None], out=out)
         out += e0
         fine, *coarse = out
-        return fine, coarse, cv
+        return run, fine, coarse, cv
 
     with _ONE_BLAS_THREAD:
         if workers < 2:
-            for index in range(len(widths)):
-                yield form(*task(index))
+            for t in range(len(tasks)):
+                yield form(*task(t))
             return
         pool = ThreadPoolExecutor(workers, thread_name_prefix="roughvix-batches")
         try:
-            running = [pool.submit(form, *task(index)) for index in range(workers)]
-            for index in range(len(widths)):
-                yield running[index % workers].result()
-                if index + workers < len(widths):
-                    running[index % workers] = pool.submit(form, *task(index + workers))
+            running = [pool.submit(form, *task(t)) for t in range(workers)]
+            for t in range(len(tasks)):
+                yield running[t % workers].result()
+                if t + workers < len(tasks):
+                    running[t % workers] = pool.submit(form, *task(t + workers))
         finally:
             pool.shutdown(cancel_futures=True)
+
+
+def vix2_batches(
+    kind: SchemeKind,
+    spec: GaussianSpec,
+    total: int,
+    seed: int,
+    key: tuple,
+    coarse_steps=(),
+    geometric: bool = False,
+):
+    """The one-run kernel: ``(fine, coarse, cv)`` per batch of :func:`vix2_runs`."""
+    with closing(vix2_runs(kind, [(spec, total, key, coarse_steps)], seed, geometric)) as batches:
+        for _, fine, coarse, cv in batches:
+            yield fine, coarse, cv
 
 
 def batch_size(n: int) -> int:

@@ -10,7 +10,7 @@ moments.  A coarse grid of the multilevel coupling reads every
 ``s``-th point of the fine grid, so its rule is the ``n/s`` grid's
 weights placed on fine indices ``0, s, 2s, ...`` (:func:`_weight_rows`).
 
-The batch kernel (:func:`~roughvix.sampler.vix2_batches`) applies these
+The batch kernel (:func:`~roughvix.sampler.vix2_runs`) applies these
 rules to every sampled batch.  The control variate's log average ``w . X``
 is linear in the draw, so :func:`geometric_projection` states it on the
 draw's ``r`` normals, for both the kernel and the exact moments.

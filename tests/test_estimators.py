@@ -425,8 +425,10 @@ def test_level_statistics_flat_model_has_zero_corrections():
 
 def test_level_statistics_validation():
     plan = mlmc_plan(0.02, 6, SchemeKind.RECTANGLE, CALL, PB)
-    with pytest.raises(UsageError):
-        level_statistics(plan, CALL, PB, probe_M=99, seed=0)
+    message = "probe_M, the sample count must be an integer >= 100"
+    for probe_M in (99, 150.5, math.nan, True):
+        with pytest.raises(UsageError, match=message):
+            level_statistics(plan, CALL, PB, probe_M=probe_M, seed=0)
 
 
 def test_level_variances_decay_with_refinement():
@@ -559,9 +561,8 @@ def test_level_moments_accumulate_the_kernel_values(scheme, level):
         )
     )
     mean, var = _public_moments(draws)
-    acc = _sample_moments(
-        scheme, CALL, spec, m, seed, (*key, DOMAIN_MLMC, level), coupled=level > 0
-    )
+    levels = [(spec, m, (*key, DOMAIN_MLMC, level), level > 0)]
+    (acc,) = _sample_moments(scheme, CALL, levels, seed)
     assert acc.mean.hex() == mean.hex()
     assert acc.variance.hex() == var.hex()
 
@@ -582,6 +583,19 @@ def test_seeded_prices_are_pinned():
         plan = mlmc_plan(2e-3, 6, scheme, CALL, PB)
         est = mlmc_price(plan, CALL, PB, seed=3)
         assert (est.value.hex(), est.std_error.hex()) == expected
+
+
+def test_fig3_mlmc_prices_are_pinned():
+    # The fig3 plans at eps = 5e-4: eight levels, n = 6 ... 768, level 0
+    # in 12 batches, level 1 in 3 and every finer level in one, all in
+    # one kernel call.
+    pinned = {
+        SchemeKind.RECTANGLE: (5, "0x1.f318e54c8c7b7p-4", "0x1.090fb3258e5c4p-13"),
+        SchemeKind.TRAPEZOID: (6, "0x1.f4376df54ee70p-4", "0x1.13143db5ecbd3p-13"),
+    }
+    for scheme, (seed, value, std_error) in pinned.items():
+        est = mlmc_price(mlmc_plan(5e-4, 6, scheme, CALL, PB), CALL, PB, seed=seed)
+        assert (est.value.hex(), est.std_error.hex()) == (value, std_error)
 
 
 @pytest.mark.parametrize("n", [250, 2000])

@@ -72,8 +72,9 @@ def test_strong_error_requires_divisor_grid_and_enough_samples():
         strong_error_curve(SchemeKind.RECTANGLE, (7,), 64, 2000, PB, seed=0)
     with pytest.raises(UsageError):
         strong_error_curve(SchemeKind.RECTANGLE, (64,), 64, 2000, PB, seed=0)
-    with pytest.raises(UsageError):
-        strong_error_curve(SchemeKind.RECTANGLE, (8,), 64, 999, PB, seed=0)
+    for M in (999, 2000.5, math.nan, True):
+        with pytest.raises(UsageError, match="M, the sample count must be an integer >= 1000"):
+            strong_error_curve(SchemeKind.RECTANGLE, (8,), 64, M, PB, seed=0)
     with pytest.raises(UsageError):
         strong_error_curve(SchemeKind.RECTANGLE, (), 64, 2000, PB, seed=0)
     for n_values in [(8.7, 16), (8, math.nan), (math.inf,), (True,)]:

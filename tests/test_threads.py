@@ -2,8 +2,10 @@
 
 The batch kernel forms each batch, from its normals to its VIX^2, as one
 task on a pool of ``sampler._WORKERS`` threads; with one worker it forms
-them inline.  Every batch has its own stream and block, so each output
-must be the same float at every worker count.
+them inline.  One call forms the batches of all its runs (an estimate's
+levels) on one pool.  Every batch has its own stream and block, so each
+output must be the same float at every worker count, and a run's
+batches the same in a call of many runs as in a call of its own.
 
 While it runs, the kernel holds OpenBLAS at one thread and then
 restores the count it found, once across concurrent calls.  The
@@ -34,7 +36,7 @@ from roughvix import (
 )
 from roughvix import estimators, sampler
 from roughvix.estimators import _sample_moments
-from roughvix.sampler import DOMAIN_MLMC, batch_size, vix2_batches
+from roughvix.sampler import DOMAIN_MLMC, batch_size, batch_sizes, vix2_batches, vix2_runs
 
 X0 = math.log(0.235**2)
 PB = ModelParams(H=0.1, eta=0.5, T=0.5, Delta=1.0 / 12.0, x0=X0)
@@ -79,10 +81,67 @@ def test_level_moments_are_the_same_at_every_worker_count(monkeypatch, scheme, l
 
     def run():
         spec = gaussian_spec(PB, n0 * 2**level)
-        acc = _sample_moments(
-            scheme, CALL, spec, m, 12, (2, DOMAIN_MLMC, level), coupled=level > 0
-        )
+        (acc,) = _sample_moments(scheme, CALL, [(spec, m, (2, DOMAIN_MLMC, level), level > 0)], 12)
         return acc.mean.hex(), acc.variance.hex()
+
+    inline, *threaded = _at_each_worker_count(monkeypatch, run)
+    assert threaded == [inline] * len(threaded)
+
+
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+def test_mlmc_price_is_the_same_at_every_worker_count(monkeypatch, scheme):
+    # The fig3 plan at eps = 5e-4: eight levels in one kernel call, level 0
+    # in 12 batches, level 1 in 3 and levels 2-7 in one batch each.
+    plan = mlmc_plan(5e-4, 6, scheme, CALL, PB)
+
+    def run():
+        est = mlmc_price(plan, CALL, PB, seed=5)
+        return est.value.hex(), est.std_error.hex(), est.bias_proxy.hex()
+
+    inline, *threaded = _at_each_worker_count(monkeypatch, run)
+    assert threaded == [inline] * len(threaded)
+
+
+# (n, total, coarse_steps) of five runs, more than any worker count in
+# WORKERS: three batches at rank 7, then one batch at n = 250 (rank 14)
+# with two coarse grids, two batches of seven row blocks each, and two
+# runs of a few draws.
+RUNS = (
+    (6, 2 * batch_size(6) + 5, ()),
+    (250, 179, (2, 5)),
+    (96, batch_size(96) + 100, (2,)),
+    (12, 3, (2, 3)),
+    (24, 1, ()),
+)
+
+
+def _bits(fine, coarse, cv):
+    """The bytes of a batch's arrays, so that equal means equal bit for bit."""
+    return [a.tobytes() for a in (fine, *coarse)], cv if cv is None else cv.tobytes()
+
+
+@pytest.mark.parametrize("geometric", [False, True])
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+def test_a_call_of_many_runs_gives_the_bits_of_one_call_per_run(monkeypatch, scheme, geometric):
+    assert len(sampler._row_blocks(97, batch_size(96))) == 7
+    runs = [
+        (gaussian_spec(PB, n), total, (9, index), steps)
+        for index, (n, total, steps) in enumerate(RUNS)
+    ]
+
+    def run():
+        together = [
+            (index, _bits(fine, coarse, cv))
+            for index, fine, coarse, cv in vix2_runs(scheme, runs, 4, geometric)
+        ]
+        apart = [
+            (index, _bits(*batch))
+            for index, (spec, total, key, steps) in enumerate(runs)
+            for batch in vix2_batches(scheme, spec, total, 4, key, steps, geometric)
+        ]
+        assert len(together) == 8
+        assert together == apart
+        return together
 
     inline, *threaded = _at_each_worker_count(monkeypatch, run)
     assert threaded == [inline] * len(threaded)
@@ -104,6 +163,22 @@ def test_closing_a_half_consumed_kernel_stops_its_threads(monkeypatch):
     batches = vix2_batches(SchemeKind.RECTANGLE, spec, 5 * batch_size(6), 1, (DOMAIN_MLMC,))
     next(batches)
     next(batches)
+    assert threading.active_count() > baseline
+    batches.close()
+    assert threading.active_count() == baseline
+
+
+def test_closing_a_kernel_of_many_runs_at_a_run_boundary_stops_its_threads(monkeypatch):
+    monkeypatch.setattr(sampler, "_WORKERS", 2)
+    baseline = threading.active_count()
+    spec = gaussian_spec(PB, 6)
+    runs = [
+        (spec, 2 * batch_size(6), (DOMAIN_MLMC, 0), ()),
+        (spec, 3 * batch_size(6), (DOMAIN_MLMC, 1), (2,)),
+    ]
+    batches = vix2_runs(SchemeKind.RECTANGLE, runs, 1)
+    # Run 0's two batches are taken; run 1's first two are in flight.
+    assert [next(batches)[0] for _ in range(2)] == [0, 0]
     assert threading.active_count() > baseline
     batches.close()
     assert threading.active_count() == baseline
@@ -203,9 +278,8 @@ def test_batches_of_many_row_blocks_with_a_coarse_grid_are_the_same_at_every_wor
     spec = gaussian_spec(PB, n)
 
     def run():
-        acc = _sample_moments(
-            SchemeKind.TRAPEZOID, CALL, spec, m, 12, (2, DOMAIN_MLMC, 7), coupled=True
-        )
+        level = (spec, m, (2, DOMAIN_MLMC, 7), True)
+        (acc,) = _sample_moments(SchemeKind.TRAPEZOID, CALL, [level], 12)
         return acc.mean.hex(), acc.variance.hex()
 
     inline, *threaded = _at_each_worker_count(monkeypatch, run)
@@ -236,6 +310,65 @@ def test_an_error_in_a_workers_product_reaches_the_caller(monkeypatch):
     assert threads[2].startswith("roughvix-batches")
     assert threading.active_count() == baseline
     assert excinfo.traceback  # held until here, with mc_price's frame
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+def test_mlmc_price_holds_one_set_of_worker_slots_for_all_levels(monkeypatch, scheme, workers):
+    # The fig3 plan at eps = 5e-4 samples its eight levels in one kernel
+    # call: 21 batches on at most w workers.  Each slot is sized by the
+    # largest of each component over the levels, not by their sum: a level
+    # of rank r at grid n, widest batch W_l and g_l grids (1 at level 0,
+    # else 2) needs (r+1) x W_l normals, a row buffer of min((n+1) x W_l,
+    # 2^19), e0 of W_l, and the accumulator and a product's temporary of
+    # g_l x W_l.  At most w + 1 batches' outputs are alive, each of g x W
+    # (fine and coarse VIX^2, no control variate), with W = 32768 the
+    # widest batch and g = 2.  The rest is a few vectors of width W (the
+    # payoffs and their accumulation) and the levels' tables, bounded here
+    # by 16 of them.
+    monkeypatch.setattr(sampler, "_WORKERS", workers)
+    plan = mlmc_plan(5e-4, 6, scheme, CALL, PB)
+    components, tasks = [], 0
+    for level, (n, m) in enumerate(zip(plan.n_levels, plan.m_levels)):
+        rank, width, g = gaussian_spec(PB, n).factor.rank, min(m, batch_size(n)), 1 + (level > 0)
+        components.append(
+            ((rank + 1) * width, min((n + 1) * width, 2**19), width, g * width, g * width)
+        )
+        tasks += len(batch_sizes(n, m))
+    assert tasks == 21
+    slot = sum(max(column) for column in zip(*components))
+    W, g = batch_size(6), 2
+    bound = 8 * (min(workers, tasks) * slot + min(workers + 1, tasks) * g * W + 16 * W)
+    tracemalloc.start()
+    try:
+        mlmc_price(plan, CALL, PB, seed=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+
+
+def _fail_in_a_later_level(monkeypatch):
+    """The fig3 plan at eps = 5e-3, with `_fail_on_third_row_blocks` set.
+
+    Each of its four levels is one batch, and on two workers level 2 is
+    submitted only after level 0 has formed, so the third call of
+    `_row_blocks` forms level 2 or 3.
+    """
+    plan = mlmc_plan(5e-3, 6, SchemeKind.RECTANGLE, CALL, PB)
+    assert [len(batch_sizes(n, m)) for n, m in zip(plan.n_levels, plan.m_levels)] == [1] * 4
+    return plan, _fail_on_third_row_blocks(monkeypatch)
+
+
+def test_an_error_in_a_later_level_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(sampler, "_WORKERS", 2)
+    plan, threads = _fail_in_a_later_level(monkeypatch)
+    baseline = threading.active_count()
+    with pytest.raises(FloatingPointError, match="product failed") as excinfo:
+        mlmc_price(plan, CALL, PB, seed=1)
+    assert threads[2].startswith("roughvix-batches")
+    assert threading.active_count() == baseline
+    assert excinfo.traceback  # held until here, with mlmc_price's frame
 
 
 # --- one BLAS thread while the kernel runs -----------------------------------
@@ -326,6 +459,14 @@ def test_an_error_in_a_workers_product_restores_the_blas_count(monkeypatch, blas
     assert blas_count() == 2
 
 
+def test_an_error_in_a_later_level_restores_the_blas_count(monkeypatch, blas_count):
+    monkeypatch.setattr(sampler, "_WORKERS", 2)
+    plan, _ = _fail_in_a_later_level(monkeypatch)
+    with pytest.raises(FloatingPointError, match="product failed"):
+        mlmc_price(plan, CALL, PB, seed=1)
+    assert blas_count() == 2
+
+
 def test_concurrent_calls_restore_the_blas_count_once(monkeypatch, blas_count):
     # Each call waits in its first payoff until the other has reached
     # its own, so both kernels hold at once.
@@ -405,10 +546,8 @@ def test_the_kernel_gives_the_same_bits_without_openblas_control(monkeypatch):
 
     def run():
         est = mc_price(SchemeKind.RECTANGLE, n, M, CALL, True, PB, seed=6)
-        acc = _sample_moments(
-            SchemeKind.TRAPEZOID, CALL, gaussian_spec(PB, 12), M, 12, (2, DOMAIN_MLMC, 1),
-            coupled=True,
-        )
+        level = (gaussian_spec(PB, 12), M, (2, DOMAIN_MLMC, 1), True)
+        (acc,) = _sample_moments(SchemeKind.TRAPEZOID, CALL, [level], 12)
         return [x.hex() for x in (est.value, est.std_error, acc.mean, acc.variance)]
 
     held = run()
