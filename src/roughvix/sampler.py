@@ -33,35 +33,43 @@ the quadrature rules of :mod:`.schemes`, for one or more runs (a
 multilevel estimate's levels) in one call.  A batch of ``m`` draws takes
 its normals from one ``(r+1, m)`` block whose last row is ones
 (:func:`_draw_normals`).  The product is formed a block of rows at a
-time (:func:`_row_blocks`, at most ``2^19`` values, so that a block is
-still in cache when it is used) in one reused buffer, and each row
-block is exponentiated in place and weighted as soon as it is formed:
-the weight rows ``A`` of the fine grid and of each coarse grid
-(:func:`~roughvix.schemes._weight_rows`) add ``A[:, a:b] @ (block -
-e0)`` to a ``grids x m`` accumulator, ``e0`` being the exponentiated
-grid row 0, and grid ``g``'s VIX^2 is ``e0 + acc[g] / d[g]``.  The
-integer rows sum to exactly their divisors, so a flat model gives
-exactly ``e0`` on every grid.  No ``(n+1, m)`` draw is ever held.  The
-control variate's log average is linear in the draw, so the kernel
+time (:func:`_row_blocks`, at most ``2^19`` values) in one reused
+buffer, and each row block is exponentiated in place and weighted as
+soon as it is formed: the weight rows ``A`` of the fine grid and of each
+coarse grid (:func:`~roughvix.schemes._weight_rows`) add ``A[:, a:b] @
+(block - e0)`` to a ``grids x m`` accumulator, ``e0`` being the
+exponentiated grid row 0, and grid ``g``'s VIX^2 is ``e0 + acc[g] /
+d[g]``.  When ``m`` is a multiple of ``_TILE`` (4096) columns, each row
+block runs its product, exp, ``e0`` shift and weighting a tile of
+columns at a time, so the tile's normals and rows stay in cache; any
+other width is one tile.  Every column sees the same operations either
+way.  The integer rows sum to exactly their divisors, so a flat model
+gives exactly ``e0`` on every grid.  No ``(n+1, m)`` draw is ever held.
+The control variate's log average is linear in the draw, so the kernel
 takes it from the batch's normals as ``w . mu + (F^T w) . G``
 (:func:`~roughvix.schemes.geometric_projection`).
 
 Each batch is one task, from its normals to its VIX^2, on one pool of
 ``w`` worker threads per call, one per CPU the process may run on and at
 most one per task; a call with one batch, or a process with one CPU,
-forms its batches inline with no pool.  The pool spans the call's runs:
-the tasks are run 0's batches in order, then run 1's, and so on, and
-task ``t`` forms in worker slot ``t % w``: a normals block, a row
+forms its batches inline in one slot with no pool.  The pool spans the
+call's runs: the tasks are run 0's batches in order, then run 1's, and
+so on.  A call makes ``w`` slots when it starts (a normals block, a row
 buffer, ``e0``, the accumulator and one product's temporary, each sized
-for the largest run, made when the call starts, and reused by task
-``t + w``, which starts only after task ``t``'s result is taken.  The
-calling thread makes each run's tables once, every stream and every
-batch's outputs, and yields the results in task order, so the workers
-allocate nothing; a call holds ``w`` slots and the outputs of at most
-``w`` batches in flight and the one its caller holds.  While a call
-runs, OpenBLAS is held at one thread (:class:`_OneBlasThread`), so each
-worker's products run on one thread and the pool is the only
-parallelism; a product's bits do not depend on the BLAS thread count.
+for the largest run) and keeps them on a free list: a task takes any
+free slot when it starts and puts it back when its batch is formed.
+The calling thread keeps ``w + 1`` tasks submitted, submitting task
+``t + w + 1`` as soon as it has taken task ``t``'s result and before it
+yields it, so a worker that finishes finds a task waiting.  It makes
+each run's tables once, every stream and every batch's outputs, and
+yields the results in task order, so the workers allocate nothing; a
+call holds ``w`` slots and the outputs of at most ``w + 2`` batches
+(``w + 1`` submitted and the one it yields; its caller may still hold
+the one before).  While a call runs, OpenBLAS is held at one thread
+(:class:`_OneBlasThread`), so each worker's products run on one thread
+and the pool is the only parallelism.  Under OpenBLAS's SkylakeX kernels
+a product's bits do not depend on the BLAS thread count; under its
+Haswell kernels they can.
 Rounding stays far below the quadrature error being studied.
 """
 
@@ -71,7 +79,9 @@ import ctypes
 import functools
 import numbers
 import os
+import queue
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 
@@ -97,6 +107,11 @@ _BLOCK_BUDGET = 2**24
 # small enough to stay in cache from its product through its exp and
 # weighting.
 _ROW_BLOCK_BUDGET = 2**19
+# Columns per tile of a row block whose batch width is a multiple of it:
+# a tile's normals and rows stay in L2 through its product, exp and
+# weighting.  Other widths are one tile; tiling them moves the last bits
+# of the factor product's last columns.
+_TILE = 4096
 
 # Threads that form a call's batches: one per CPU the process may run on.
 _WORKERS = (
@@ -276,39 +291,47 @@ def vix2_runs(kind: SchemeKind, runs, seed: int, geometric: bool = False):
         # (every row block fits), e0, acc and one product's temporary.
         sizes.append(((rank + 1) * m, min((n + 1) * m, _ROW_BLOCK_BUDGET), m, g * m, g * m))
     workers = min(_WORKERS, len(tasks))
-    slots = [[np.empty(max(column)) for column in zip(*sizes)] for _ in range(workers)]
+    free = queue.SimpleQueue()
+    for _ in range(workers):
+        free.put([np.empty(max(column)) for column in zip(*sizes)])
 
     def task(t):
-        """Task `t`'s run, stream, slot and fresh outputs, made on the calling thread."""
+        """Task `t`'s run, stream and fresh outputs, made on the calling thread."""
         run, key, index, shape = tasks[t]
         cv = np.empty(shape[1]) if geometric else None
-        return run, stream_for(seed, *key, index), slots[t % workers], np.empty(shape), cv
+        return run, stream_for(seed, *key, index), np.empty(shape), cv
 
-    def form(run, stream, slot, out, cv):
-        """Form one batch of `run` into `out` and `cv`, writing only into its arguments."""
+    def form(run, stream, out, cv):
+        """Form one batch of `run` into `out` and `cv` in a slot taken from the free list."""
         n, rank, weight_rows, divisors, factor_mean, projection = tables[run]
-        block, buffer, e0, acc, tmp = slot
-        grids, width = out.shape
-        stacked = _leading(block, rank + 1, width)
-        e0, acc, tmp = e0[:width], _leading(acc, grids, width), _leading(tmp, grids, width)
-        normals = _draw_normals(stream, stacked)
-        if geometric:
-            offset, weights = projection
-            np.matmul(weights, normals, out=cv)
-            cv += offset
-            np.exp(cv, out=cv)
-        acc.fill(0.0)
-        for a, b in _row_blocks(n + 1, width):
-            rows = _leading(buffer, b - a, width)
-            np.matmul(factor_mean[a:b], stacked, out=rows)
-            np.exp(rows, out=rows)
-            if a == 0:
-                e0[:] = rows[0]
-            rows -= e0
-            np.matmul(weight_rows[:, a:b], rows, out=tmp)
-            acc += tmp
-        np.divide(acc, divisors[:, None], out=out)
-        out += e0
+        slot = free.get()
+        try:
+            block, buffer, e0, acc, tmp = slot
+            grids, width = out.shape
+            tile = _TILE if width % _TILE == 0 else width
+            stacked = _leading(block, rank + 1, width)
+            e0, acc, tmp = e0[:width], _leading(acc, grids, width), _leading(tmp, grids, tile)
+            normals = _draw_normals(stream, stacked)
+            if geometric:
+                offset, weights = projection
+                np.matmul(weights, normals, out=cv)
+                cv += offset
+                np.exp(cv, out=cv)
+            acc.fill(0.0)
+            for a, b in _row_blocks(n + 1, width):
+                rows = _leading(buffer, b - a, tile)
+                for c in range(0, width, tile):
+                    np.matmul(factor_mean[a:b], stacked[:, c : c + tile], out=rows)
+                    np.exp(rows, out=rows)
+                    if a == 0:
+                        e0[c : c + tile] = rows[0]
+                    rows -= e0[c : c + tile]
+                    np.matmul(weight_rows[:, a:b], rows, out=tmp)
+                    acc[:, c : c + tile] += tmp
+            np.divide(acc, divisors[:, None], out=out)
+            out += e0
+        finally:
+            free.put(slot)
         fine, *coarse = out
         return run, fine, coarse, cv
 
@@ -319,11 +342,12 @@ def vix2_runs(kind: SchemeKind, runs, seed: int, geometric: bool = False):
             return
         pool = ThreadPoolExecutor(workers, thread_name_prefix="roughvix-batches")
         try:
-            running = [pool.submit(form, *task(t)) for t in range(workers)]
+            queued = deque(pool.submit(form, *task(t)) for t in range(min(workers + 1, len(tasks))))
             for t in range(len(tasks)):
-                yield running[t % workers].result()
-                if t + workers < len(tasks):
-                    running[t % workers] = pool.submit(form, *task(t + workers))
+                result = queued.popleft().result()
+                if t + workers + 1 < len(tasks):
+                    queued.append(pool.submit(form, *task(t + workers + 1)))
+                yield result
         finally:
             pool.shutdown(cancel_futures=True)
 

@@ -219,6 +219,48 @@ def geometric_vix2(values, scheme=SchemeKind.RECTANGLE):
     return np.exp(quadrature_weights(scheme.value, n, n) @ values)
 
 
+def row_block_batches(kind, spec, total, seed, key, coarse_steps=(), geometric=False):
+    """Per-batch values of the batch kernel, formed by its documented contract.
+
+    Each batch of ``batch_sizes(n, total)`` takes its normals ``G`` from
+    its stream, forms ``[F | mu] @ [G; 1]`` in full-width row blocks of
+    ``max(1, 2^19 // width)`` rows, exponentiates each block, subtracts
+    the grid's row 0 ``e0`` and adds ``A[:, a:b] @ (block - e0)`` to a
+    ``grids x width`` accumulator, ``A`` the scheme's integer weight rows
+    placed on every ``step``-th point; grid ``g`` is ``e0 + acc_g / d_g``.
+    No column tiles, no worker pool.  Yields ``(fine, coarse, cv)`` as
+    ``vix2_batches`` does, ``cv`` None unless `geometric`.
+    """
+    n = spec.n
+    rows, divisors = [], []
+    for step in (1, *coarse_steps):
+        k = n // step
+        weights = np.zeros(n + 1)
+        if kind is SchemeKind.RECTANGLE:
+            weights[step::step], divisor = 1.0, k
+        else:
+            weights[::step], divisor = 2.0, 2 * k
+            weights[0] = weights[n] = 1.0
+        rows.append(weights)
+        divisors.append(float(divisor))
+    rows, divisors = np.array(rows), np.array(divisors)
+    factor_mean = np.column_stack((spec.factor.L, spec.mean))
+    for index, width in enumerate(batch_sizes(n, total)):
+        normals = contract_normals(stream_for(seed, *key, index), (spec.factor.rank, width))
+        stacked = np.vstack((normals, np.ones(width)))
+        height = max(1, 2**19 // width)
+        acc = np.zeros((len(rows), width))
+        for a in range(0, n + 1, height):
+            b = min(a + height, n + 1)
+            block = np.exp(factor_mean[a:b] @ stacked)
+            if a == 0:
+                e0 = block[0].copy()
+            acc += rows[:, a:b] @ (block - e0)
+        fine, *coarse = acc / divisors[:, None] + e0
+        cv = np.exp(geometric_log_average(kind, spec, normals)) if geometric else None
+        yield fine, coarse, cv
+
+
 def oracle_batches(kind, spec, total, seed, key, coarse_steps=()):
     """Per-batch values of the batch kernel, by the one-pass oracles above.
 

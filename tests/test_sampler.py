@@ -24,10 +24,17 @@ from roughvix import (
     stream_for,
     strong_error_curve,
 )
-from roughvix.sampler import _draw_normals, _row_blocks, _standard_normals, vix2_batches
+from roughvix import sampler
+from roughvix.sampler import (
+    DOMAIN_MC,
+    _draw_normals,
+    _row_blocks,
+    _standard_normals,
+    vix2_batches,
+)
 from roughvix.schemes import geometric_projection
 
-from oracles import contract_normals, single_product
+from oracles import contract_normals, row_block_batches, single_product
 
 X0 = math.log(0.235**2)
 PB = ModelParams(H=0.1, eta=0.5, T=0.5, Delta=1.0 / 12.0, x0=X0)
@@ -239,6 +246,43 @@ def test_blocked_product_agrees_with_the_single_product(n, width):
     for a in range(0, n + 1, 128):  # a few rows at a time, to hold little memory
         bound = scale * (weights[a : a + 128] @ stacked)
         assert np.all(np.abs(values[a : a + 128] - expected[a : a + 128]) <= bound)
+
+
+# (n, total): batches whose widths are multiples of the 4096-column tile
+# (32768 at n = 6 and 250, 8192 as a remainder at n = 768 and 2000) and
+# batches of one tile (remainders of 2365 and 3392, n = 768's full width
+# of 21816 and n = 2000's of 8384).
+TILED_CASES = [
+    (6, 2 * batch_size(6) + 2365),
+    (250, batch_size(250) + 3392),
+    (768, batch_size(768) + 8192),
+    (2000, batch_size(2000) + 8192),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+@pytest.mark.parametrize("n,total", TILED_CASES)
+def test_column_tiles_give_the_bits_of_full_width_row_blocks(
+    monkeypatch, n, total, scheme, workers
+):
+    # The kernel's column tiles and worker pool must give, bit for bit,
+    # the batch formed in full-width row blocks by its documented contract.
+    # The oracle's products run on one BLAS thread, as the kernel's do: on
+    # some OpenBLAS cores (Haswell) a product's bits depend on the count.
+    monkeypatch.setattr(sampler, "_WORKERS", workers)
+    spec = gaussian_spec(PB, n)
+    args = (scheme, spec, total, 8, (DOMAIN_MC, n), (2,), True)
+    kernel = list(vix2_batches(*args))
+    with sampler._ONE_BLAS_THREAD:
+        oracle = list(row_block_batches(*args))
+    assert len(kernel) == len(oracle) == len(batch_sizes(n, total))
+
+    def hexes(fine, coarse, cv):
+        return [[x.hex() for x in a.tolist()] for a in (fine, *coarse, cv)]
+
+    for got, want in zip(kernel, oracle):
+        assert hexes(*got) == hexes(*want)
 
 
 @pytest.mark.parametrize("n", [1, 6, 12, 24, 250, 768, 1500, 3000])

@@ -3,9 +3,11 @@
 The batch kernel forms each batch, from its normals to its VIX^2, as one
 task on a pool of ``sampler._WORKERS`` threads; with one worker it forms
 them inline.  One call forms the batches of all its runs (an estimate's
-levels) on one pool.  Every batch has its own stream and block, so each
-output must be the same float at every worker count, and a run's
-batches the same in a call of many runs as in a call of its own.
+levels) on one pool, with one batch more queued than it has workers,
+each batch in a slot that no other batch holds while it forms.  Every
+batch has its own stream and width, so each output must be the same
+float at every worker count, and a run's batches the same in a call of
+many runs as in a call of its own.
 
 While it runs, the kernel holds OpenBLAS at one thread and then
 restores the count it found, once across concurrent calls.  The
@@ -18,7 +20,9 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -232,10 +236,12 @@ def test_mc_price_holds_its_worker_slots_and_batch_outputs(monkeypatch, workers)
     # 32768 draws and one of 3392 at n = 250 (r = 14), on g = 1 grid.
     # With w workers (one slot, inline) each slot holds a block of
     # (r+1) x W normals, a row buffer of at most 2^19 values, and e0, the
-    # accumulator and a product's temporary, (2g+1) x W; at most w + 1
-    # batches' outputs of (g+1) x W (VIX^2 per grid and the control
-    # variate) are alive.  The rest is a few vectors of the batch's width
-    # (the payoffs and their accumulation), bounded here by 16 of them.
+    # accumulator and a product's temporary, (2g+1) x W; the kernel holds
+    # at most w + 2 batches' outputs of (g+1) x W (VIX^2 per grid and the
+    # control variate): w + 1 queued and the one it yields.  The rest is a
+    # few vectors of the batch's width (the payoffs and their accumulation,
+    # and the consumer's previous batch while it asks for the next),
+    # bounded here by 16 of them.
     monkeypatch.setattr(sampler, "_WORKERS", workers)
     n, M, g = 250, 200_000, 1
     spec = gaussian_spec(PB, n)
@@ -244,7 +250,7 @@ def test_mc_price_holds_its_worker_slots_and_batch_outputs(monkeypatch, workers)
     assert batches == 7
     slots = min(workers, batches)
     slot = (spec.factor.rank + 1) * width + min((n + 1) * width, 2**19) + (2 * g + 1) * width
-    outputs = min(workers + 1, batches) * (g + 1) * width
+    outputs = min(workers + 2, batches) * (g + 1) * width
     bound = 8 * (slots * slot + outputs + 16 * width)
     tracemalloc.start()
     try:
@@ -286,6 +292,185 @@ def test_batches_of_many_row_blocks_with_a_coarse_grid_are_the_same_at_every_wor
     assert threaded == [inline] * len(threaded)
 
 
+class _Recorder:
+    """Records one kernel call's pool: its submissions, slots and tasks.
+
+    Installs a pool that notes each submission in `events`, in order, as
+    ``("submit", k)`` for task ``k``, keeps its futures, and runs task
+    ``k`` with its index known on the worker thread.  `sampler._draw_normals`,
+    the first step of forming a batch, is wrapped to note the slot the task
+    forms in (its normals block's address) until the task returns; a slot
+    taken while another task holds it goes to `clashes`.  Tasks from
+    `hold_from` on wait there until the pool shuts down, and the task
+    `fail` raises there.  The pool's shutdown cancels the queued tasks
+    first, then lets the held ones go, then waits for its threads.
+    """
+
+    def __init__(self, monkeypatch, hold_from=None, fail=None):
+        self.lock = threading.Lock()
+        self.events, self.futures, self.clashes = [], [], []
+        self.busy, self.slots, self.most = {}, set(), 0
+        self.release = threading.Event()
+        self.local = threading.local()
+        recorder, draw = self, sampler._draw_normals
+
+        class Pool(ThreadPoolExecutor):
+            def submit(self, fn, *args):
+                with recorder.lock:
+                    k = len(recorder.futures)
+                    recorder.events.append(("submit", k))
+                recorder.futures.append(super().submit(recorder._run, k, fn, *args))
+                return recorder.futures[-1]
+
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                super().shutdown(wait=False, cancel_futures=cancel_futures)
+                recorder.release.set()
+                super().shutdown(wait=wait)
+
+        def recording_draw(stream, block):
+            k, slot = self.local.task, block.__array_interface__["data"][0]
+            with self.lock:
+                if slot in self.busy.values():
+                    self.clashes.append((k, slot))
+                self.busy[k] = slot
+                self.slots.add(slot)
+                self.most = max(self.most, len(self.busy))
+            if hold_from is not None and k >= hold_from:
+                self.release.wait(timeout=60)
+            if k == fail:
+                raise FloatingPointError("worker failed")
+            return draw(stream, block)
+
+        monkeypatch.setattr(sampler, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(sampler, "_draw_normals", recording_draw)
+
+    def _run(self, k, fn, *args):
+        self.local.task = k
+        try:
+            return fn(*args)
+        finally:
+            with self.lock:
+                self.busy.pop(k, None)
+
+    def note(self, event):
+        with self.lock:
+            self.events.append(event)
+
+
+def _batch_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("roughvix-batches")]
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_the_kernel_queues_one_batch_ahead_of_its_workers(monkeypatch, workers):
+    # Batch t + w + 1 is submitted before batch t is yielded, so a worker
+    # that finishes finds a batch waiting; no more than w + 1 are queued.
+    monkeypatch.setattr(sampler, "_WORKERS", workers)
+    recorder = _Recorder(monkeypatch)
+    tasks, spec = 8, gaussian_spec(PB, 6)
+    batches = vix2_batches(SchemeKind.RECTANGLE, spec, tasks * batch_size(6), 1, (DOMAIN_MLMC,))
+    for t, _ in enumerate(batches):
+        recorder.note(("yield", t))
+    submitted, before_yield = 0, []
+    for kind, _ in recorder.events:
+        submitted += kind == "submit"
+        if kind == "yield":
+            before_yield.append(submitted)
+    assert before_yield == [min(t + workers + 2, tasks) for t in range(tasks)]
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_no_slot_is_formed_in_by_two_batches_at_once(monkeypatch, workers):
+    # A consumer that sleeps lets the w + 1 queued batches run together,
+    # and a short switch interval interleaves the workers' slot handling.
+    monkeypatch.setattr(sampler, "_WORKERS", workers)
+    recorder = _Recorder(monkeypatch)
+    runs = [
+        (gaussian_spec(PB, 6), 4 * batch_size(6), (1,), ()),
+        (gaussian_spec(PB, 24), 3 * batch_size(24), (2,), (2,)),
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in vix2_runs(SchemeKind.TRAPEZOID, runs, 1):
+            time.sleep(0.01)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(recorder.futures) == 7
+    assert recorder.clashes == []
+    assert recorder.most >= 2 and len(recorder.slots) <= workers
+
+
+def _close_with_batches_queued(monkeypatch, workers):
+    """Close a call of 8 batches after its first two, with w + 1 queued.
+
+    Batches from 2 on are held as they start, so the w workers hold
+    batches 2 .. w + 1 and batch w + 2 is still queued at the close.
+    """
+    monkeypatch.setattr(sampler, "_WORKERS", workers)
+    recorder = _Recorder(monkeypatch, hold_from=2)
+    spec = gaussian_spec(PB, 6)
+    batches = vix2_batches(SchemeKind.RECTANGLE, spec, 8 * batch_size(6), 1, (DOMAIN_MLMC,))
+    next(batches)
+    next(batches)
+    assert len(recorder.futures) == workers + 3
+    batches.close()
+    return recorder
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_closing_a_kernel_cancels_its_queued_batches(monkeypatch, workers):
+    baseline = threading.active_count()
+    recorder = _close_with_batches_queued(monkeypatch, workers)
+    assert recorder.futures[-1].cancelled()
+    assert all(future.done() for future in recorder.futures)
+    assert _batch_threads() == []
+    assert threading.active_count() == baseline
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_closing_a_kernel_with_batches_queued_restores_the_blas_count(
+    monkeypatch, blas_count, workers
+):
+    _close_with_batches_queued(monkeypatch, workers)
+    assert blas_count() == 2
+
+
+def _fail_with_batches_queued(monkeypatch, workers):
+    """Run 8 batches in which batch 2 raises in its worker, while the
+    batches after it are held, so w + 1 batches are queued when it fails.
+    Returns the recorder once the error has reached the caller."""
+    monkeypatch.setattr(sampler, "_WORKERS", workers)
+    recorder = _Recorder(monkeypatch, hold_from=3, fail=2)
+    spec = gaussian_spec(PB, 6)
+    taken = []
+    with pytest.raises(FloatingPointError, match="worker failed"):
+        batches = vix2_batches(SchemeKind.RECTANGLE, spec, 8 * batch_size(6), 1, (DOMAIN_MLMC,))
+        for batch in batches:
+            taken.append(batch)
+    assert len(taken) == 2
+    # Batches 0 .. w + 2 were submitted, and none after batch 2 failed.
+    assert len(recorder.futures) == workers + 3
+    assert all(future.done() for future in recorder.futures)
+    return recorder
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_an_error_in_a_worker_with_batches_queued_stops_the_threads(monkeypatch, workers):
+    baseline = threading.active_count()
+    _fail_with_batches_queued(monkeypatch, workers)
+    assert _batch_threads() == []
+    assert threading.active_count() == baseline
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_an_error_in_a_worker_with_batches_queued_restores_the_blas_count(
+    monkeypatch, blas_count, workers
+):
+    _fail_with_batches_queued(monkeypatch, workers)
+    assert blas_count() == 2
+
+
 def _fail_on_third_row_blocks(monkeypatch):
     """Make `sampler._row_blocks` raise on its 3rd call; returns the callers' thread names."""
     row_blocks = sampler._row_blocks
@@ -321,11 +506,12 @@ def test_mlmc_price_holds_one_set_of_worker_slots_for_all_levels(monkeypatch, sc
     # of rank r at grid n, widest batch W_l and g_l grids (1 at level 0,
     # else 2) needs (r+1) x W_l normals, a row buffer of min((n+1) x W_l,
     # 2^19), e0 of W_l, and the accumulator and a product's temporary of
-    # g_l x W_l.  At most w + 1 batches' outputs are alive, each of g x W
-    # (fine and coarse VIX^2, no control variate), with W = 32768 the
-    # widest batch and g = 2.  The rest is a few vectors of width W (the
-    # payoffs and their accumulation) and the levels' tables, bounded here
-    # by 16 of them.
+    # g_l x W_l.  The kernel holds at most w + 2 batches' outputs (w + 1
+    # queued and the one it yields), each of g x W (fine and coarse VIX^2,
+    # no control variate), with W = 32768 the widest batch and g = 2.  The
+    # rest is a few vectors of width W (the payoffs and their accumulation,
+    # and the consumer's previous batch while it asks for the next) and the
+    # levels' tables, bounded here by 16 of them.
     monkeypatch.setattr(sampler, "_WORKERS", workers)
     plan = mlmc_plan(5e-4, 6, scheme, CALL, PB)
     components, tasks = [], 0
@@ -338,7 +524,7 @@ def test_mlmc_price_holds_one_set_of_worker_slots_for_all_levels(monkeypatch, sc
     assert tasks == 21
     slot = sum(max(column) for column in zip(*components))
     W, g = batch_size(6), 2
-    bound = 8 * (min(workers, tasks) * slot + min(workers + 1, tasks) * g * W + 16 * W)
+    bound = 8 * (min(workers, tasks) * slot + min(workers + 2, tasks) * g * W + 16 * W)
     tracemalloc.start()
     try:
         mlmc_price(plan, CALL, PB, seed=2)
@@ -351,9 +537,9 @@ def test_mlmc_price_holds_one_set_of_worker_slots_for_all_levels(monkeypatch, sc
 def _fail_in_a_later_level(monkeypatch):
     """The fig3 plan at eps = 5e-3, with `_fail_on_third_row_blocks` set.
 
-    Each of its four levels is one batch, and on two workers level 2 is
-    submitted only after level 0 has formed, so the third call of
-    `_row_blocks` forms level 2 or 3.
+    Each of its four levels is one batch, and on two workers levels 0
+    and 1 start first, so the third call of `_row_blocks` forms level 2
+    or 3.
     """
     plan = mlmc_plan(5e-3, 6, SchemeKind.RECTANGLE, CALL, PB)
     assert [len(batch_sizes(n, m)) for n, m in zip(plan.n_levels, plan.m_levels)] == [1] * 4
