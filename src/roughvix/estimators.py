@@ -352,7 +352,7 @@ def mlmc_plan(
     level gets at least 2 samples, the least that has a sample variance
     (as ``mc_price`` requires ``M >= 2``).
     """
-    if not (0 < epsilon < math.inf):
+    if isinstance(epsilon, bool) or not (0 < epsilon < math.inf):
         raise UsageError(f"epsilon must be finite and > 0, got {epsilon}")
     n0 = _whole(n0, 1, "n0")
     if constants not in ("auto", "closed-form", "pilot"):

@@ -28,7 +28,7 @@ from .errors import HypothesisError, UsageError
 from .estimators import lambda_constant, mc_price, mlmc_plan, mlmc_price
 from .model import ModelParams, _whole, gaussian_spec
 from .payoffs import Payoff
-from .sampler import DOMAIN_EXPERIMENT, vix2_batches
+from .sampler import DOMAIN_EXPERIMENT, vix2_runs
 from .schemes import SchemeKind
 
 __all__ = [
@@ -186,12 +186,9 @@ def strong_error_curve(
     spec = gaussian_spec(params, n_ref)
     sq_sums = {n: [] for n in n_values}
     quad_sums = {n: [] for n in n_values}
-    batches = vix2_batches(
-        scheme, spec, M, seed, (DOMAIN_EXPERIMENT, _EXP_STRONG),
-        coarse_steps=[n_ref // n for n in n_values],
-    )
-    with closing(batches):
-        for v_ref, coarse, _ in batches:
+    run = (spec, M, (DOMAIN_EXPERIMENT, _EXP_STRONG), [n_ref // n for n in n_values])
+    with closing(vix2_runs(scheme, [run], seed)) as batches:
+        for _, v_ref, coarse, _ in batches:
             for n, v in zip(n_values, coarse):
                 diff = v_ref - v
                 sq = diff * diff

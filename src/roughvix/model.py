@@ -139,6 +139,9 @@ class ModelParams:
     x0: object
 
     def __post_init__(self):
+        for name in ("H", "eta", "T", "Delta", "x0"):
+            if isinstance(getattr(self, name), bool):
+                raise UsageError(f"{name} must be a number, not a bool, got {getattr(self, name)}")
         if not (0.0 < self.H < 1.0):
             raise UsageError(f"H must lie in (0, 1), got {self.H}")
         if not (0.0 <= self.eta < math.inf):

@@ -72,7 +72,11 @@ class Payoff:
 
     def __post_init__(self):
         if self.kind in (PayoffKind.CALL, PayoffKind.PUT):
-            if self.strike is None or not 0 < self.strike < math.inf:
+            if (
+                self.strike is None
+                or isinstance(self.strike, bool)
+                or not 0 < self.strike < math.inf
+            ):
                 raise UsageError(
                     f"{self.kind.value} strike must be finite and > 0, got {self.strike}"
                 )

@@ -51,25 +51,25 @@ takes it from the batch's normals as ``w . mu + (F^T w) . G``
 
 Each batch is one task, from its normals to its VIX^2, on one pool of
 ``w`` worker threads per call, one per CPU the process may run on and at
-most one per task; a call with one batch, or a process with one CPU,
-forms its batches inline in one slot with no pool.  The pool spans the
-call's runs: the tasks are run 0's batches in order, then run 1's, and
-so on.  A call makes ``w`` slots when it starts (a normals block, a row
-buffer, ``e0``, the accumulator and one product's temporary, each sized
-for the largest run) and keeps them on a free list: a task takes any
-free slot when it starts and puts it back when its batch is formed.
-The calling thread keeps ``w + 1`` tasks submitted, submitting task
-``t + w + 1`` as soon as it has taken task ``t``'s result and before it
-yields it, so a worker that finishes finds a task waiting.  It makes
-each run's tables once, every stream and every batch's outputs, and
-yields the results in task order, so the workers allocate nothing; a
-call holds ``w`` slots and the outputs of at most ``w + 2`` batches
-(``w + 1`` submitted and the one it yields; its caller may still hold
-the one before).  While a call runs, OpenBLAS is held at one thread
-(:class:`_OneBlasThread`), so each worker's products run on one thread
-and the pool is the only parallelism.  Under OpenBLAS's SkylakeX kernels
-a product's bits do not depend on the BLAS thread count; under its
-Haswell kernels they can.
+most one per task: a call of one batch, or any call in a process with
+one CPU, has one worker, and a call with no runs starts no pool.  The
+pool spans the call's runs: the tasks are run 0's batches in order, then
+run 1's, and so on.  A call makes ``w`` slots when it starts (a normals
+block, a row buffer, ``e0``, the accumulator and one product's
+temporary, each sized for the largest run) and keeps them on a free
+list: a task takes any free slot when it starts and puts it back when
+its batch is formed.  The calling thread keeps ``w + 1`` tasks
+submitted, submitting task ``t + w + 1`` as soon as it has taken task
+``t``'s result and before it yields it, so a worker that finishes finds
+a task waiting.  It makes each run's tables once, every stream and
+every batch's outputs, and yields the results in task order, so the
+workers allocate nothing; a call holds ``w`` slots and the outputs of at
+most ``w + 2`` batches (``w + 1`` submitted and the one it yields; its
+caller may still hold the one before).  While a call runs, OpenBLAS is
+held at one thread (:class:`_OneBlasThread`), so each worker's products
+run on one thread and the pool is the only parallelism.  Under
+OpenBLAS's SkylakeX kernels a product's bits do not depend on the BLAS
+thread count; under its Haswell kernels they can.
 Rounding stays far below the quadrature error being studied.
 """
 
@@ -83,13 +83,12 @@ import queue
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
 
 import numpy as np
 from scipy.special import ndtri
 
 from .errors import UsageError
-from .model import CholeskyFactor, GaussianSpec, ModelParams, gaussian_spec
+from .model import CholeskyFactor, ModelParams, gaussian_spec
 from .schemes import SchemeKind, _weight_rows, geometric_projection
 
 __all__ = [
@@ -290,6 +289,8 @@ def vix2_runs(kind: SchemeKind, runs, seed: int, geometric: bool = False):
         # The run's slot at its widest batch: the normals block, the row buffer
         # (every row block fits), e0, acc and one product's temporary.
         sizes.append(((rank + 1) * m, min((n + 1) * m, _ROW_BLOCK_BUDGET), m, g * m, g * m))
+    if not tasks:
+        return
     workers = min(_WORKERS, len(tasks))
     free = queue.SimpleQueue()
     for _ in range(workers):
@@ -336,10 +337,6 @@ def vix2_runs(kind: SchemeKind, runs, seed: int, geometric: bool = False):
         return run, fine, coarse, cv
 
     with _ONE_BLAS_THREAD:
-        if workers < 2:
-            for t in range(len(tasks)):
-                yield form(*task(t))
-            return
         pool = ThreadPoolExecutor(workers, thread_name_prefix="roughvix-batches")
         try:
             queued = deque(pool.submit(form, *task(t)) for t in range(min(workers + 1, len(tasks))))
@@ -350,21 +347,6 @@ def vix2_runs(kind: SchemeKind, runs, seed: int, geometric: bool = False):
                 yield result
         finally:
             pool.shutdown(cancel_futures=True)
-
-
-def vix2_batches(
-    kind: SchemeKind,
-    spec: GaussianSpec,
-    total: int,
-    seed: int,
-    key: tuple,
-    coarse_steps=(),
-    geometric: bool = False,
-):
-    """The one-run kernel: ``(fine, coarse, cv)`` per batch of :func:`vix2_runs`."""
-    with closing(vix2_runs(kind, [(spec, total, key, coarse_steps)], seed, geometric)) as batches:
-        for _, fine, coarse, cv in batches:
-            yield fine, coarse, cv
 
 
 def batch_size(n: int) -> int:

@@ -228,8 +228,9 @@ def row_block_batches(kind, spec, total, seed, key, coarse_steps=(), geometric=F
     the grid's row 0 ``e0`` and adds ``A[:, a:b] @ (block - e0)`` to a
     ``grids x width`` accumulator, ``A`` the scheme's integer weight rows
     placed on every ``step``-th point; grid ``g`` is ``e0 + acc_g / d_g``.
-    No column tiles, no worker pool.  Yields ``(fine, coarse, cv)`` as
-    ``vix2_batches`` does, ``cv`` None unless `geometric`.
+    No column tiles, no worker pool.  Yields ``(fine, coarse, cv)`` as a
+    one-run ``vix2_runs`` call does after its run index, ``cv`` None unless
+    `geometric`.
     """
     n = spec.n
     rows, divisors = [], []
@@ -268,8 +269,8 @@ def oracle_batches(kind, spec, total, seed, key, coarse_steps=()):
     the batch's stream, restricts it with repeated ``restrict_to_coarse``
     (so each step must be a power of two), and evaluates ``scheme_vix2``
     on those samples.  The control variate is ``exp(w . mu + (F^T w) .
-    G)`` from the draw's normals ``G``.  Yields ``(fine, coarse, cv)`` as
-    ``vix2_batches`` does.
+    G)`` from the draw's normals ``G``.  Yields ``(fine, coarse, cv)`` as a
+    one-run ``vix2_runs`` call does after its run index.
     """
     n = spec.n
     for index, width in enumerate(batch_sizes(n, total)):

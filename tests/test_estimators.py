@@ -29,7 +29,7 @@ from roughvix import (
 from roughvix.errors import NumericError
 from roughvix.estimators import Estimate, _sample_moments
 from roughvix.payoffs import cv_corrected_payoff, cv_moments, cv_price
-from roughvix.sampler import DOMAIN_MC, DOMAIN_MLMC, vix2_batches
+from roughvix.sampler import DOMAIN_MC, DOMAIN_MLMC, vix2_runs
 
 from oracles import exact_scheme_mean, geometric_vix2, oracle_batches, sample_fine
 
@@ -94,7 +94,8 @@ def test_mc_price_mean_matches_exact_discrete_expectation():
     # E[sqrt] != sqrt(E[.]), so use the identity payoff via vix^2 == future^2:
     # price the square by evaluating the scheme value directly.
     spec = gaussian_spec(PB, n)
-    draws = [fine for fine, _, _ in vix2_batches(SchemeKind.RECTANGLE, spec, M, 123, (DOMAIN_MC,))]
+    batches = vix2_runs(SchemeKind.RECTANGLE, [(spec, M, (DOMAIN_MC,), ())], 123)
+    draws = [fine for _, fine, _, _ in batches]
     values = np.concatenate(draws)
     se = float(np.std(values, ddof=1)) / math.sqrt(M)
     assert float(np.mean(values)) == pytest.approx(exact, abs=4 * se)
@@ -132,8 +133,8 @@ def test_mc_price_reconstructs_from_the_stream_contract():
     # accumulation must reproduce the estimate bit for bit, including
     # across multiple batches.
     n, M, seed = 6, 70_000, 9
-    batches = vix2_batches(SchemeKind.RECTANGLE, gaussian_spec(PB, n), M, seed, (DOMAIN_MC,))
-    draws = [payoff_eval(CALL, fine) for fine, _, _ in batches]
+    batches = vix2_runs(SchemeKind.RECTANGLE, [(gaussian_spec(PB, n), M, (DOMAIN_MC,), ())], seed)
+    draws = [payoff_eval(CALL, fine) for _, fine, _, _ in batches]
     mean, var = _public_moments(draws)
 
     est = mc_price(SchemeKind.RECTANGLE, n, M, CALL, False, PB, seed=seed)
@@ -263,6 +264,8 @@ def test_plan_refuses_a_non_finite_target(epsilon):
 def test_plan_validation():
     with pytest.raises(UsageError):
         mlmc_plan(0.0, 6, SchemeKind.RECTANGLE, CALL, PB)
+    with pytest.raises(UsageError, match="epsilon"):
+        mlmc_plan(True, 6, SchemeKind.RECTANGLE, CALL, PB)
     with pytest.raises(UsageError):
         mlmc_plan(0.01, 0, SchemeKind.RECTANGLE, CALL, PB)
     for n0 in [2.5, math.nan, math.inf, True]:
@@ -482,7 +485,7 @@ KERNEL_ORACLE_RTOL = 2e-14
 
 def _assert_close_batches(kernel, oracle):
     count = 0
-    for (fine, coarse, cv), (fine_ref, coarse_ref, cv_ref) in zip(kernel, oracle, strict=True):
+    for (_, fine, coarse, cv), (fine_ref, coarse_ref, cv_ref) in zip(kernel, oracle, strict=True):
         np.testing.assert_allclose(fine, fine_ref, rtol=KERNEL_ORACLE_RTOL, atol=0)
         for c, c_ref in zip(coarse, coarse_ref, strict=True):
             np.testing.assert_allclose(c, c_ref, rtol=KERNEL_ORACLE_RTOL, atol=0)
@@ -510,7 +513,7 @@ def test_batch_kernel_matches_the_one_pass_oracle(scheme, n, total):
     # control variate, per draw, against the one-pass oracle.
     spec = gaussian_spec(PB, n)
     key = (DOMAIN_MLMC, 1)
-    kernel = vix2_batches(scheme, spec, total, 17, key, coarse_steps=(2,), geometric=True)
+    kernel = vix2_runs(scheme, [(spec, total, key, (2,))], 17, geometric=True)
     oracle = oracle_batches(scheme, spec, total, 17, key, coarse_steps=(2,))
     assert _assert_close_batches(kernel, oracle) == total
 
@@ -523,7 +526,7 @@ def test_sampled_control_variate_agrees_with_the_grid_average(scheme, n):
     # length; they differ by rounding only.
     spec = gaussian_spec(PB, n)
     total, seed, key = 2365, 21, (DOMAIN_MC,)
-    ((_, _, cv),) = vix2_batches(scheme, spec, total, seed, key, geometric=True)
+    ((_, _, _, cv),) = vix2_runs(scheme, [(spec, total, key, ())], seed, geometric=True)
     sample = sample_fine(spec.factor, spec.mean, stream_for(seed, *key, 0), size=total)
     grid = geometric_vix2(sample.values, scheme)
     bound = (n + 1) * 2.0**-53 * np.max(np.abs(sample.values))
@@ -538,9 +541,10 @@ def test_mc_price_accumulates_the_kernel_values(scheme, use_cv):
     n, M, seed = 250, 32_768 + 179, 4
     spec = gaussian_spec(PB, n)
     cv_n = cv_price(CALL, cv_moments(spec, scheme))
+    batches = vix2_runs(scheme, [(spec, M, (DOMAIN_MC,), ())], seed, geometric=use_cv)
     draws = (
         cv_corrected_payoff(CALL, fine, cv, cv_n) if use_cv else payoff_eval(CALL, fine)
-        for fine, _, cv in vix2_batches(scheme, spec, M, seed, (DOMAIN_MC,), geometric=use_cv)
+        for _, fine, _, cv in batches
     )
     mean, var = _public_moments(draws)
     est = mc_price(scheme, n, M, CALL, use_cv, PB, seed=seed)
@@ -556,8 +560,8 @@ def test_level_moments_accumulate_the_kernel_values(scheme, level):
     steps = (2,) if level > 0 else ()
     draws = (
         payoff_eval(CALL, fine) - (payoff_eval(CALL, coarse[0]) if level > 0 else 0.0)
-        for fine, coarse, _ in vix2_batches(
-            scheme, spec, m, seed, (*key, DOMAIN_MLMC, level), coarse_steps=steps
+        for _, fine, coarse, _ in vix2_runs(
+            scheme, [(spec, m, (*key, DOMAIN_MLMC, level), steps)], seed
         )
     )
     mean, var = _public_moments(draws)

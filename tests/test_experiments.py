@@ -20,7 +20,7 @@ from roughvix import (
 )
 from roughvix.experiments import PRESET_NAMES
 from roughvix.model import gaussian_spec
-from roughvix.sampler import DOMAIN_EXPERIMENT, vix2_batches
+from roughvix.sampler import DOMAIN_EXPERIMENT, vix2_runs
 
 from oracles import oracle_batches
 
@@ -150,9 +150,9 @@ def test_strong_error_coarse_grids_match_the_one_pass_oracle(scheme, n_ref, tota
     spec = gaussian_spec(PB, n_ref)
     steps = (2, 4, 8)
     key = (DOMAIN_EXPERIMENT, 1)
-    kernel = vix2_batches(scheme, spec, total, 21, key, coarse_steps=steps)
+    kernel = vix2_runs(scheme, [(spec, total, key, steps)], 21)
     oracle = oracle_batches(scheme, spec, total, 21, key, coarse_steps=steps)
-    for (fine, coarse, cv), (fine_ref, coarse_ref, _) in zip(kernel, oracle, strict=True):
+    for (_, fine, coarse, cv), (fine_ref, coarse_ref, _) in zip(kernel, oracle, strict=True):
         assert cv is None
         np.testing.assert_allclose(fine, fine_ref, rtol=2e-14, atol=0)
         for c, c_ref in zip(coarse, coarse_ref, strict=True):

@@ -100,6 +100,10 @@ def test_params_validation():
         ModelParams(H=0.3, eta=0.5, T=1.0, Delta=0.0, x0=0.0)
     with pytest.raises(UsageError):
         ModelParams(H=0.3, eta=0.5, T=1.0, Delta=0.5, x0=float("inf"))
+    good = dict(H=0.3, eta=0.5, T=1.0, Delta=0.5, x0=0.0)
+    for key in good:
+        with pytest.raises(UsageError, match=f"{key} must be a number, not a bool"):
+            ModelParams(**{**good, key: True})
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])

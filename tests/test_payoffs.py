@@ -46,6 +46,9 @@ def test_payoff_validation():
         Payoff(PayoffKind.PUT, strike=-0.5)
     with pytest.raises(UsageError):
         Payoff(PayoffKind.FUTURE, strike=0.1)
+    for kind in (PayoffKind.CALL, PayoffKind.PUT):
+        with pytest.raises(UsageError, match="strike must be finite and > 0"):
+            Payoff(kind, strike=True)
 
 
 @pytest.mark.parametrize("strike", [math.inf, math.nan, -math.inf])

@@ -30,7 +30,7 @@ from roughvix.sampler import (
     _draw_normals,
     _row_blocks,
     _standard_normals,
-    vix2_batches,
+    vix2_runs,
 )
 from roughvix.schemes import geometric_projection
 
@@ -272,16 +272,15 @@ def test_column_tiles_give_the_bits_of_full_width_row_blocks(
     # some OpenBLAS cores (Haswell) a product's bits depend on the count.
     monkeypatch.setattr(sampler, "_WORKERS", workers)
     spec = gaussian_spec(PB, n)
-    args = (scheme, spec, total, 8, (DOMAIN_MC, n), (2,), True)
-    kernel = list(vix2_batches(*args))
+    kernel = list(vix2_runs(scheme, [(spec, total, (DOMAIN_MC, n), (2,))], 8, geometric=True))
     with sampler._ONE_BLAS_THREAD:
-        oracle = list(row_block_batches(*args))
+        oracle = list(row_block_batches(scheme, spec, total, 8, (DOMAIN_MC, n), (2,), True))
     assert len(kernel) == len(oracle) == len(batch_sizes(n, total))
 
     def hexes(fine, coarse, cv):
         return [[x.hex() for x in a.tolist()] for a in (fine, *coarse, cv)]
 
-    for got, want in zip(kernel, oracle):
+    for (_, *got), want in zip(kernel, oracle):
         assert hexes(*got) == hexes(*want)
 
 
@@ -324,10 +323,10 @@ def test_sampling_is_bit_reproducible():
     np.testing.assert_array_equal(one, two)
     for scheme in SchemeKind:
         runs = [
-            list(vix2_batches(scheme, spec, 70_001, 3, (4, 5), coarse_steps=(2, 5), geometric=True))
+            list(vix2_runs(scheme, [(spec, 70_001, (4, 5), (2, 5))], 3, geometric=True))
             for _ in range(2)
         ]
-        for (f1, c1, v1), (f2, c2, v2) in zip(*runs, strict=True):
+        for (_, f1, c1, v1), (_, f2, c2, v2) in zip(*runs, strict=True):
             assert np.array_equal(f1, f2) and np.array_equal(v1, v2)
             assert all(np.array_equal(a, b) for a, b in zip(c1, c2, strict=True))
 

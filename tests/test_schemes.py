@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from roughvix import SchemeKind, UsageError, stream_for, vix_from_vix2
-from roughvix.sampler import vix2_batches
+from roughvix.sampler import vix2_runs
 from roughvix.schemes import _quadrature_weights, _weight_rows
 
 from oracles import contract_normals, quadrature_weights
@@ -27,7 +27,7 @@ def _law(mean, factor=None):
 
 def _kernel(kind, law, total=3, coarse_steps=()):
     """The kernel's fine and coarse VIX^2 of `total` draws, in one batch."""
-    ((fine, coarse, _),) = vix2_batches(kind, law, total, 0, (1,), coarse_steps)
+    ((_, fine, coarse, _),) = vix2_runs(kind, [(law, total, (1,), coarse_steps)], 0)
     return fine, coarse
 
 

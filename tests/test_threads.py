@@ -1,13 +1,13 @@
-"""Batches formed on worker threads: the inline bits, and no thread left behind.
+"""Batches formed on worker threads: the one-worker bits, and no thread left behind.
 
 The batch kernel forms each batch, from its normals to its VIX^2, as one
-task on a pool of ``sampler._WORKERS`` threads; with one worker it forms
-them inline.  One call forms the batches of all its runs (an estimate's
-levels) on one pool, with one batch more queued than it has workers,
-each batch in a slot that no other batch holds while it forms.  Every
-batch has its own stream and width, so each output must be the same
-float at every worker count, and a run's batches the same in a call of
-many runs as in a call of its own.
+task on a pool of ``sampler._WORKERS`` threads, one worker when there is
+one CPU or one batch.  One call forms the batches of all its runs (an
+estimate's levels) on one pool, with one batch more queued than it has
+workers, each batch in a slot that no other batch holds while it forms.
+Every batch has its own stream and width, so each output must be the
+same float at every worker count, and a run's batches the same in a call
+of many runs as in a call of its own.
 
 While it runs, the kernel holds OpenBLAS at one thread and then
 restores the count it found, once across concurrent calls.  The
@@ -40,7 +40,7 @@ from roughvix import (
 )
 from roughvix import estimators, sampler
 from roughvix.estimators import _sample_moments
-from roughvix.sampler import DOMAIN_MLMC, batch_size, batch_sizes, vix2_batches, vix2_runs
+from roughvix.sampler import DOMAIN_MLMC, batch_size, batch_sizes, vix2_runs
 
 X0 = math.log(0.235**2)
 PB = ModelParams(H=0.1, eta=0.5, T=0.5, Delta=1.0 / 12.0, x0=X0)
@@ -48,8 +48,8 @@ CALL = Payoff(PayoffKind.CALL, strike=0.1)
 HERE = Path(__file__).resolve().parent
 SRC = HERE.parent / "src"
 
-# Worker counts compared with the inline path (one worker): the pool at
-# two and at three threads, whatever the host's CPU count.
+# Worker counts compared with a pool of one worker: the pool at two and
+# at three threads, whatever the host's CPU count.
 WORKERS = (1, 2, 3)
 
 
@@ -73,8 +73,8 @@ def test_mc_price_is_the_same_at_every_worker_count(monkeypatch, scheme, use_cv)
         est = mc_price(scheme, n, M, CALL, use_cv, PB, seed=6)
         return est.value.hex(), est.std_error.hex()
 
-    inline, *threaded = _at_each_worker_count(monkeypatch, run)
-    assert threaded == [inline] * len(threaded)
+    one, *threaded = _at_each_worker_count(monkeypatch, run)
+    assert threaded == [one] * len(threaded)
 
 
 @pytest.mark.parametrize("level", [0, 1, 2, 3])
@@ -88,8 +88,8 @@ def test_level_moments_are_the_same_at_every_worker_count(monkeypatch, scheme, l
         (acc,) = _sample_moments(scheme, CALL, [(spec, m, (2, DOMAIN_MLMC, level), level > 0)], 12)
         return acc.mean.hex(), acc.variance.hex()
 
-    inline, *threaded = _at_each_worker_count(monkeypatch, run)
-    assert threaded == [inline] * len(threaded)
+    one, *threaded = _at_each_worker_count(monkeypatch, run)
+    assert threaded == [one] * len(threaded)
 
 
 @pytest.mark.parametrize("scheme", list(SchemeKind))
@@ -102,8 +102,8 @@ def test_mlmc_price_is_the_same_at_every_worker_count(monkeypatch, scheme):
         est = mlmc_price(plan, CALL, PB, seed=5)
         return est.value.hex(), est.std_error.hex(), est.bias_proxy.hex()
 
-    inline, *threaded = _at_each_worker_count(monkeypatch, run)
-    assert threaded == [inline] * len(threaded)
+    one, *threaded = _at_each_worker_count(monkeypatch, run)
+    assert threaded == [one] * len(threaded)
 
 
 # (n, total, coarse_steps) of five runs, more than any worker count in
@@ -140,15 +140,15 @@ def test_a_call_of_many_runs_gives_the_bits_of_one_call_per_run(monkeypatch, sch
         ]
         apart = [
             (index, _bits(*batch))
-            for index, (spec, total, key, steps) in enumerate(runs)
-            for batch in vix2_batches(scheme, spec, total, 4, key, steps, geometric)
+            for index, alone in enumerate(runs)
+            for _, *batch in vix2_runs(scheme, [alone], 4, geometric)
         ]
         assert len(together) == 8
         assert together == apart
         return together
 
-    inline, *threaded = _at_each_worker_count(monkeypatch, run)
-    assert threaded == [inline] * len(threaded)
+    one, *threaded = _at_each_worker_count(monkeypatch, run)
+    assert threaded == [one] * len(threaded)
 
 
 def test_strong_error_curve_is_the_same_at_every_worker_count(monkeypatch):
@@ -156,15 +156,15 @@ def test_strong_error_curve_is_the_same_at_every_worker_count(monkeypatch):
         curve = strong_error_curve(SchemeKind.TRAPEZOID, (8, 16, 32), 64, 70_001, PB, seed=4)
         return [x.hex() for x in (*curve.errors, *curve.ci_halfwidths, curve.fitted_slope)]
 
-    inline, *threaded = _at_each_worker_count(monkeypatch, run)
-    assert threaded == [inline] * len(threaded)
+    one, *threaded = _at_each_worker_count(monkeypatch, run)
+    assert threaded == [one] * len(threaded)
 
 
 def test_closing_a_half_consumed_kernel_stops_its_threads(monkeypatch):
     monkeypatch.setattr(sampler, "_WORKERS", 2)
     baseline = threading.active_count()
     spec = gaussian_spec(PB, 6)
-    batches = vix2_batches(SchemeKind.RECTANGLE, spec, 5 * batch_size(6), 1, (DOMAIN_MLMC,))
+    batches = vix2_runs(SchemeKind.RECTANGLE, [(spec, 5 * batch_size(6), (DOMAIN_MLMC,), ())], 1)
     next(batches)
     next(batches)
     assert threading.active_count() > baseline
@@ -234,7 +234,7 @@ def test_an_error_in_a_worker_reaches_the_caller(monkeypatch):
 def test_mc_price_holds_its_worker_slots_and_batch_outputs(monkeypatch, workers):
     # The ref-b protocol, M = 2e5 with the control variate: six batches of
     # 32768 draws and one of 3392 at n = 250 (r = 14), on g = 1 grid.
-    # With w workers (one slot, inline) each slot holds a block of
+    # With w workers, each of the w slots holds a block of
     # (r+1) x W normals, a row buffer of at most 2^19 values, and e0, the
     # accumulator and a product's temporary, (2g+1) x W; the kernel holds
     # at most w + 2 batches' outputs of (g+1) x W (VIX^2 per grid and the
@@ -261,7 +261,7 @@ def test_mc_price_holds_its_worker_slots_and_batch_outputs(monkeypatch, workers)
     assert peak < bound
 
 
-def test_fewer_batches_than_workers_give_the_inline_bits(monkeypatch):
+def test_fewer_batches_than_workers_give_the_one_worker_bits(monkeypatch):
     n = 250
     M = batch_size(n) + 179
 
@@ -288,8 +288,8 @@ def test_batches_of_many_row_blocks_with_a_coarse_grid_are_the_same_at_every_wor
         (acc,) = _sample_moments(SchemeKind.TRAPEZOID, CALL, [level], 12)
         return acc.mean.hex(), acc.variance.hex()
 
-    inline, *threaded = _at_each_worker_count(monkeypatch, run)
-    assert threaded == [inline] * len(threaded)
+    one, *threaded = _at_each_worker_count(monkeypatch, run)
+    assert threaded == [one] * len(threaded)
 
 
 class _Recorder:
@@ -361,14 +361,15 @@ def _batch_threads():
     return [t for t in threading.enumerate() if t.name.startswith("roughvix-batches")]
 
 
-@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 def test_the_kernel_queues_one_batch_ahead_of_its_workers(monkeypatch, workers):
     # Batch t + w + 1 is submitted before batch t is yielded, so a worker
     # that finishes finds a batch waiting; no more than w + 1 are queued.
     monkeypatch.setattr(sampler, "_WORKERS", workers)
     recorder = _Recorder(monkeypatch)
     tasks, spec = 8, gaussian_spec(PB, 6)
-    batches = vix2_batches(SchemeKind.RECTANGLE, spec, tasks * batch_size(6), 1, (DOMAIN_MLMC,))
+    run = (spec, tasks * batch_size(6), (DOMAIN_MLMC,), ())
+    batches = vix2_runs(SchemeKind.RECTANGLE, [run], 1)
     for t, _ in enumerate(batches):
         recorder.note(("yield", t))
     submitted, before_yield = 0, []
@@ -410,7 +411,7 @@ def _close_with_batches_queued(monkeypatch, workers):
     monkeypatch.setattr(sampler, "_WORKERS", workers)
     recorder = _Recorder(monkeypatch, hold_from=2)
     spec = gaussian_spec(PB, 6)
-    batches = vix2_batches(SchemeKind.RECTANGLE, spec, 8 * batch_size(6), 1, (DOMAIN_MLMC,))
+    batches = vix2_runs(SchemeKind.RECTANGLE, [(spec, 8 * batch_size(6), (DOMAIN_MLMC,), ())], 1)
     next(batches)
     next(batches)
     assert len(recorder.futures) == workers + 3
@@ -418,7 +419,7 @@ def _close_with_batches_queued(monkeypatch, workers):
     return recorder
 
 
-@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 def test_closing_a_kernel_cancels_its_queued_batches(monkeypatch, workers):
     baseline = threading.active_count()
     recorder = _close_with_batches_queued(monkeypatch, workers)
@@ -428,7 +429,7 @@ def test_closing_a_kernel_cancels_its_queued_batches(monkeypatch, workers):
     assert threading.active_count() == baseline
 
 
-@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 def test_closing_a_kernel_with_batches_queued_restores_the_blas_count(
     monkeypatch, blas_count, workers
 ):
@@ -443,10 +444,9 @@ def _fail_with_batches_queued(monkeypatch, workers):
     monkeypatch.setattr(sampler, "_WORKERS", workers)
     recorder = _Recorder(monkeypatch, hold_from=3, fail=2)
     spec = gaussian_spec(PB, 6)
-    taken = []
+    taken, run = [], (spec, 8 * batch_size(6), (DOMAIN_MLMC,), ())
     with pytest.raises(FloatingPointError, match="worker failed"):
-        batches = vix2_batches(SchemeKind.RECTANGLE, spec, 8 * batch_size(6), 1, (DOMAIN_MLMC,))
-        for batch in batches:
+        for batch in vix2_runs(SchemeKind.RECTANGLE, [run], 1):
             taken.append(batch)
     assert len(taken) == 2
     # Batches 0 .. w + 2 were submitted, and none after batch 2 failed.
@@ -455,7 +455,7 @@ def _fail_with_batches_queued(monkeypatch, workers):
     return recorder
 
 
-@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 def test_an_error_in_a_worker_with_batches_queued_stops_the_threads(monkeypatch, workers):
     baseline = threading.active_count()
     _fail_with_batches_queued(monkeypatch, workers)
@@ -463,7 +463,7 @@ def test_an_error_in_a_worker_with_batches_queued_stops_the_threads(monkeypatch,
     assert threading.active_count() == baseline
 
 
-@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 def test_an_error_in_a_worker_with_batches_queued_restores_the_blas_count(
     monkeypatch, blas_count, workers
 ):
@@ -585,16 +585,28 @@ def test_the_kernel_runs_on_one_blas_thread(monkeypatch, blas_count, workers):
     spec = gaussian_spec(PB, 6)
     inside = [
         blas_count()
-        for _ in vix2_batches(SchemeKind.RECTANGLE, spec, 3 * batch_size(6), 1, (DOMAIN_MLMC,))
+        for _ in vix2_runs(SchemeKind.RECTANGLE, [(spec, 3 * batch_size(6), (DOMAIN_MLMC,), ())], 1)
     ]
     assert inside == [1, 1, 1]
+    assert blas_count() == 2
+
+
+def test_a_call_with_no_runs_yields_nothing_and_starts_no_pool(monkeypatch, blas_count):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a call with no runs started a pool")
+
+    monkeypatch.setattr(sampler, "ThreadPoolExecutor", no_pool)
+    baseline = threading.active_count()
+    assert list(vix2_runs(SchemeKind.RECTANGLE, [], 1)) == []
+    assert _batch_threads() == []
+    assert threading.active_count() == baseline
     assert blas_count() == 2
 
 
 def test_closing_a_half_consumed_kernel_restores_the_blas_count(monkeypatch, blas_count):
     monkeypatch.setattr(sampler, "_WORKERS", 2)
     spec = gaussian_spec(PB, 6)
-    batches = vix2_batches(SchemeKind.RECTANGLE, spec, 5 * batch_size(6), 1, (DOMAIN_MLMC,))
+    batches = vix2_runs(SchemeKind.RECTANGLE, [(spec, 5 * batch_size(6), (DOMAIN_MLMC,), ())], 1)
     next(batches)
     next(batches)
     assert blas_count() == 1
