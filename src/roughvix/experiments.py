@@ -253,10 +253,10 @@ def weak_error_curve(
     n_values = _grid_sizes(n_values)
     if M < 2:
         raise UsageError(f"M must be >= 2, got {M}")
-    if not math.isfinite(reference_price):
-        raise UsageError(f"reference_price must be finite, got {reference_price}")
-    if not (0 <= reference_ci < math.inf):
-        raise UsageError(f"reference_ci must be finite and >= 0, got {reference_ci}")
+    if isinstance(reference_price, bool) or not math.isfinite(reference_price):
+        raise UsageError(f"reference_price must be a finite number, got {reference_price}")
+    if isinstance(reference_ci, bool) or not (0 <= reference_ci < math.inf):
+        raise UsageError(f"reference_ci must be a finite number >= 0, got {reference_ci}")
 
     errors, halfwidths, estimates, std_errors = [], [], [], []
     for n in n_values:
@@ -325,12 +325,12 @@ def mse_cost_curve(
         raise UsageError(
             f"unknown estimator family {estimator_family!r}; choose from {FAMILIES}"
         )
-    epsilons = tuple(float(e) for e in epsilons)
+    epsilons = tuple(math.nan if isinstance(e, bool) else float(e) for e in epsilons)
     if len(epsilons) == 0 or not all(0 < e < math.inf for e in epsilons):
-        raise UsageError("epsilons must be nonempty, finite and > 0")
+        raise UsageError("epsilons must be nonempty, finite numbers > 0")
     N_mse = _whole(N_mse, 2, "N_mse")
-    if not math.isfinite(reference_price):
-        raise UsageError(f"reference_price must be finite, got {reference_price}")
+    if isinstance(reference_price, bool) or not math.isfinite(reference_price):
+        raise UsageError(f"reference_price must be a finite number, got {reference_price}")
 
     costs, mses, halfwidths = [], [], []
     plans = []

@@ -16,11 +16,12 @@ that :mod:`.sampler` draws from.  The rough-kernel covariance has a
 numerical rank of about 15 whatever n, so the factorization stops once
 every residual variance is at rounding level (Harbrecht, Peters &
 Schneider 2012, Appl. Numer. Math. 62) and a draw needs ``r`` normals,
-not ``n+1``.  The factor reads only the diagonal and its ``r`` pivot
-rows, so a law evaluates O(r n) closed-form entries; the full matrix
-(:func:`covariance_matrix`, :attr:`GaussianSpec.cov`) is built only for
-checks against it.  Everything here is deterministic; sampling lives in
-:mod:`.sampler`.
+not ``n+1``.  Every covariance value comes from one closed-form row
+routine, the covariance of one date with a set of dates: the factor
+reads the diagonal and its ``r`` pivot rows, O(r n) entries, and the
+full matrix (:func:`covariance_matrix`, :attr:`GaussianSpec.cov`) is
+built a row at a time, only for checks against it.  Everything here is
+deterministic; sampling lives in :mod:`.sampler`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 from scipy import integrate
@@ -83,6 +84,8 @@ class X0Curve:
     mode: str = "step"
 
     def __post_init__(self):
+        if any(isinstance(v, bool) for v in (*self.knots, *self.values)):
+            raise UsageError("X0Curve knots and values must be numbers, not bools")
         knots = tuple(float(k) for k in self.knots)
         values = tuple(float(v) for v in self.values)
         object.__setattr__(self, "knots", knots)
@@ -313,19 +316,14 @@ class GaussianSpec:
         """Read-only pivoted Cholesky factor of the covariance, built on first use.
 
         It evaluates the closed-form diagonal and the r pivot rows only,
-        with the same elementwise operations as :func:`covariance_matrix`,
-        so it equals ``cholesky_factor(self.cov)`` bit for bit.  A
+        with the same routine as :func:`covariance_matrix`, so it equals
+        ``cholesky_factor(self.cov)`` bit for bit.  A
         :class:`~roughvix.errors.FactorizationError` is not cached: every
         access retries the factorization and raises again.
         """
         u, params = grid_for(self.params, self.n).points, self.params
-
-        def row(p):
-            return _covariance_pairs(np.minimum(u, u[p]), np.maximum(u, u[p]), params)
-
-        factor = _pivoted_cholesky(
-            _variance_at(u, params), row, source_key=(params, self.n)
-        )
+        row = partial(_covariance_row, u, params=params)
+        factor = _pivoted_cholesky(_variance_at(u, params), row, source_key=(params, self.n))
         factor.L.flags.writeable = False
         return factor
 
@@ -377,34 +375,30 @@ def _variance_at(u, params: ModelParams):
 def _antiderivative_pair(x: np.ndarray, delta: np.ndarray, H: float) -> np.ndarray:
     """The factor ``x^{H+1/2} * 2F1(1/2-H, 1/2+H; 3/2+H; -x/delta)``.
 
-    Entries with x = 0 contribute 0.
+    Entries with x = 0 give 0: ``0^{H+1/2} = 0`` and 2F1 is 1 there.
     """
-    out = np.zeros_like(x)
-    pos = x > 0
-    if pos.any():
-        args = -x[pos] / delta[pos]
-        f = hyp2f1(0.5 - H, 0.5 + H, 1.5 + H, args)
-        out[pos] = x[pos] ** (H + 0.5) * f
-    return out
+    return x ** (H + 0.5) * hyp2f1(0.5 - H, 0.5 + H, 1.5 + H, -x / delta)
 
 
-def _covariance_pairs(
-    u_lo: np.ndarray, u_hi: np.ndarray, params: ModelParams
-) -> np.ndarray:
-    """Closed-form covariance for ordered pairs ``u_lo <= u_hi`` (vectorized)."""
+def _covariance_row(u: np.ndarray, p: int, params: ModelParams) -> np.ndarray:
+    """Closed-form covariance ``C(u[p], u[j])`` for every date ``u[j]`` in `u`.
+
+    The package's one evaluation of the covariance.  Each pair is ordered,
+    ``lo = min(u[j], u[p]) <= hi = max(u[j], u[p])``; coinciding dates take
+    the diagonal formula, the others the hypergeometric closed form.
+    """
     H, eta, T = params.H, params.eta, params.T
+    u_lo, u_hi = np.minimum(u, u[p]), np.maximum(u, u[p])
     delta = u_hi - u_lo
     out = np.empty_like(u_lo)
     diag = delta == 0.0
-    if diag.any():
-        out[diag] = _variance_at(u_lo[diag], params)
+    out[diag] = _variance_at(u_lo[diag], params)
     off = ~diag
-    if off.any():
-        d = delta[off]
-        lead = eta**2 * d ** (H - 0.5) / (H + 0.5)
-        upper = _antiderivative_pair(u_lo[off], d, H)
-        lower = _antiderivative_pair(np.maximum(u_lo[off] - T, 0.0), d, H)
-        out[off] = lead * (upper - lower)
+    d = delta[off]
+    lead = eta**2 * d ** (H - 0.5) / (H + 0.5)
+    upper = _antiderivative_pair(u_lo[off], d, H)
+    lower = _antiderivative_pair(np.maximum(u_lo[off] - T, 0.0), d, H)
+    out[off] = lead * (upper - lower)
     return out
 
 
@@ -415,33 +409,25 @@ def covariance_entry(u_i: float, u_j: float, params: ModelParams) -> float:
     hypergeometric closed form otherwise; symmetric in its arguments.
     Both dates must lie in ``[T, T + Delta]``.
     """
-    lo, hi = (u_i, u_j) if u_i <= u_j else (u_j, u_i)
-    if lo < params.T or hi > params.T + params.Delta:
+    if min(u_i, u_j) < params.T or max(u_i, u_j) > params.T + params.Delta:
         raise UsageError(
             f"dates must lie in [T, T+Delta] = [{params.T}, {params.T + params.Delta}], "
             f"got ({u_i}, {u_j})"
         )
-    return float(
-        _covariance_pairs(
-            np.asarray([lo], dtype=float), np.asarray([hi], dtype=float), params
-        )[0]
-    )
+    return float(_covariance_row(np.asarray([u_i, u_j], dtype=float), 0, params)[1])
 
 
 def covariance_matrix(params: ModelParams, n: int) -> np.ndarray:
     """Full ``(n+1) x (n+1)`` covariance matrix on the n-step grid of `params`.
 
-    Each unordered pair is computed once and mirrored, so the result is
-    symmetric by construction.
+    Row ``p`` from the diagonal on is the covariance row of ``u_p`` on
+    ``u_p, ..., u_n``, mirrored into column ``p``, so the result is
+    symmetric by construction; the build holds the matrix and one row.
     """
     u = grid_for(params, n).points
-    m = u.shape[0]
-    cov = np.empty((m, m), dtype=float)
-    cov[np.diag_indices(m)] = _variance_at(u, params)
-    iu, ju = np.triu_indices(m, k=1)
-    vals = _covariance_pairs(u[iu], u[ju], params)
-    cov[iu, ju] = vals
-    cov[ju, iu] = vals
+    cov = np.empty((u.size, u.size), dtype=float)
+    for p in range(u.size):
+        cov[p, p:] = cov[p:, p] = _covariance_row(u[p:], 0, params)
     return cov
 
 
@@ -525,7 +511,7 @@ def gaussian_spec(params: ModelParams, n: int) -> GaussianSpec:
     all read-only.  The full covariance :attr:`GaussianSpec.cov` is built
     only when read.  The key is the (hashable) parameter set and the step
     count.  The cache is capped at 64 laws; a law at n = 2000 holds about
-    0.3 MB, and reading ``.cov`` adds 32 MB to it.
+    0.3 MB, and reading ``.cov`` adds 32 MB, no more while it is built.
     ``gaussian_spec.cache_clear()`` frees all of them.
     """
     mean = mean_vector(params, n)

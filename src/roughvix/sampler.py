@@ -144,7 +144,17 @@ def factor_for(params: ModelParams, n: int) -> CholeskyFactor:
 
 
 def stream_for(seed: int, *key: int) -> np.random.Generator:
-    """Philox stream for the given root seed and spawn-key tuple."""
+    """Philox stream for the given root seed and spawn-key tuple.
+
+    The seed must be an integer in [0, 2^64) and each key item an integer
+    >= 0, bools excluded; anything else raises UsageError.
+    """
+    whole = [isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in (seed, *key)]
+    if not all(whole) or seed >= 2**64 or min(seed, *key) < 0:
+        raise UsageError(
+            "a stream takes an integer seed in [0, 2^64) and integer key items >= 0, "
+            f"got {seed!r} and {key!r}"
+        )
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence(seed, spawn_key=key))
     )

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import integrate, special
 
-from roughvix import SchemeKind, batch_sizes, stream_for
+from roughvix import SchemeKind, batch_sizes, grid_for, hyp2f1, stream_for
 
 
 def euler_hyp2f1(a: float, b: float, c: float, x: float) -> float:
@@ -284,3 +284,64 @@ def oracle_batches(kind, spec, total, seed, key, coarse_steps=()):
             coarse.append(scheme_vix2(kind, sample))
         cv = np.exp(geometric_log_average(kind, spec, fine.normals))
         yield scheme_vix2(kind, fine), coarse, cv
+
+
+def _variance_at(u, params):
+    """Closed-form diagonal ``C(u, u)``; vectorized over `u`."""
+    H, eta, T = params.H, params.eta, params.T
+    u = np.asarray(u, dtype=float)
+    return eta**2 / (2.0 * H) * (u ** (2 * H) - (u - T) ** (2 * H))
+
+
+def _antiderivative_pair(x, delta, H):
+    """The factor ``x^{H+1/2} * 2F1(1/2-H, 1/2+H; 3/2+H; -x/delta)``.
+
+    Entries with x = 0 contribute 0.
+    """
+    out = np.zeros_like(x)
+    pos = x > 0
+    if pos.any():
+        args = -x[pos] / delta[pos]
+        f = hyp2f1(0.5 - H, 0.5 + H, 1.5 + H, args)
+        out[pos] = x[pos] ** (H + 0.5) * f
+    return out
+
+
+def covariance_pairs(u_lo, u_hi, params):
+    """Closed-form covariance for ordered pairs ``u_lo <= u_hi`` (vectorized).
+
+    The engine's pair evaluation before its one row routine, kept
+    verbatim as the reference for the bits of the row.
+    """
+    H, eta, T = params.H, params.eta, params.T
+    delta = u_hi - u_lo
+    out = np.empty_like(u_lo)
+    diag = delta == 0.0
+    if diag.any():
+        out[diag] = _variance_at(u_lo[diag], params)
+    off = ~diag
+    if off.any():
+        d = delta[off]
+        lead = eta**2 * d ** (H - 0.5) / (H + 0.5)
+        upper = _antiderivative_pair(u_lo[off], d, H)
+        lower = _antiderivative_pair(np.maximum(u_lo[off] - T, 0.0), d, H)
+        out[off] = lead * (upper - lower)
+    return out
+
+
+def triangular_covariance(params, n):
+    """Full covariance on the n-step grid, every upper pair at once.
+
+    The engine's dense build before its one row routine, kept verbatim:
+    the diagonal, then all ``n(n+1)/2`` pairs from ``np.triu_indices``
+    in one vectorized evaluation, mirrored.
+    """
+    u = grid_for(params, n).points
+    m = u.shape[0]
+    cov = np.empty((m, m), dtype=float)
+    cov[np.diag_indices(m)] = _variance_at(u, params)
+    iu, ju = np.triu_indices(m, k=1)
+    vals = covariance_pairs(u[iu], u[ju], params)
+    cov[iu, ju] = vals
+    cov[ju, iu] = vals
+    return cov

@@ -207,6 +207,46 @@ def test_mc_price_validation():
     assert type(whole.samples_used[0]) is int
 
 
+# Not an integer in [0, 2^64): None would draw OS entropy, a bool or an
+# integral float would pass as an integer.
+BAD_SEEDS = [None, True, False, -1, 2**64, 1.5, 3.0, "3", np.float64(2.0)]
+SMALL_PLAN = MlmcPlan(
+    n0=6, m_levels=(20, 10), lam=None, c1=1.0, c2=1.0, epsilon=0.01,
+    scheme=SchemeKind.RECTANGLE,
+)
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS, ids=repr)
+def test_every_estimate_refuses_a_seed_that_is_not_a_64_bit_integer(seed):
+    with pytest.raises(UsageError, match="an integer seed"):
+        mc_price(SchemeKind.RECTANGLE, 4, 10, CALL, False, PB, seed=seed)
+    with pytest.raises(UsageError, match="an integer seed"):
+        mlmc_price(SMALL_PLAN, CALL, PB, seed=seed)
+    with pytest.raises(UsageError, match="an integer seed"):
+        level_statistics(SMALL_PLAN, CALL, PB, 100, seed)
+
+
+@pytest.mark.parametrize("key", [(-1,), (1.5,), (True,), (1, -2), ("1",)], ids=repr)
+def test_every_estimate_refuses_a_stream_key_that_is_not_of_whole_numbers(key):
+    with pytest.raises(UsageError, match="integer key items >= 0"):
+        mc_price(SchemeKind.RECTANGLE, 4, 10, CALL, False, PB, seed=0, stream_key=key)
+    with pytest.raises(UsageError, match="integer key items >= 0"):
+        mlmc_price(SMALL_PLAN, CALL, PB, seed=0, stream_key=key)
+
+
+def test_numpy_integer_seeds_and_keys_price_as_python_integers():
+    for seed in (0, 2**64 - 1):
+        expect = mc_price(SchemeKind.RECTANGLE, 4, 10, CALL, False, PB, seed=seed, stream_key=(7,))
+        got = mc_price(
+            SchemeKind.RECTANGLE, 4, 10, CALL, False, PB, seed=np.uint64(seed),
+            stream_key=(np.int64(7),),
+        )
+        assert got.value == expect.value
+    assert mlmc_price(SMALL_PLAN, CALL, PB, seed=np.int32(5)) == mlmc_price(
+        SMALL_PLAN, CALL, PB, seed=5
+    )
+
+
 # --- allocations ------------------------------------------------------------
 
 # (epsilon, L, M0, rectangle m_levels, rectangle cost,

@@ -105,6 +105,12 @@ def test_strong_error_degenerate_model_has_zero_error():
     assert curve.lambda_over_n == (0.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("seed", [None, True, -1, 2**64, 1.5, "3"], ids=repr)
+def test_strong_error_curve_refuses_a_seed_that_is_not_a_64_bit_integer(seed):
+    with pytest.raises(UsageError, match="an integer seed"):
+        strong_error_curve(SchemeKind.RECTANGLE, (8,), 16, 1000, PB, seed=seed)
+
+
 def test_strong_error_curve_shape_and_decay():
     curve = strong_error_curve(SchemeKind.RECTANGLE, (8, 16, 32), 128, 4000, PB, seed=0)
     assert curve.n_values == (8, 16, 32)
@@ -236,7 +242,8 @@ def test_weak_error_validation():
 
 @pytest.mark.parametrize(
     "reference_price, reference_ci",
-    [(math.nan, 0.0), (math.inf, 0.0), (0.1, math.nan), (0.1, math.inf)],
+    [(math.nan, 0.0), (math.inf, 0.0), (0.1, math.nan), (0.1, math.inf), (True, 0.0),
+     (0.1, True)],
 )
 def test_weak_error_refuses_a_non_finite_reference(reference_price, reference_ci):
     with pytest.raises(UsageError, match="reference"):
@@ -274,6 +281,10 @@ def test_mse_cost_validation():
         ("mc-rect", (0.04, math.inf), 0.121971),
         ("ml-rect", (0.04,), math.nan),
         ("mc-rect", (0.04,), math.inf),
+        ("mc-rect", (True,), 0.121971),
+        ("ml-rect", (True,), 0.121971),
+        ("ml-trap", (0.04, True), 0.121971),
+        ("ml-rect", (0.04,), True),
     ],
 )
 def test_mse_cost_refuses_non_finite_input(family, epsilons, reference_price):

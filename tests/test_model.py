@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from roughvix import (
     mc_price,
     mean_vector,
 )
+from oracles import covariance_pairs, triangular_covariance
 
 X0 = math.log(0.235**2)
 PA = ModelParams(H=0.3, eta=0.5, T=0.25, Delta=1.0 / 12.0, x0=X0)
@@ -73,6 +75,9 @@ def test_curve_validation():
         X0Curve(knots=(1.0,), values=(0.0,), mode="cubic")
     with pytest.raises(UsageError):
         X0Curve(knots=(1.0,), values=(float("nan"),))
+    for knots, values in [((1.0,), (True,)), ((True,), (1.0,)), ((1.0, 2.0), (0.0, False))]:
+        with pytest.raises(UsageError, match="not bools"):
+            X0Curve(knots=knots, values=values)
 
 
 def test_curve_constancy_detection():
@@ -244,6 +249,50 @@ def test_covariance_entry_range_checks():
         covariance_entry(PA.T, PA.T + 2 * PA.Delta, PA)
 
 
+# (H, T, Delta, n): the ref-b law across n, then a domain sweep at n = 250
+# with both Pfaff bands of the 2F1 (H = 0.49999 and 0.9995).
+_ROW_LAWS = [(0.1, 0.5, 1.0 / 12.0, n) for n in (6, 250, 1000)] + [
+    (H, T, Delta, 250)
+    for H in (0.005, 0.4999, 0.49999, 0.75, 0.99, 0.9995)
+    for T, Delta in ((0.5, 1.0 / 12.0), (1e-4, 1.0 / 12.0), (0.5, 1e-6))
+]
+
+
+@pytest.mark.parametrize("H, T, Delta, n", _ROW_LAWS)
+def test_covariance_matrix_has_the_bits_of_the_triangular_build(H, T, Delta, n):
+    # Row by row or all pairs at once, each entry is the same elementwise
+    # closed form on the same ordered pair of dates.
+    params = ModelParams(H=H, eta=0.5, T=T, Delta=Delta, x0=X0)
+    cov = covariance_matrix(params, n)
+    reference = triangular_covariance(params, n)
+    assert np.array_equal(cov.view(np.int64), reference.view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "params", [PA, PB, ModelParams(H=0.9995, eta=0.5, T=1e-4, Delta=1e-6, x0=X0)]
+)
+def test_covariance_entry_has_the_bits_of_the_pair_evaluation(params):
+    rng = np.random.default_rng(20251019)
+    dates = params.T + params.Delta * rng.random((200, 2))
+    dates[::10, 1] = dates[::10, 0]
+    reference = covariance_pairs(dates.min(axis=1), dates.max(axis=1), params)
+    entries = np.array([covariance_entry(u, v, params) for u, v in dates])
+    assert np.array_equal(entries.view(np.int64), reference.view(np.int64))
+
+
+def test_covariance_matrix_holds_no_temporaries_of_its_size():
+    # The matrix is built a row at a time, so at n = 1000 the peak is its
+    # own 8 MB and a few rows of 1001 entries.
+    covariance_matrix(PB, 6)
+    tracemalloc.start()
+    try:
+        cov = covariance_matrix(PB, 1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * cov.nbytes
+
+
 # --- window integral and full spec ------------------------------------------
 
 
@@ -319,9 +368,9 @@ _FACTOR_LAWS = sorted(
 
 @pytest.mark.parametrize("H, T, Delta, n", _FACTOR_LAWS)
 def test_factor_from_rows_equals_factor_of_full_matrix(H, T, Delta, n):
-    # The law's factor reads only the diagonal and the pivot rows, with the
-    # same elementwise operations as covariance_matrix, so it is the same
-    # factor bit for bit.
+    # The law's factor reads only the diagonal and the pivot rows, through
+    # the same row routine as covariance_matrix, so it is the same factor
+    # bit for bit.
     params = ModelParams(H=H, eta=0.5, T=T, Delta=Delta, x0=X0)
     gaussian_spec.cache_clear()
     spec = gaussian_spec(params, n)
