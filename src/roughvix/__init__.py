@@ -67,7 +67,6 @@ from .model import (
     covariance_quadrature_oracle,
     gaussian_spec,
     grid_for,
-    kernel_eval,
     lambda_integral,
     mean_vector,
 )
@@ -110,7 +109,6 @@ __all__ = [
     "Grid",
     "GaussianSpec",
     "grid_for",
-    "kernel_eval",
     "mean_vector",
     "covariance_entry",
     "covariance_matrix",

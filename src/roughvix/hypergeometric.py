@@ -8,8 +8,11 @@ a nonzero integer: against mpmath at 40 digits its relative error grows
 like 2e-17 / |a - b + 1| (H near 1/2) and 2e-15 / |a - b + 2| (H near 1).
 Within 3e-5 of |a - b| = 1, or within 3e-3 of |a - b| = 2 and beyond, the
 value is taken through the Pfaff transformation instead, whose argument
-x / (x - 1) lies in [0, 1).  That route is about 35 times slower, so the
-first band is narrow enough to leave H = 0.4999 on the direct call.
+x / (x - 1) lies in [0, 1).  That route is 50 to 110 times slower: best
+of 5 runs on x = -logspace(5, 8) with scipy 1.17 on a 2-core x86-64 Xeon,
+39-44 us per argument at H = 0.49999 and 0.9995 against 0.4-0.8 us at
+H = 0.4999 and 0.99.  So the first band is narrow enough to leave
+H = 0.4999 on the direct call.
 
 On the covariance family the relative error against mpmath is at most
 1e-12 for H in [3e-4, 1 - 1e-9] and x in -logspace(-10, 8), band edges
@@ -18,6 +21,8 @@ included.  As a - b nears 0 the direct call degrades like 2e-16 / H
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy import special
@@ -37,7 +42,7 @@ def hyp2f1(a: float, b: float, c: float, x):
     Parameters
     ----------
     a, b, c : float
-        Function parameters; `c` must be positive.
+        Function parameters, finite numbers (not bools); `c` must be positive.
     x : float or array_like
         Argument(s), each finite and <= 0.
 
@@ -50,8 +55,12 @@ def hyp2f1(a: float, b: float, c: float, x):
     Raises
     ------
     UsageError
-        If ``c <= 0`` or any argument is positive or not finite.
+        If a parameter is a bool or not finite, ``c <= 0``, or any argument
+        is positive or not finite.
     """
+    for name, value in (("a", a), ("b", b), ("c", c)):
+        if isinstance(value, bool) or not math.isfinite(value):
+            raise UsageError(f"hyp2f1 requires finite a, b and c, got {name}={value}")
     if c <= 0:
         raise UsageError(f"hyp2f1 requires c > 0, got c={c}")
     x_arr = np.asarray(x, dtype=float)

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 
 import numpy as np
-from scipy import integrate
 
 from .errors import FactorizationError, HypothesisError, NumericError, UsageError
 from .hypergeometric import hyp2f1
@@ -44,7 +43,6 @@ __all__ = [
     "GaussianSpec",
     "CholeskyFactor",
     "cholesky_factor",
-    "kernel_eval",
     "mean_vector",
     "covariance_entry",
     "covariance_matrix",
@@ -53,7 +51,6 @@ __all__ = [
     "gaussian_spec",
 ]
 
-_QUAD_OPTS = dict(epsabs=1e-15, epsrel=1e-13, limit=300)
 # Pivoted Cholesky stops once the largest residual variance is at most
 # RANK_TOL * max diag(C).  1e-14 keeps max|F F^T - C| at rounding level
 # (<= 1e-14 max|C| at the ref-b law, n = 250...2000) with r = 14-16.
@@ -344,17 +341,6 @@ def grid_for(params: ModelParams, n: int) -> Grid:
     return Grid(params.T, params.Delta, n)
 
 
-def kernel_eval(u: float, s: float, params: ModelParams) -> float:
-    """Power-law kernel ``eta * (u - s)**(H - 1/2)``.
-
-    Requires ``s < u``; the kernel diverges as ``s`` approaches ``u``
-    for H < 1/2.
-    """
-    if s >= u:
-        raise UsageError(f"kernel requires s < u, got u={u}, s={s}")
-    return params.eta * (u - s) ** (params.H - 0.5)
-
-
 def mean_vector(params: ModelParams, n: int) -> np.ndarray:
     """Exact mean ``x0(u) - C(u, u)/2`` of ``(X_T^{u_i})`` on the n-step grid.
 
@@ -431,6 +417,9 @@ def covariance_matrix(params: ModelParams, n: int) -> np.ndarray:
     return cov
 
 
+_QUAD_OPTS = dict(epsabs=1e-15, epsrel=1e-13, limit=300)
+
+
 def covariance_quadrature_oracle(u_i: float, u_j: float, params: ModelParams) -> float:
     """Covariance by adaptive quadrature, independent of the closed form.
 
@@ -442,6 +431,8 @@ def covariance_quadrature_oracle(u_i: float, u_j: float, params: ModelParams) ->
     There ``u - s`` is formed as ``(u - T) + tau^{1/(H+1/2)}``: as
     ``u - (T - tau^{1/(H+1/2)})`` it would round to 0 near ``tau = 0``.
     """
+    from scipy import integrate  # here, to keep quadrature off the import path
+
     if u_i < params.T or u_j < params.T:
         raise UsageError(f"dates must be >= T, got ({u_i}, {u_j}) with T={params.T}")
     H, eta, T = params.H, params.eta, params.T
@@ -480,26 +471,18 @@ def covariance_quadrature_oracle(u_i: float, u_j: float, params: ModelParams) ->
 def lambda_integral(params: ModelParams) -> float:
     """The integral ``int_0^T t^{H-1/2} (Delta + t)^{H-1/2} dt`` for H < 1/2.
 
-    The integrable singularity at ``t = 0`` is removed exactly by the
-    substitution ``t = tau^{2/(2H+1)}``, after which the integrand is
-    ``q * (Delta + tau^q)^{H-1/2}`` with ``q = 2/(2H+1)``, smooth on the
-    whole range.
+    It is ``C(T, T + Delta) / eta^2``, the covariance of the window's
+    endpoints at unit vol-of-vol, and takes the same closed form:
+    ``Delta^{H-1/2} T^{H+1/2} 2F1(1/2-H, 1/2+H; 3/2+H; -T/Delta) / (H+1/2)``.
+    `T` and `Delta` enter as given: forming ``T + Delta`` and subtracting
+    `T` again would cost up to 1.8e-12 relative at ``Delta = 1e-6``.
     """
     H, T, Delta = params.H, params.T, params.Delta
     if not (0.0 < H < 0.5):
         raise HypothesisError(
             f"lambda_integral requires H in (0, 1/2), got H={H}"
         )
-    q = 2.0 / (2.0 * H + 1.0)
-
-    def integrand(tau):
-        return q * (Delta + tau ** q) ** (H - 0.5)
-
-    upper = T ** (1.0 / q)
-    value, abserr = integrate.quad(integrand, 0.0, upper, **_QUAD_OPTS)
-    if abserr > 1e-12 * max(abs(value), 1e-300):
-        raise NumericError("lambda integral quadrature did not reach tolerance")
-    return value
+    return Delta ** (H - 0.5) * _antiderivative_pair(T, Delta, H) / (H + 0.5)
 
 
 @lru_cache(maxsize=64)

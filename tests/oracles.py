@@ -60,6 +60,26 @@ def bs_price_quad(kind: str, x: float, y: float, z: float) -> float:
     return val
 
 
+def lambda_integral_quad(H: float, T: float, Delta: float) -> float:
+    """``int_0^T t^{H-1/2} (Delta + t)^{H-1/2} dt`` by quadrature, for H < 1/2.
+
+    The engine's evaluation before its closed form, kept as the check on
+    it.  The substitution ``t = tau^q``, ``q = 2/(2H+1)``, removes the
+    integrable singularity at ``t = 0`` exactly: the integrand becomes
+    ``q * (Delta + tau^q)^{H-1/2}``, smooth on the whole range.
+    """
+    q = 2.0 / (2.0 * H + 1.0)
+
+    def integrand(tau):
+        return q * (Delta + tau**q) ** (H - 0.5)
+
+    val, err = integrate.quad(
+        integrand, 0.0, T ** (1.0 / q), epsabs=1e-15, epsrel=1e-13, limit=300
+    )
+    assert err <= 1e-12 * abs(val)
+    return val
+
+
 def exact_scheme_mean(spec, scheme: str) -> float:
     """Exact expectation of the discretized VIX^2 under the Gaussian law.
 

@@ -2,6 +2,8 @@
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -56,3 +58,16 @@ def test_every_module_has_a_layer():
 def test_no_module_imports_a_layer_above_it(layer):
     below = LAYERS[: LAYERS.index(layer)]
     assert [name for name in _package_imports(layer) if name not in below] == []
+
+
+def test_importing_the_package_loads_no_quadrature():
+    # Only the covariance oracle integrates, and it imports scipy.integrate
+    # when called.  A fresh interpreter, because the test process has it
+    # loaded for its IntegrationWarning filter.
+    probe = "import sys, roughvix; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=PACKAGE.parent, capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]

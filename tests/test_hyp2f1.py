@@ -108,6 +108,28 @@ def test_nonpositive_c_rejected():
         hyp2f1(0.2, 0.8, 0.0, -0.5)
 
 
+def test_nan_a_rejected():
+    with pytest.raises(UsageError, match="a=nan"):
+        hyp2f1(np.nan, 0.6, 1.6, -1.0)
+
+
+def test_infinite_b_rejected():
+    with pytest.raises(UsageError, match="b=inf"):
+        hyp2f1(0.4, np.inf, 1.6, -1.0)
+
+
+def test_non_finite_c_rejected():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(UsageError, match="c="):
+            hyp2f1(0.4, 0.6, bad, -1.0)
+
+
+def test_bool_parameters_rejected():
+    for args in ((True, 0.6, 1.6), (0.4, True, 1.6), (0.4, 0.6, True)):
+        with pytest.raises(UsageError, match="=True"):
+            hyp2f1(*args, -1.0)
+
+
 def test_non_finite_argument_rejected():
     for bad in (np.nan, -np.inf):
         with pytest.raises(UsageError):

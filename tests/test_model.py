@@ -22,12 +22,11 @@ from roughvix import (
     covariance_quadrature_oracle,
     gaussian_spec,
     grid_for,
-    kernel_eval,
     lambda_integral,
     mc_price,
     mean_vector,
 )
-from oracles import covariance_pairs, triangular_covariance
+from oracles import covariance_pairs, lambda_integral_quad, triangular_covariance
 
 X0 = math.log(0.235**2)
 PA = ModelParams(H=0.3, eta=0.5, T=0.25, Delta=1.0 / 12.0, x0=X0)
@@ -148,19 +147,7 @@ def test_grid_step_count_must_be_a_whole_number():
     assert type(Grid(T=1.0, Delta=0.5, n=np.int64(8)).n) is int
 
 
-# --- kernel and mean --------------------------------------------------------
-
-
-def test_kernel_frozen_value():
-    params = ModelParams(H=0.3, eta=0.5, T=0.75, Delta=0.5, x0=0.0)
-    assert kernel_eval(1.0, 0.75, params) == pytest.approx(
-        0.6597539553864471, rel=1e-15
-    )
-
-
-def test_kernel_requires_prior_time():
-    with pytest.raises(UsageError):
-        kernel_eval(1.0, 1.0, PA)
+# --- mean -------------------------------------------------------------------
 
 
 def test_mean_vector_frozen_and_formula():
@@ -308,6 +295,18 @@ def test_window_integral_equals_boundary_covariance():
         assert lambda_integral(params) * params.eta**2 == pytest.approx(
             expect, rel=1e-12
         )
+
+
+@pytest.mark.parametrize("H", [0.005, 0.05, 0.1, 0.3, 0.4999])
+@pytest.mark.parametrize(
+    "T,Delta",
+    [(0.5, 1 / 12), (0.25, 1 / 12), (1e-4, 1 / 12), (0.5, 1e-6), (10.0, 10.0), (1e-6, 1e-6)],
+)
+def test_window_integral_matches_quadrature(H, T, Delta):
+    params = ModelParams(H=H, eta=0.5, T=T, Delta=Delta, x0=0.0)
+    assert lambda_integral(params) == pytest.approx(
+        lambda_integral_quad(H, T, Delta), rel=1e-13, abs=0.0
+    )
 
 
 def test_window_integral_requires_rough_regime():
