@@ -89,7 +89,6 @@ from .sampler import (
 )
 from .schemes import (
     SchemeKind,
-    vix_from_vix2,
 )
 
 __version__ = "0.1.0"
@@ -125,7 +124,6 @@ __all__ = [
     "batch_sizes",
     # schemes
     "SchemeKind",
-    "vix_from_vix2",
     # payoffs
     "PayoffKind",
     "Payoff",

@@ -248,9 +248,10 @@ def _sample_moments(
     corrected ``phi(fine) - phi(cv) + cv_n``; otherwise, when `coupled`,
     it is the correction ``phi(fine) - phi(coarse)``, the coarse value
     read from the same draw at every 2nd grid point.  :func:`mc_price`
-    (one level), the multilevel levels and the pilot sample through this
-    one call of the batch kernel, whose one pool forms every level's
-    batches; each level's accumulator takes its batches in batch order.
+    (one level), the multilevel levels and :func:`level_statistics` (which
+    the pilot reads) sample through this one call of the batch kernel,
+    whose one pool forms every level's batches; each level's accumulator
+    takes its batches in batch order.
     """
     accs = [_MomentAccumulator() for _ in levels]
     runs = [(spec, m, key, (2,) if coupled else ()) for spec, m, key, coupled in levels]
@@ -430,7 +431,9 @@ def mlmc_price(
 
 
 def level_statistics(
-    plan: MlmcPlan,
+    scheme: SchemeKind,
+    n0: int,
+    L: int,
     payoff: Payoff,
     params: ModelParams,
     probe_M: int,
@@ -438,18 +441,19 @@ def level_statistics(
 ) -> tuple:
     """Empirical per-level variances and mean corrections.
 
-    Draws `probe_M` samples at every level of `plan` (on streams
-    independent of :func:`mlmc_price` runs), all levels in one kernel
-    call, and reports a :class:`LevelStat` per level, for diagnostics.
-    The pilot (:func:`_pilot_constants`) does not call it: it samples its
-    own correction levels on the same ``(DOMAIN_PILOT, l)`` stream keys.
+    Draws `probe_M` samples at each level ``0..L`` on the grids
+    ``n0 * 2**l`` (on stream keys ``(DOMAIN_PILOT, l)``, independent of
+    :func:`mlmc_price` runs), all levels in one kernel call, and reports a
+    :class:`LevelStat` per level.  The pilot reads its constants from it.
     """
+    n0 = _whole(n0, 1, "n0")
+    grids = [n0 * 2**level for level in range(_whole(L, 0, "L") + 1)]
     probe_M = _whole(probe_M, 100, "probe_M, the sample count")
     levels = [
         (gaussian_spec(params, n), probe_M, (DOMAIN_PILOT, level), level > 0)
-        for level, n in enumerate(plan.n_levels)
+        for level, n in enumerate(grids)
     ]
-    accs = _sample_moments(plan.scheme, payoff, levels, seed)
+    accs = _sample_moments(scheme, payoff, levels, seed)
     return tuple(
         LevelStat(
             level=level,
@@ -458,7 +462,7 @@ def level_statistics(
             mean_correction=acc.mean,
             cost_per_sample=float(n) ** 2,
         )
-        for level, (n, acc) in enumerate(zip(plan.n_levels, accs))
+        for level, (n, acc) in enumerate(zip(grids, accs))
     )
 
 
@@ -466,19 +470,15 @@ def _pilot_constants(n0: int, payoff: Payoff, params: ModelParams) -> tuple:
     """Estimate (c1, c2) from a probe run of rectangle corrections.
 
     Fits ``|mean correction| ~ c1 * 2^-l`` and ``variance ~ c2 * 2^-2l``
-    over correction levels ``1.._PILOT_LEVELS`` of a fixed probe geometry,
-    sampled in one kernel call, taking medians across levels for
+    over correction levels ``1.._PILOT_LEVELS`` of
+    :func:`level_statistics`, taking medians across levels for
     robustness.  Uses a fixed internal seed so plans stay deterministic.
     """
-    levels = [
-        (gaussian_spec(params, n0 * 2**level), _PILOT_PROBE_M, (DOMAIN_PILOT, level), True)
-        for level in range(1, _PILOT_LEVELS + 1)
-    ]
-    accs = _sample_moments(SchemeKind.RECTANGLE, payoff, levels, _PILOT_SEED)
-    c1_terms = [abs(acc.mean) * 2.0**level for level, acc in enumerate(accs, 1)]
-    c2_terms = [acc.variance * 4.0**level for level, acc in enumerate(accs, 1)]
-    c1 = float(np.median(c1_terms))
-    c2 = float(np.median(c2_terms))
+    stats = level_statistics(
+        SchemeKind.RECTANGLE, n0, _PILOT_LEVELS, payoff, params, _PILOT_PROBE_M, _PILOT_SEED
+    )[1:]
+    c1 = float(np.median([abs(s.mean_correction) * 2.0**s.level for s in stats]))
+    c2 = float(np.median([s.variance * 4.0**s.level for s in stats]))
     if c1 <= 0 or c2 <= 0:
         raise NumericError(
             "pilot run produced degenerate constants; the model may be deterministic"

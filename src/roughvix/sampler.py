@@ -150,7 +150,7 @@ def stream_for(seed: int, *key: int) -> np.random.Generator:
     >= 0, bools excluded; anything else raises UsageError.
     """
     whole = [isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in (seed, *key)]
-    if not all(whole) or seed >= 2**64 or min(seed, *key) < 0:
+    if not all(whole) or seed >= 2**64 or min((seed, *key)) < 0:
         raise UsageError(
             "a stream takes an integer seed in [0, 2^64) and integer key items >= 0, "
             f"got {seed!r} and {key!r}"

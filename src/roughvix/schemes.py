@@ -28,7 +28,6 @@ from .model import GaussianSpec
 
 __all__ = [
     "SchemeKind",
-    "vix_from_vix2",
 ]
 
 
@@ -90,11 +89,3 @@ def geometric_projection(kind: SchemeKind, spec: GaussianSpec) -> tuple:
     offset = math.fsum((a * spec.mean).tolist()) / d
     return offset, (spec.factor.L.T @ a) / d
 
-
-def vix_from_vix2(v):
-    """The VIX level ``sqrt(v)`` from a VIX^2 value ``v >= 0``."""
-    arr = np.asarray(v, dtype=float)
-    if np.any(arr < 0):
-        raise UsageError(f"VIX^2 must be >= 0, got {arr[arr < 0].flat[0]}")
-    out = np.sqrt(arr)
-    return float(out) if np.ndim(v) == 0 else out

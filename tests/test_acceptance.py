@@ -350,16 +350,7 @@ def test_criterion_6_level_variance_decay(capsys):
             and np.all(np.diff(np.abs(gaps)) < 0)
         )
 
-        plan = MlmcPlan(
-            n0=n0,
-            m_levels=(1, 1, 1, 1, 1, 1),
-            lam=None,
-            c1=1.0,
-            c2=1.0,
-            epsilon=0.01,
-            scheme=scheme,
-        )
-        stats = level_statistics(plan, CALL, PARAMS_B, probe_M=10_000, seed=0)
+        stats = level_statistics(scheme, n0, 5, CALL, PARAMS_B, probe_M=10_000, seed=0)
         log2_v = [math.log2(stats[level].variance) for level in range(1, 6)]
         slope = float(np.polyfit(levels, log2_v, 1)[0])
         ok = abs(slope - target) <= 0.3 and monotone

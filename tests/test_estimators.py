@@ -37,6 +37,7 @@ X0 = math.log(0.235**2)
 PA = ModelParams(H=0.3, eta=0.5, T=0.25, Delta=1.0 / 12.0, x0=X0)
 PB = ModelParams(H=0.1, eta=0.5, T=0.5, Delta=1.0 / 12.0, x0=X0)
 FLAT = ModelParams(H=0.3, eta=0.0, T=0.25, Delta=1.0 / 12.0, x0=X0)
+SMOOTH = ModelParams(H=0.6, eta=0.5, T=0.5, Delta=1.0 / 12.0, x0=X0)
 CALL = Payoff(PayoffKind.CALL, strike=0.1)
 FUTURE = Payoff(PayoffKind.FUTURE)
 
@@ -223,7 +224,7 @@ def test_every_estimate_refuses_a_seed_that_is_not_a_64_bit_integer(seed):
     with pytest.raises(UsageError, match="an integer seed"):
         mlmc_price(SMALL_PLAN, CALL, PB, seed=seed)
     with pytest.raises(UsageError, match="an integer seed"):
-        level_statistics(SMALL_PLAN, CALL, PB, 100, seed)
+        level_statistics(SchemeKind.RECTANGLE, 6, 1, CALL, PB, 100, seed)
 
 
 @pytest.mark.parametrize("key", [(-1,), (1.5,), (True,), (1, -2), ("1",)], ids=repr)
@@ -336,14 +337,13 @@ def test_plan_validation():
 
 
 def test_plan_pilot_fallback_when_closed_form_unavailable():
-    smooth = ModelParams(H=0.6, eta=0.5, T=0.5, Delta=1.0 / 12.0, x0=X0)
-    plan = mlmc_plan(0.02, 6, SchemeKind.RECTANGLE, CALL, smooth)
+    plan = mlmc_plan(0.02, 6, SchemeKind.RECTANGLE, CALL, SMOOTH)
     assert plan.constants_source == "pilot"
     assert plan.lam is None
     assert plan.c1 > 0 and plan.c2 > 0
     assert all(m >= 1 for m in plan.m_levels)
     with pytest.raises(HypothesisError):
-        mlmc_plan(0.02, 6, SchemeKind.RECTANGLE, CALL, smooth, constants="closed-form")
+        mlmc_plan(0.02, 6, SchemeKind.RECTANGLE, CALL, SMOOTH, constants="closed-form")
 
 
 def test_plan_pilot_is_deterministic():
@@ -358,6 +358,27 @@ def test_plan_pilot_is_deterministic():
 def test_plan_pilot_for_non_lipschitz_payoff():
     plan = mlmc_plan(0.02, 6, SchemeKind.RECTANGLE, FUTURE, PB)
     assert plan.constants_source == "pilot"
+
+
+# Pilot plans as hex: the pilot's constants are medians of seeded
+# correction levels, so any change to its streams or accumulation order
+# moves these bits.
+PILOT_PINS = [
+    (1e-5, CALL, SMOOTH, "0x1.3bed66451b103p-16", "0x1.0340f92bd90f9p-25",
+     (1811, 453, 114), (1811, 299, 50)),
+    (2e-4, FUTURE, PB, "0x1.84c525e81e9c4p-11", "0x1.7d9df6f4a654ap-17",
+     (2275, 569, 143, 36), (2275, 531, 124, 29)),
+]
+
+
+@pytest.mark.parametrize(
+    "eps, payoff, params, c1, c2, m_rect, m_trap", PILOT_PINS, ids=["call-H0.6", "future-PB"]
+)
+def test_plan_pilot_frozen_bits(eps, payoff, params, c1, c2, m_rect, m_trap):
+    for scheme, m_levels in ((SchemeKind.RECTANGLE, m_rect), (SchemeKind.TRAPEZOID, m_trap)):
+        plan = mlmc_plan(eps, 6, scheme, payoff, params)
+        assert plan.constants_source == "pilot"
+        assert (plan.c1.hex(), plan.c2.hex(), plan.m_levels) == (c1, c2, m_levels)
 
 
 def test_plan_floors_every_level_at_two_samples():
@@ -449,16 +470,7 @@ def test_mlmc_determinism():
 
 
 def test_level_statistics_flat_model_has_zero_corrections():
-    plan = MlmcPlan(
-        n0=6,
-        m_levels=(200, 200, 200, 200),
-        lam=None,
-        c1=1.0,
-        c2=1.0,
-        epsilon=0.1,
-        scheme=SchemeKind.RECTANGLE,
-    )
-    stats = level_statistics(plan, CALL, FLAT, probe_M=200, seed=0)
+    stats = level_statistics(SchemeKind.RECTANGLE, 6, 3, CALL, FLAT, probe_M=200, seed=0)
     assert len(stats) == 4
     for s in stats[1:]:
         assert s.variance == 0.0
@@ -467,24 +479,22 @@ def test_level_statistics_flat_model_has_zero_corrections():
 
 
 def test_level_statistics_validation():
-    plan = mlmc_plan(0.02, 6, SchemeKind.RECTANGLE, CALL, PB)
     message = "probe_M, the sample count must be an integer >= 100"
     for probe_M in (99, 150.5, math.nan, True):
         with pytest.raises(UsageError, match=message):
-            level_statistics(plan, CALL, PB, probe_M=probe_M, seed=0)
+            level_statistics(SchemeKind.RECTANGLE, 6, 2, CALL, PB, probe_M=probe_M, seed=0)
+    for n0 in (0, 2.5, True):
+        with pytest.raises(UsageError, match="n0 must be an integer >= 1"):
+            level_statistics(SchemeKind.RECTANGLE, n0, 2, CALL, PB, probe_M=100, seed=0)
+    for L in (-1, 1.5, True):
+        with pytest.raises(UsageError, match="L must be an integer >= 0"):
+            level_statistics(SchemeKind.RECTANGLE, 6, L, CALL, PB, probe_M=100, seed=0)
+    stats = level_statistics(SchemeKind.TRAPEZOID, 6.0, 0, CALL, PB, probe_M=100, seed=0)
+    assert [(s.level, s.n) for s in stats] == [(0, 6)] and type(stats[0].n) is int
 
 
 def test_level_variances_decay_with_refinement():
-    plan = MlmcPlan(
-        n0=6,
-        m_levels=(500, 500, 500, 500),
-        lam=None,
-        c1=1.0,
-        c2=1.0,
-        epsilon=0.1,
-        scheme=SchemeKind.RECTANGLE,
-    )
-    stats = level_statistics(plan, CALL, PB, probe_M=4000, seed=2)
+    stats = level_statistics(SchemeKind.RECTANGLE, 6, 3, CALL, PB, probe_M=4000, seed=2)
     variances = [s.variance for s in stats[1:]]
     assert all(b < a for a, b in zip(variances, variances[1:]))
 

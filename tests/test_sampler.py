@@ -189,6 +189,14 @@ def test_streams_are_deterministic_and_keyed():
     assert not np.array_equal(a, d)
 
 
+def test_stream_without_key_items():
+    ref = np.random.Generator(np.random.Philox(np.random.SeedSequence(5)))
+    np.testing.assert_array_equal(stream_for(5).random(4), ref.random(4))
+    for seed in (-1, 2**64):
+        with pytest.raises(UsageError, match="an integer seed"):
+            stream_for(seed)
+
+
 # --- sampling ---------------------------------------------------------------
 
 

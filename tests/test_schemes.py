@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from roughvix import SchemeKind, UsageError, stream_for, vix_from_vix2
+from roughvix import SchemeKind, UsageError, stream_for
 from roughvix.sampler import vix2_runs
 from roughvix.schemes import _quadrature_weights, _weight_rows
 
@@ -153,11 +153,3 @@ def test_coarse_grids_are_the_rule_on_the_restricted_values(kind):
         restricted, _ = _kernel(kind, _law(x[::step]))
         np.testing.assert_allclose(values, restricted, rtol=1e-14)
 
-
-def test_vix_is_square_root_with_validation():
-    assert vix_from_vix2(0.04) == pytest.approx(0.2, rel=1e-15)
-    np.testing.assert_allclose(
-        vix_from_vix2(np.array([0.01, 0.09])), [0.1, 0.3], rtol=1e-15
-    )
-    with pytest.raises(UsageError):
-        vix_from_vix2(-1e-9)
