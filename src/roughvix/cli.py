@@ -32,7 +32,6 @@ import csv
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -41,6 +40,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from .errors import NumericError, UsageError
+from .errors import _FINITE, _NONNEGATIVE, _POSITIVE, _UNIT_INTERVAL
 from .estimators import mc_price, mlmc_plan, mlmc_price
 from .experiments import (
     FAMILIES,
@@ -73,15 +73,11 @@ def _key(help: str, default=None, **flag) -> dataclasses.Field:
     The options are ``choices``, ``aliases`` (more flags for the key),
     ``negatable`` (a boolean flag that also has a ``--no-`` form) and
     ``check``, the key's bound as ``(condition, text)``: every value that
-    is set, or every item of a list, must satisfy the condition.
+    is set, or every item of a list, must satisfy the condition.  A float
+    key's bound is one of :mod:`.errors`' pairs, which the library's
+    ``_real`` checks its arguments against.
     """
     return dataclasses.field(default=default, metadata={"help": help, **flag})
-
-
-# Bounds are stated as the condition a value must meet, so NaN fails them.
-_POSITIVE = (lambda v: 0 < v < math.inf, "finite and > 0")
-_NONNEGATIVE = (lambda v: 0 <= v < math.inf, "finite and >= 0")
-_FINITE = (math.isfinite, "finite")
 
 
 def _at_least(low: int) -> tuple:
@@ -93,7 +89,7 @@ class RunConfig:
     """Complete, explicit description of one CLI run."""
 
     command: str
-    H: float | None = _key("Hurst index", check=(lambda v: 0 < v < 1, "in (0, 1)"))
+    H: float | None = _key("Hurst index", check=_UNIT_INTERVAL)
     eta: float | None = _key("vol-of-vol", check=_NONNEGATIVE)
     T: float | None = _key("option maturity in years", check=_POSITIVE)
     Delta: float | None = _key("VIX window width in years", check=_POSITIVE)
@@ -257,12 +253,9 @@ def _load_config_file(path: str) -> dict:
         text = fh.read()
     if text.lstrip().startswith("{"):
         try:
-            data = json.loads(text)
+            return json.loads(text)
         except json.JSONDecodeError as exc:
             raise UsageError(f"config file {path}: invalid JSON ({exc})")
-        if not isinstance(data, dict):
-            raise UsageError(f"config file {path}: top level must be an object")
-        return data
     data = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()

@@ -35,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateEstimateWarning, HypothesisError, NumericError, UsageError
-from .model import GaussianSpec, ModelParams, _whole, gaussian_spec, lambda_integral
+from .errors import _POSITIVE, _real, _whole
+from .model import GaussianSpec, ModelParams, gaussian_spec, lambda_integral
 from .payoffs import (
     Payoff,
     cv_corrected_payoff,
@@ -304,6 +305,8 @@ def mc_price(
     with :class:`~roughvix.errors.DegenerateEstimateWarning`.
     """
     M = _whole(M, 2, "M, the sample count")
+    if not isinstance(use_cv, (bool, np.bool_)):
+        raise UsageError(f"use_cv must be a bool, got use_cv={use_cv!r}")
     spec = gaussian_spec(params, n)
     cv_n = cv_price(payoff, cv_moments(spec, scheme)) if use_cv else None
     level = (spec, M, (*stream_key, DOMAIN_MC), False)
@@ -316,7 +319,7 @@ def mc_price(
         cost=float(n) ** 2 * M,
         samples_used=(M,),
         scheme=scheme,
-        cv_used=use_cv,
+        cv_used=bool(use_cv),
     )
 
 
@@ -353,8 +356,7 @@ def mlmc_plan(
     level gets at least 2 samples, the least that has a sample variance
     (as ``mc_price`` requires ``M >= 2``).
     """
-    if isinstance(epsilon, bool) or not (0 < epsilon < math.inf):
-        raise UsageError(f"epsilon must be finite and > 0, got {epsilon}")
+    epsilon = _real(epsilon, "epsilon", _POSITIVE)
     n0 = _whole(n0, 1, "n0")
     if constants not in ("auto", "closed-form", "pilot"):
         raise UsageError(f"unknown constants mode: {constants!r}")

@@ -25,8 +25,9 @@ from functools import partial
 import numpy as np
 
 from .errors import HypothesisError, UsageError
+from .errors import _FINITE, _NONNEGATIVE, _POSITIVE, _real, _whole
 from .estimators import lambda_constant, mc_price, mlmc_plan, mlmc_price
-from .model import ModelParams, _whole, gaussian_spec
+from .model import ModelParams, gaussian_spec
 from .payoffs import Payoff
 from .sampler import DOMAIN_EXPERIMENT, vix2_runs
 from .schemes import SchemeKind
@@ -251,12 +252,9 @@ def weak_error_curve(
     order of magnitude below the smallest measured error).
     """
     n_values = _grid_sizes(n_values)
-    if M < 2:
-        raise UsageError(f"M must be >= 2, got {M}")
-    if isinstance(reference_price, bool) or not math.isfinite(reference_price):
-        raise UsageError(f"reference_price must be a finite number, got {reference_price}")
-    if isinstance(reference_ci, bool) or not (0 <= reference_ci < math.inf):
-        raise UsageError(f"reference_ci must be a finite number >= 0, got {reference_ci}")
+    M = _whole(M, 2, "M, the sample count")
+    reference_price = _real(reference_price, "reference_price", _FINITE)
+    reference_ci = _real(reference_ci, "reference_ci", _NONNEGATIVE)
 
     errors, halfwidths, estimates, std_errors = [], [], [], []
     for n in n_values:
@@ -325,12 +323,11 @@ def mse_cost_curve(
         raise UsageError(
             f"unknown estimator family {estimator_family!r}; choose from {FAMILIES}"
         )
-    epsilons = tuple(math.nan if isinstance(e, bool) else float(e) for e in epsilons)
-    if len(epsilons) == 0 or not all(0 < e < math.inf for e in epsilons):
-        raise UsageError("epsilons must be nonempty, finite numbers > 0")
+    epsilons = tuple(_real(e, "epsilon", _POSITIVE) for e in epsilons)
+    if not epsilons:
+        raise UsageError("epsilons must not be empty")
     N_mse = _whole(N_mse, 2, "N_mse")
-    if isinstance(reference_price, bool) or not math.isfinite(reference_price):
-        raise UsageError(f"reference_price must be a finite number, got {reference_price}")
+    reference_price = _real(reference_price, "reference_price", _FINITE)
 
     costs, mses, halfwidths = [], [], []
     plans = []

@@ -22,12 +22,11 @@ included.  As a - b nears 0 the direct call degrades like 2e-16 / H
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from scipy import special
 
 from .errors import UsageError
+from .errors import _FINITE, _POSITIVE, _real
 
 # Half-widths of the Pfaff bands around |a - b| = 1 and |a - b| >= 2.
 _PFAFF_BAND_ONE = 3e-5
@@ -55,14 +54,10 @@ def hyp2f1(a: float, b: float, c: float, x):
     Raises
     ------
     UsageError
-        If a parameter is a bool or not finite, ``c <= 0``, or any argument
-        is positive or not finite.
+        If a parameter is not a finite real number (a bool is none),
+        ``c <= 0``, or any argument is positive or not finite.
     """
-    for name, value in (("a", a), ("b", b), ("c", c)):
-        if isinstance(value, bool) or not math.isfinite(value):
-            raise UsageError(f"hyp2f1 requires finite a, b and c, got {name}={value}")
-    if c <= 0:
-        raise UsageError(f"hyp2f1 requires c > 0, got c={c}")
+    a, b, c = _real(a, "a", _FINITE), _real(b, "b", _FINITE), _real(c, "c", _POSITIVE)
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr > 0) or not np.all(np.isfinite(x_arr)):
         bad = x_arr[(x_arr > 0) | ~np.isfinite(x_arr)].flat[0]

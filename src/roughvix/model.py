@@ -27,13 +27,13 @@ deterministic; sampling lives in :mod:`.sampler`.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
 from .errors import FactorizationError, HypothesisError, NumericError, UsageError
+from .errors import _FINITE, _NONNEGATIVE, _POSITIVE, _UNIT_INTERVAL, _real, _whole
 from .hypergeometric import hyp2f1
 
 __all__ = [
@@ -81,20 +81,14 @@ class X0Curve:
     mode: str = "step"
 
     def __post_init__(self):
-        if any(isinstance(v, bool) for v in (*self.knots, *self.values)):
-            raise UsageError("X0Curve knots and values must be numbers, not bools")
-        knots = tuple(float(k) for k in self.knots)
-        values = tuple(float(v) for v in self.values)
+        knots = tuple(_real(k, "x0 knot", _FINITE) for k in self.knots)
+        values = tuple(_real(v, "x0 value", _FINITE) for v in self.values)
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "values", values)
         if len(knots) == 0 or len(knots) != len(values):
             raise UsageError("X0Curve needs equally many knots and values (at least one)")
         if any(b <= a for a, b in zip(knots, knots[1:])):
             raise UsageError("X0Curve knots must be strictly increasing")
-        if not all(math.isfinite(v) for v in values) or not all(
-            math.isfinite(k) for k in knots
-        ):
-            raise UsageError("X0Curve knots and values must be finite")
         if self.mode not in ("step", "linear"):
             raise UsageError(f"X0Curve mode must be 'step' or 'linear', got {self.mode!r}")
 
@@ -139,22 +133,11 @@ class ModelParams:
     x0: object
 
     def __post_init__(self):
-        for name in ("H", "eta", "T", "Delta", "x0"):
-            if isinstance(getattr(self, name), bool):
-                raise UsageError(f"{name} must be a number, not a bool, got {getattr(self, name)}")
-        if not (0.0 < self.H < 1.0):
-            raise UsageError(f"H must lie in (0, 1), got {self.H}")
-        if not (0.0 <= self.eta < math.inf):
-            raise UsageError(f"eta must be finite and >= 0, got {self.eta}")
-        if not (0.0 < self.T < math.inf):
-            raise UsageError(f"T must be finite and > 0, got {self.T}")
-        if not (0.0 < self.Delta < math.inf):
-            raise UsageError(f"Delta must be finite and > 0, got {self.Delta}")
+        bounds = {"H": _UNIT_INTERVAL, "eta": _NONNEGATIVE, "T": _POSITIVE, "Delta": _POSITIVE}
+        for name, bound in bounds.items():
+            object.__setattr__(self, name, _real(getattr(self, name), name, bound))
         if not isinstance(self.x0, X0Curve):
-            x0 = float(self.x0)
-            if not math.isfinite(x0):
-                raise UsageError(f"x0 must be finite, got {self.x0}")
-            object.__setattr__(self, "x0", x0)
+            object.__setattr__(self, "x0", _real(self.x0, "x0", _FINITE))
         else:
             probe = np.linspace(self.T, self.T + self.Delta, 9)
             if not np.all(np.isfinite(self.x0(probe))):
@@ -178,20 +161,6 @@ class ModelParams:
         return self.x0.values[0] if isinstance(self.x0, X0Curve) else self.x0
 
 
-def _whole(value, least: int, what: str) -> int:
-    """`value` as an int, if it is a whole number ``>= least``; else UsageError.
-
-    Integral floats such as ``8.0`` pass; ``8.7``, nan, inf and bools do not.
-    """
-    whole = not isinstance(value, bool) and (
-        isinstance(value, numbers.Integral)
-        or (isinstance(value, numbers.Real) and float(value).is_integer())
-    )
-    if whole and value >= least:
-        return int(value)
-    raise UsageError(f"{what} must be an integer >= {least}, got {value}")
-
-
 @dataclass(frozen=True)
 class Grid:
     """Uniform grid ``u_i = T + i * Delta / n`` for ``i = 0..n``."""
@@ -202,8 +171,8 @@ class Grid:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _whole(self.n, 1, "grid step count"))
-        if not (0 < self.T < math.inf and 0 < self.Delta < math.inf):
-            raise UsageError("grid requires finite T > 0 and Delta > 0")
+        object.__setattr__(self, "T", _real(self.T, "T", _POSITIVE))
+        object.__setattr__(self, "Delta", _real(self.Delta, "Delta", _POSITIVE))
 
     @property
     def h(self) -> float:
@@ -395,12 +364,10 @@ def covariance_entry(u_i: float, u_j: float, params: ModelParams) -> float:
     hypergeometric closed form otherwise; symmetric in its arguments.
     Both dates must lie in ``[T, T + Delta]``.
     """
-    if min(u_i, u_j) < params.T or max(u_i, u_j) > params.T + params.Delta:
-        raise UsageError(
-            f"dates must lie in [T, T+Delta] = [{params.T}, {params.T + params.Delta}], "
-            f"got ({u_i}, {u_j})"
-        )
-    return float(_covariance_row(np.asarray([u_i, u_j], dtype=float), 0, params)[1])
+    end = params.T + params.Delta
+    window = (lambda u: params.T <= u <= end, f"in [T, T+Delta] = [{params.T}, {end}]")
+    u = [_real(u_i, "u_i", window), _real(u_j, "u_j", window)]
+    return float(_covariance_row(np.asarray(u), 0, params)[1])
 
 
 def covariance_matrix(params: ModelParams, n: int) -> np.ndarray:
@@ -430,12 +397,13 @@ def covariance_quadrature_oracle(u_i: float, u_j: float, params: ModelParams) ->
     ``s = T - tau^{1/(H+1/2)}``, which absorbs the near-singularity.
     There ``u - s`` is formed as ``(u - T) + tau^{1/(H+1/2)}``: as
     ``u - (T - tau^{1/(H+1/2)})`` it would round to 0 near ``tau = 0``.
+    Both dates must be finite and ``>= T``.
     """
     from scipy import integrate  # here, to keep quadrature off the import path
 
-    if u_i < params.T or u_j < params.T:
-        raise UsageError(f"dates must be >= T, got ({u_i}, {u_j}) with T={params.T}")
     H, eta, T = params.H, params.eta, params.T
+    after = (lambda u: T <= u < math.inf, f"finite and >= T = {T}")
+    u_i, u_j = _real(u_i, "u_i", after), _real(u_j, "u_j", after)
     if eta == 0.0:
         return 0.0
 

@@ -34,6 +34,7 @@ import numpy as np
 from scipy.special import erfc
 
 from .errors import HypothesisError, UsageError
+from .errors import _NONNEGATIVE, _POSITIVE, _real
 from .model import GaussianSpec
 from .schemes import SchemeKind, geometric_projection
 
@@ -72,14 +73,7 @@ class Payoff:
 
     def __post_init__(self):
         if self.kind in (PayoffKind.CALL, PayoffKind.PUT):
-            if (
-                self.strike is None
-                or isinstance(self.strike, bool)
-                or not 0 < self.strike < math.inf
-            ):
-                raise UsageError(
-                    f"{self.kind.value} strike must be finite and > 0, got {self.strike}"
-                )
+            object.__setattr__(self, "strike", _real(self.strike, "strike", _POSITIVE))
         elif self.strike is not None:
             raise UsageError("future payoff carries no strike")
 
@@ -125,12 +119,7 @@ def black_scholes(kind: PayoffKind, x: float, y: float, z: float) -> float:
     """
     if kind not in (PayoffKind.CALL, PayoffKind.PUT):
         raise UsageError("black_scholes prices calls and puts only")
-    if not all(math.isfinite(v) for v in (x, y, z)):
-        raise UsageError(f"black_scholes requires finite x, y and z, got x={x}, y={y}, z={z}")
-    if x <= 0 or y <= 0:
-        raise UsageError(f"black_scholes requires x > 0 and y > 0, got x={x}, y={y}")
-    if z < 0:
-        raise UsageError(f"total volatility must be >= 0, got z={z}")
+    x, y, z = _real(x, "x", _POSITIVE), _real(y, "y", _POSITIVE), _real(z, "z", _NONNEGATIVE)
     if z == 0.0:
         intrinsic = x - y if kind is PayoffKind.CALL else y - x
         return max(intrinsic, 0.0)

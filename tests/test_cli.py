@@ -9,7 +9,7 @@ import typing
 
 import pytest
 
-from roughvix import UsageError, cli
+from roughvix import UsageError, cli, errors
 from roughvix.cli import RunConfig, main, parse_config, run, validate
 
 X0 = math.log(0.235**2)
@@ -235,6 +235,51 @@ def test_a_repeated_grid_size_exits_2_without_results(tmp_path, capsys, command)
     args = [*RUNS[command], "--n-values", "8,8,16", "--output", str(out)]
     assert main(args) == 2
     assert "without repeats" in capsys.readouterr().err
+    assert not out.exists()
+
+
+PRICE_ARGS = ["price", "--payoff", "call", "--strike", "0.1", "--n", "4", "--M", "10"]
+FILE = "<file>"
+# Refusals that need a file or a pair of keys: each case's file text (or
+# None), its arguments, in which FILE stands for the file, and a piece of
+# the message.
+REFUSALS = {
+    "choice from a file": ('{"scheme": "simpson"}', ["--config", FILE, *BASE_MODEL],
+                           "scheme: 'simpson' is not one of"),
+    "invalid JSON": ('{"H": 0.3,', ["--config", FILE, *BASE_MODEL], "invalid JSON"),
+    "line without =": ("H 0.3\n", ["--config", FILE, *BASE_MODEL], ":1: expected key=value"),
+    "JSON array": ("[1, 2]\n", ["--config", FILE, *BASE_MODEL], ":1: expected key=value"),
+    "strike on a future": (None, [*BASE_MODEL, "--payoff", "future"],
+                           "a future takes no strike"),
+    "x0 CSV of a header": ("date,x0\n", [*BASE_MODEL[:-2], "--x0-csv", FILE],
+                           "need a header row plus"),
+    "x0 CSV row of one column": ("date,x0\n0.5\n", [*BASE_MODEL[:-2], "--x0-csv", FILE],
+                                 ":2: need two columns"),
+}
+
+
+@pytest.mark.parametrize("text, args, message", REFUSALS.values(), ids=REFUSALS)
+def test_a_refused_run_exits_2_without_results(tmp_path, capsys, text, args, message):
+    path, out = tmp_path / "input", tmp_path / "x.csv"
+    if text is not None:
+        path.write_text(text)
+    args = [str(path) if arg == FILE else arg for arg in args]
+    assert main([*PRICE_ARGS, *args, "--output", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_float_keys_share_the_library_bounds():
+    shared = {errors._POSITIVE, errors._NONNEGATIVE, errors._FINITE, errors._UNIT_INTERVAL}
+    hints = typing.get_type_hints(RunConfig)
+    floats = [f for f in dataclasses.fields(RunConfig) if "float" in str(hints[f.name])]
+    assert floats and all(f.metadata["check"] in shared for f in floats)
+
+
+def test_strong_error_refuses_fewer_than_1000_samples(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main([*RUNS["strong-error"], "--M", "500", "--output", str(out)]) == 2
+    assert "M: must be >= 1000 for strong-error, got 500" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -208,6 +208,15 @@ def test_mc_price_validation():
     assert type(whole.samples_used[0]) is int
 
 
+def test_mc_price_takes_only_a_bool_for_use_cv():
+    for use_cv in ["no", 0, 1, None]:
+        with pytest.raises(UsageError, match="use_cv must be a bool"):
+            mc_price(SchemeKind.RECTANGLE, 4, 10, CALL, use_cv, PB, seed=0)
+    est = mc_price(SchemeKind.RECTANGLE, 4, 10, CALL, np.True_, PB, seed=0)
+    assert est == mc_price(SchemeKind.RECTANGLE, 4, 10, CALL, True, PB, seed=0)
+    assert est.cv_used is True
+
+
 # Not an integer in [0, 2^64): None would draw OS entropy, a bool or an
 # integral float would pass as an integer.
 BAD_SEEDS = [None, True, False, -1, 2**64, 1.5, 3.0, "3", np.float64(2.0)]

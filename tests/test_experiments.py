@@ -1,5 +1,6 @@
 """Experiment drivers: error curves, MSE-cost tables, slope fitting, presets."""
 
+import json
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from roughvix import (
     PayoffKind,
     SchemeKind,
     UsageError,
+    X0Curve,
     fit_loglog_slope,
     lambda_constant,
     mse_cost_curve,
@@ -216,6 +218,14 @@ def test_weak_error_decays_and_documents_protocol():
     assert curve.protocol["reference_price"] == 0.13093742
     assert len(curve.protocol["estimates"]) == 6
     assert not curve.protocol["reference_ci_warning"]
+
+
+def test_a_study_on_a_curve_records_the_curve():
+    curve = X0Curve(knots=(0.25, 0.3), values=(X0, X0 + 0.1))
+    params = ModelParams(H=0.3, eta=0.5, T=0.25, Delta=1.0 / 12.0, x0=curve)
+    study = weak_error_curve(SchemeKind.RECTANGLE, (4,), CALL, 0.1, 0.0, 10, params, seed=0)
+    recorded = json.loads(json.dumps(study.protocol["params"]["x0"]))
+    assert recorded == {"knots": [0.25, 0.3], "values": [X0, X0 + 0.1], "mode": "step"}
 
 
 def test_weak_error_flags_a_loose_reference():

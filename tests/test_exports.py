@@ -1,4 +1,4 @@
-"""The package's exported names and the layering of its modules."""
+"""The package's exported names, the layering of its modules, its input rule."""
 
 import ast
 import importlib
@@ -6,7 +6,25 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from roughvix import (
+    Grid,
+    ModelParams,
+    Payoff,
+    PayoffKind,
+    SchemeKind,
+    UsageError,
+    X0Curve,
+    black_scholes,
+    covariance_entry,
+    hyp2f1,
+    mc_price,
+    mlmc_plan,
+    mse_cost_curve,
+    weak_error_curve,
+)
 
 MODULES = [
     "roughvix",
@@ -71,3 +89,52 @@ def test_importing_the_package_loads_no_quadrature():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"]
+
+
+# --- the input rule ---------------------------------------------------------
+
+GOOD = dict(H=0.1, eta=0.5, T=0.5, Delta=1.0 / 12.0, x0=-2.9)
+PB = ModelParams(**GOOD)
+CALL = Payoff(PayoffKind.CALL, strike=0.1)
+RECT = SchemeKind.RECTANGLE
+
+# Text or an array where a number is taken, and text where a bool is taken:
+# each is refused with UsageError, before any work.
+NOT_A_NUMBER = {
+    "H as text": lambda: ModelParams(**{**GOOD, "H": "0.1"}),
+    "x0 as text": lambda: ModelParams(**{**GOOD, "x0": "1.5"}),
+    "eta as an array": lambda: ModelParams(**{**GOOD, "eta": np.array([0.5, 0.6])}),
+    "H as a 0-d array": lambda: ModelParams(**{**GOOD, "H": np.array(0.1)}),
+    "a knot as text": lambda: X0Curve(knots=("a",), values=(0.0,)),
+    "grid T as text": lambda: Grid("0.5", 1.0 / 12.0, 8),
+    "strike as text": lambda: Payoff(PayoffKind.CALL, "0.1"),
+    "strike as an array": lambda: Payoff(PayoffKind.CALL, np.array([0.1])),
+    "forward as text": lambda: black_scholes(PayoffKind.CALL, "1", 1.0, 0.2),
+    "2F1 a as text": lambda: hyp2f1("1", 0.6, 1.6, -1.0),
+    "date as text": lambda: covariance_entry("0.5", 0.55, PB),
+    "use_cv as text": lambda: mc_price(RECT, 4, 10, CALL, "no", PB, seed=0),
+    "epsilon as text": lambda: mlmc_plan("0.01", 6, RECT, CALL, PB),
+    "reference as text": lambda: weak_error_curve(RECT, (4,), CALL, "0.1", 0.0, 10, PB, 0),
+    "an epsilon as text": lambda: mse_cost_curve("mc-rect", ("a",), 2, 0.1, PB, CALL, 0),
+}
+
+
+@pytest.mark.parametrize("call", NOT_A_NUMBER.values(), ids=NOT_A_NUMBER)
+def test_a_value_that_is_no_number_is_a_usage_error(call):
+    with pytest.raises(UsageError, match="must be a"):
+        call()
+
+
+def test_an_int_beyond_the_float_range_is_out_of_every_bound():
+    with pytest.raises(UsageError, match="T must be finite and > 0"):
+        ModelParams(**{**GOOD, "T": 10**400})
+    with pytest.raises(UsageError, match="x0 must be finite"):
+        ModelParams(**{**GOOD, "x0": -(10**400)})
+
+
+def test_the_model_stores_its_numbers_as_floats():
+    params = ModelParams(H=np.float64(0.1), eta=1, T=np.float32(0.5), Delta=0.25, x0=-3)
+    assert all(type(getattr(params, name)) is float for name in GOOD)
+    assert params == ModelParams(H=0.1, eta=1.0, T=0.5, Delta=0.25, x0=-3.0)
+    assert hash(params) == hash(ModelParams(H=0.1, eta=1.0, T=0.5, Delta=0.25, x0=-3.0))
+    assert type(Payoff(PayoffKind.PUT, 1).strike) is float

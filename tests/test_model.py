@@ -75,7 +75,7 @@ def test_curve_validation():
     with pytest.raises(UsageError):
         X0Curve(knots=(1.0,), values=(float("nan"),))
     for knots, values in [((1.0,), (True,)), ((True,), (1.0,)), ((1.0, 2.0), (0.0, False))]:
-        with pytest.raises(UsageError, match="not bools"):
+        with pytest.raises(UsageError, match="must be a number, not a bool"):
             X0Curve(knots=knots, values=values)
 
 
@@ -234,6 +234,15 @@ def test_covariance_entry_range_checks():
         covariance_entry(PA.T - 0.01, PA.T, PA)
     with pytest.raises(UsageError):
         covariance_entry(PA.T, PA.T + 2 * PA.Delta, PA)
+    with pytest.raises(UsageError, match="u_j must be in"):
+        covariance_entry(PA.T, math.nan, PA)
+
+
+def test_quadrature_oracle_is_zero_without_vol_of_vol_and_refuses_early_dates():
+    flat = dataclasses.replace(PA, eta=0.0)
+    assert covariance_quadrature_oracle(PA.T, PA.T + PA.Delta, flat) == 0.0
+    with pytest.raises(UsageError, match="u_i must be finite and >= T"):
+        covariance_quadrature_oracle(PA.T - 0.01, PA.T, PA)
 
 
 # (H, T, Delta, n): the ref-b law across n, then a domain sweep at n = 250

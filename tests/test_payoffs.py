@@ -47,7 +47,7 @@ def test_payoff_validation():
     with pytest.raises(UsageError):
         Payoff(PayoffKind.FUTURE, strike=0.1)
     for kind in (PayoffKind.CALL, PayoffKind.PUT):
-        with pytest.raises(UsageError, match="strike must be finite and > 0"):
+        with pytest.raises(UsageError, match="strike must be a number, not a bool"):
             Payoff(kind, strike=True)
 
 
