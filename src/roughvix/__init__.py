@@ -57,7 +57,6 @@ from .experiments import (
 from .hypergeometric import hyp2f1
 from .model import (
     CholeskyFactor,
-    Grid,
     GaussianSpec,
     ModelParams,
     X0Curve,
@@ -105,7 +104,6 @@ __all__ = [
     # model
     "ModelParams",
     "X0Curve",
-    "Grid",
     "GaussianSpec",
     "grid_for",
     "mean_vector",

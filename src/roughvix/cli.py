@@ -41,7 +41,7 @@ from datetime import datetime, timezone
 
 from .errors import NumericError, UsageError
 from .errors import _FINITE, _NONNEGATIVE, _POSITIVE, _UNIT_INTERVAL
-from .estimators import mc_price, mlmc_plan, mlmc_price
+from .estimators import PLAN_CONSTANTS, mc_price, mlmc_plan, mlmc_price
 from .experiments import (
     FAMILIES,
     PRESET_NAMES,
@@ -53,6 +53,7 @@ from .experiments import (
 )
 from .model import (
     RANK_TOL,
+    X0_MODES,
     ModelParams,
     X0Curve,
     covariance_entry,
@@ -95,9 +96,7 @@ class RunConfig:
     Delta: float | None = _key("VIX window width in years", check=_POSITIVE)
     x0: float | None = _key("constant initial log-forward-variance", check=_FINITE)
     x0_csv: str | None = _key("two-column CSV (date, value) with header")
-    x0_interp: str = _key(
-        "interpolation for --x0-csv (default step)", "step", choices=("step", "linear")
-    )
+    x0_interp: str = _key("interpolation for --x0-csv (default step)", "step", choices=X0_MODES)
     payoff: str = _key(
         "payoff kind", "call", choices=tuple(kind.value for kind in PayoffKind)
     )
@@ -116,9 +115,7 @@ class RunConfig:
     epsilon: float | None = _key("target RMSE (mlmc)", check=_POSITIVE)
     n0: int = _key("base grid size (mlmc, default 6)", 6, check=_at_least(1))
     plan_constants: str = _key(
-        "where the plan constants come from",
-        "auto",
-        choices=("auto", "closed-form", "pilot"),
+        "where the plan constants come from", "auto", choices=PLAN_CONSTANTS
     )
     n_ref: int | None = _key("reference grid size", check=_at_least(2))
     n_values: tuple[int, ...] | None = _key(
@@ -485,18 +482,11 @@ def _run_price(config: RunConfig, params: ModelParams, payoff: Payoff):
     scheme = SchemeKind(config.scheme)
     summary: dict = {}
     if config.estimator == "mc":
-        est = mc_price(
-            scheme, config.n, config.M, payoff, config.cv, params, config.seed
-        )
+        est = mc_price(scheme, config.n, config.M, payoff, config.cv, params, config.seed)
         grids = [config.n]
     else:
         plan = mlmc_plan(
-            config.epsilon,
-            config.n0,
-            scheme,
-            payoff,
-            params,
-            constants=config.plan_constants,
+            config.epsilon, config.n0, scheme, payoff, params, constants=config.plan_constants
         )
         est = mlmc_price(plan, payoff, params, config.seed)
         grids = list(plan.n_levels)
@@ -530,12 +520,7 @@ def _run_price(config: RunConfig, params: ModelParams, payoff: Payoff):
 
 def _run_strong(config: RunConfig, params: ModelParams, payoff: None):
     curve = strong_error_curve(
-        SchemeKind(config.scheme),
-        config.n_values,
-        config.n_ref,
-        config.M,
-        params,
-        config.seed,
+        SchemeKind(config.scheme), config.n_values, config.n_ref, config.M, params, config.seed
     )
     overlay = curve.lambda_over_n or (None,) * len(curve.n_values)
     rows = [
@@ -551,14 +536,8 @@ def _run_strong(config: RunConfig, params: ModelParams, payoff: None):
 
 def _run_weak(config: RunConfig, params: ModelParams, payoff: Payoff):
     curve = weak_error_curve(
-        SchemeKind(config.scheme),
-        config.n_values,
-        payoff,
-        config.reference_price,
-        config.reference_ci,
-        config.M,
-        params,
-        config.seed,
+        SchemeKind(config.scheme), config.n_values, payoff, config.reference_price,
+        config.reference_ci, config.M, params, config.seed,
     )
     rows = [
         dict(n=n, estimate=est, std_error=se, abs_error=err, ci95_halfwidth=hw)

@@ -6,12 +6,15 @@ the three concrete categories to exit codes (usage -> 2, numeric -> 3,
 I/O -> 4).  The one warning category, :class:`DegenerateEstimateWarning`,
 flags an estimate whose standard error cannot be trusted.
 
-Two rules check every number an argument takes, here because every
-layer can import this module.  :func:`_whole` takes a whole number of
-at least a least value, and :func:`_real` a real number within a bound.
-A bound is a pair ``(condition, text)``, such as :data:`_POSITIVE`; the
-library and the CLI's :class:`~roughvix.cli.RunConfig` read the same
-pairs.  Neither rule takes a bool.
+One rule checks each kind of argument, here because every layer can
+import this module.  :func:`_whole` takes a whole number of at least a
+least value, and :func:`_real` a real number within a bound.  A bound
+is a pair ``(condition, text)``, such as :data:`_POSITIVE`; the library
+and the CLI's :class:`~roughvix.cli.RunConfig` read the same pairs.
+:func:`_choice` takes one of a set of choices, an Enum's members or
+strings, and :func:`_items` a non-empty list, each item checked by
+another rule.  :func:`_reals` takes an array of real numbers.  No rule
+takes a bool for a number, or text for a number or a list.
 """
 
 import math
@@ -101,3 +104,46 @@ def _real(value, what: str, bound: tuple) -> float:
     if not condition(number):
         raise UsageError(f"{what} must be {text}, got {what}={value!r}")
     return number
+
+
+def _choice(value, choices, what: str):
+    """The member of `choices` that `value` is; else UsageError.
+
+    The members are compared one by one, a string by equality and any
+    other value by identity, so text is never an Enum's member:
+    ``"call" in PayoffKind`` raises TypeError before Python 3.12 and is
+    True from 3.12 on.
+    """
+    for choice in choices:
+        if value is choice or (isinstance(value, str) and value == choice):
+            return choice
+    raise UsageError(f"unknown {what} {value!r}; choose from {', '.join(map(str, choices))}")
+
+
+def _items(values, what: str, item) -> tuple:
+    """``item(v)`` for each `v` in `values`, if it is a non-empty list; else UsageError.
+
+    A list is any iterable but text, such as a tuple or an array.
+    """
+    try:
+        listed = None if isinstance(values, (str, bytes)) else tuple(values)
+    except TypeError:  # a scalar, or a 0-d array
+        listed = None
+    if listed is None:
+        raise UsageError(f"{what} must be a list, got {what}={values!r}")
+    if not listed:
+        raise UsageError(f"{what} must not be empty")
+    return tuple(map(item, listed))
+
+
+def _reals(values, what: str):
+    """`values` as a float array, if its entries are numbers; else UsageError.
+
+    Text, a bool or None is none, where numpy reads ``"0.04"`` as 0.04.
+    """
+    import numpy as np  # here, so that this module loads without numpy
+
+    array = np.asarray(values)
+    if array.dtype.kind not in "iuf":
+        raise UsageError(f"{what} must be an array of numbers, got {what}={values!r}")
+    return array.astype(float, copy=False)

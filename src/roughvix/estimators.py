@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateEstimateWarning, HypothesisError, NumericError, UsageError
-from .errors import _POSITIVE, _real, _whole
+from .errors import _POSITIVE, _choice, _items, _real, _whole
 from .model import GaussianSpec, ModelParams, gaussian_spec, lambda_integral
 from .payoffs import (
     Payoff,
@@ -64,6 +64,8 @@ __all__ = [
 _PILOT_SEED = 1405
 _PILOT_LEVELS = 4
 _PILOT_PROBE_M = 10_000
+# Where a plan's constants may come from (see :func:`mlmc_plan`).
+PLAN_CONSTANTS = ("auto", "closed-form", "pilot")
 
 
 @dataclass(frozen=True)
@@ -128,10 +130,8 @@ class MlmcPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "n0", _whole(self.n0, 1, "n0"))
-        m_levels = tuple(_whole(m, 1, "m_levels entry") for m in self.m_levels)
+        m_levels = _items(self.m_levels, "m_levels", lambda m: _whole(m, 1, "m_levels entry"))
         object.__setattr__(self, "m_levels", m_levels)
-        if not m_levels:
-            raise UsageError("m_levels must not be empty")
         if any(b > a for a, b in zip(m_levels, m_levels[1:])):
             raise UsageError("m_levels must be monotone nonincreasing")
 
@@ -358,11 +358,11 @@ def mlmc_plan(
     """
     epsilon = _real(epsilon, "epsilon", _POSITIVE)
     n0 = _whole(n0, 1, "n0")
-    if constants not in ("auto", "closed-form", "pilot"):
-        raise UsageError(f"unknown constants mode: {constants!r}")
+    scheme = _choice(scheme, SchemeKind, "scheme")
+    constants = _choice(constants, PLAN_CONSTANTS, "constants")
 
     lam = None
-    if constants in ("auto", "closed-form"):
+    if constants != "pilot":
         try:
             lam = lambda_constant(params)
             lphi = lipschitz_constant(payoff)

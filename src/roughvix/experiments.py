@@ -25,8 +25,8 @@ from functools import partial
 import numpy as np
 
 from .errors import HypothesisError, UsageError
-from .errors import _FINITE, _NONNEGATIVE, _POSITIVE, _real, _whole
-from .estimators import lambda_constant, mc_price, mlmc_plan, mlmc_price
+from .errors import _FINITE, _NONNEGATIVE, _POSITIVE, _choice, _items, _real, _reals, _whole
+from .estimators import PLAN_CONSTANTS, lambda_constant, mc_price, mlmc_plan, mlmc_price
 from .model import ModelParams, gaussian_spec
 from .payoffs import Payoff
 from .sampler import DOMAIN_EXPERIMENT, vix2_runs
@@ -108,8 +108,7 @@ def fit_loglog_slope(x, y) -> tuple:
     Returns ``(slope, intercept, r2)``.  Requires at least three strictly
     positive points and non-degenerate x values.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _reals(x, "x"), _reals(y, "y")
     if x.shape != y.shape or x.ndim != 1 or x.size < 3:
         raise UsageError("need at least 3 paired points")
     if np.any(x <= 0) or np.any(y <= 0):
@@ -151,9 +150,9 @@ def _payoff_dict(payoff: Payoff) -> dict:
 
 def _grid_sizes(n_values) -> tuple:
     """A curve's grid sizes as ints: whole numbers >= 1, not empty, no repeats."""
-    n_values = tuple(_whole(n, 1, "grid size") for n in n_values)
-    if len(n_values) == 0 or len(set(n_values)) < len(n_values):
-        raise UsageError(f"n_values must be nonempty, without repeats, got {n_values}")
+    n_values = _items(n_values, "n_values", lambda n: _whole(n, 1, "grid size"))
+    if len(set(n_values)) < len(n_values):
+        raise UsageError(f"n_values must be without repeats, got {n_values}")
     return n_values
 
 
@@ -319,13 +318,9 @@ def mse_cost_curve(
     95% interval for the mean of the squared errors.  ``protocol["grids"]``
     lists the grid sizes the estimates were sampled on.
     """
-    if estimator_family not in FAMILIES:
-        raise UsageError(
-            f"unknown estimator family {estimator_family!r}; choose from {FAMILIES}"
-        )
-    epsilons = tuple(_real(e, "epsilon", _POSITIVE) for e in epsilons)
-    if not epsilons:
-        raise UsageError("epsilons must not be empty")
+    estimator_family = _choice(estimator_family, FAMILIES, "estimator family")
+    constants = _choice(constants, PLAN_CONSTANTS, "constants")
+    epsilons = _items(epsilons, "epsilons", lambda e: _real(e, "epsilon", _POSITIVE))
     N_mse = _whole(N_mse, 2, "N_mse")
     reference_price = _real(reference_price, "reference_price", _FINITE)
 
@@ -497,6 +492,4 @@ def preset(name: str, paper_scale: bool = False) -> dict:
     ``fig2`` is the weak study, ``fig3`` the MSE-cost study, and
     ``ref-a``/``ref-b`` the two reference-price protocols.
     """
-    if name not in _PRESETS:
-        raise UsageError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-    return _PRESETS[name](paper_scale)
+    return _PRESETS[_choice(name, PRESET_NAMES, "preset")](paper_scale)

@@ -26,7 +26,7 @@ import numpy as np
 from scipy import special
 
 from .errors import UsageError
-from .errors import _FINITE, _POSITIVE, _real
+from .errors import _FINITE, _POSITIVE, _real, _reals
 
 # Half-widths of the Pfaff bands around |a - b| = 1 and |a - b| >= 2.
 _PFAFF_BAND_ONE = 3e-5
@@ -55,10 +55,10 @@ def hyp2f1(a: float, b: float, c: float, x):
     ------
     UsageError
         If a parameter is not a finite real number (a bool is none),
-        ``c <= 0``, or any argument is positive or not finite.
+        ``c <= 0``, or an argument is no number, positive or not finite.
     """
     a, b, c = _real(a, "a", _FINITE), _real(b, "b", _FINITE), _real(c, "c", _POSITIVE)
-    x_arr = np.asarray(x, dtype=float)
+    x_arr = _reals(x, "x")
     if np.any(x_arr > 0) or not np.all(np.isfinite(x_arr)):
         bad = x_arr[(x_arr > 0) | ~np.isfinite(x_arr)].flat[0]
         raise UsageError(f"hyp2f1 supports only finite x <= 0, got x={bad}")

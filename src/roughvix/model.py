@@ -33,13 +33,13 @@ from functools import cached_property, lru_cache, partial
 import numpy as np
 
 from .errors import FactorizationError, HypothesisError, NumericError, UsageError
-from .errors import _FINITE, _NONNEGATIVE, _POSITIVE, _UNIT_INTERVAL, _real, _whole
+from .errors import _FINITE, _NONNEGATIVE, _POSITIVE, _UNIT_INTERVAL
+from .errors import _choice, _items, _real, _reals, _whole
 from .hypergeometric import hyp2f1
 
 __all__ = [
     "X0Curve",
     "ModelParams",
-    "Grid",
     "GaussianSpec",
     "CholeskyFactor",
     "cholesky_factor",
@@ -58,6 +58,8 @@ RANK_TOL = 1e-14
 # A residual variance below -_INDEFINITE_TOL * max diag(C) is no rounding
 # noise: no factor could then reproduce C to the 1e-10 the package promises.
 _INDEFINITE_TOL = 1e-10
+# How an X0Curve reads between its knots.
+X0_MODES = ("step", "linear")
 
 
 @dataclass(frozen=True)
@@ -81,19 +83,18 @@ class X0Curve:
     mode: str = "step"
 
     def __post_init__(self):
-        knots = tuple(_real(k, "x0 knot", _FINITE) for k in self.knots)
-        values = tuple(_real(v, "x0 value", _FINITE) for v in self.values)
+        knots = _items(self.knots, "x0 knots", lambda k: _real(k, "x0 knot", _FINITE))
+        values = _items(self.values, "x0 values", lambda v: _real(v, "x0 value", _FINITE))
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "values", values)
-        if len(knots) == 0 or len(knots) != len(values):
-            raise UsageError("X0Curve needs equally many knots and values (at least one)")
+        object.__setattr__(self, "mode", _choice(self.mode, X0_MODES, "x0 mode"))
+        if len(knots) != len(values):
+            raise UsageError("X0Curve needs equally many knots and values")
         if any(b <= a for a, b in zip(knots, knots[1:])):
             raise UsageError("X0Curve knots must be strictly increasing")
-        if self.mode not in ("step", "linear"):
-            raise UsageError(f"X0Curve mode must be 'step' or 'linear', got {self.mode!r}")
 
     def __call__(self, u):
-        u_arr = np.asarray(u, dtype=float)
+        u_arr = _reals(u, "u")
         if self.mode == "linear":
             out = np.interp(u_arr, self.knots, self.values)
         else:
@@ -138,16 +139,14 @@ class ModelParams:
             object.__setattr__(self, name, _real(getattr(self, name), name, bound))
         if not isinstance(self.x0, X0Curve):
             object.__setattr__(self, "x0", _real(self.x0, "x0", _FINITE))
-        else:
-            probe = np.linspace(self.T, self.T + self.Delta, 9)
-            if not np.all(np.isfinite(self.x0(probe))):
-                raise UsageError("x0 curve must be finite on [T, T + Delta]")
+        elif not np.all(np.isfinite(self.x0(grid_for(self, 8)))):
+            raise UsageError("x0 curve must be finite on [T, T + Delta]")
 
     def x0_at(self, u):
         """Evaluate the initial curve at date(s) `u`."""
         if isinstance(self.x0, X0Curve):
             return self.x0(u)
-        out = np.full_like(np.asarray(u, dtype=float), self.x0)
+        out = np.full_like(_reals(u, "u"), self.x0)
         return float(out) if np.ndim(u) == 0 else out
 
     @property
@@ -159,32 +158,6 @@ class ModelParams:
         if not self.x0_is_constant:
             raise HypothesisError("x0 curve is not constant")
         return self.x0.values[0] if isinstance(self.x0, X0Curve) else self.x0
-
-
-@dataclass(frozen=True)
-class Grid:
-    """Uniform grid ``u_i = T + i * Delta / n`` for ``i = 0..n``."""
-
-    T: float
-    Delta: float
-    n: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "n", _whole(self.n, 1, "grid step count"))
-        object.__setattr__(self, "T", _real(self.T, "T", _POSITIVE))
-        object.__setattr__(self, "Delta", _real(self.Delta, "Delta", _POSITIVE))
-
-    @property
-    def h(self) -> float:
-        """Mesh width Delta / n."""
-        return self.Delta / self.n
-
-    @property
-    def points(self) -> np.ndarray:
-        """Grid points, endpoints exact: points[0] = T, points[n] = T + Delta."""
-        pts = np.linspace(self.T, self.T + self.Delta, self.n + 1)
-        pts.flags.writeable = False
-        return pts
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,7 +197,7 @@ def cholesky_factor(cov: np.ndarray) -> CholeskyFactor:
         If a residual variance falls below ``-1e-10 * max diag(cov)``,
         i.e. the matrix is indefinite beyond rounding.
     """
-    cov = np.asarray(cov, dtype=float)
+    cov = _reals(cov, "cov")
     return _pivoted_cholesky(np.diag(cov).copy(), lambda p: cov[p])
 
 
@@ -287,7 +260,7 @@ class GaussianSpec:
         :class:`~roughvix.errors.FactorizationError` is not cached: every
         access retries the factorization and raises again.
         """
-        u, params = grid_for(self.params, self.n).points, self.params
+        u, params = grid_for(self.params, self.n), self.params
         row = partial(_covariance_row, u, params=params)
         factor = _pivoted_cholesky(_variance_at(u, params), row, source_key=(params, self.n))
         factor.L.flags.writeable = False
@@ -305,9 +278,15 @@ class GaussianSpec:
         return cov
 
 
-def grid_for(params: ModelParams, n: int) -> Grid:
-    """Grid with `n` steps over the VIX window of `params`."""
-    return Grid(params.T, params.Delta, n)
+def grid_for(params: ModelParams, n: int) -> np.ndarray:
+    """Read-only points ``u_i = T + i * Delta / n``, ``i = 0..n``, of the VIX window.
+
+    The endpoints are exact: ``u_0 = T`` and ``u_n = T + Delta``.
+    """
+    n = _whole(n, 1, "grid step count")
+    points = np.linspace(params.T, params.T + params.Delta, n + 1)
+    points.flags.writeable = False
+    return points
 
 
 def mean_vector(params: ModelParams, n: int) -> np.ndarray:
@@ -316,7 +295,7 @@ def mean_vector(params: ModelParams, n: int) -> np.ndarray:
     The grid is ``grid_for(params, n)`` over the VIX window of `params`;
     the vector covers all n+1 points.
     """
-    u = grid_for(params, n).points
+    u = grid_for(params, n)
     return params.x0_at(u) - 0.5 * _variance_at(u, params)
 
 
@@ -377,7 +356,7 @@ def covariance_matrix(params: ModelParams, n: int) -> np.ndarray:
     ``u_p, ..., u_n``, mirrored into column ``p``, so the result is
     symmetric by construction; the build holds the matrix and one row.
     """
-    u = grid_for(params, n).points
+    u = grid_for(params, n)
     cov = np.empty((u.size, u.size), dtype=float)
     for p in range(u.size):
         cov[p, p:] = cov[p:, p] = _covariance_row(u[p:], 0, params)

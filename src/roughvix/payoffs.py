@@ -34,7 +34,7 @@ import numpy as np
 from scipy.special import erfc
 
 from .errors import HypothesisError, UsageError
-from .errors import _NONNEGATIVE, _POSITIVE, _real
+from .errors import _NONNEGATIVE, _POSITIVE, _choice, _real, _reals
 from .model import GaussianSpec
 from .schemes import SchemeKind, geometric_projection
 
@@ -72,7 +72,7 @@ class Payoff:
     strike: float | None = None
 
     def __post_init__(self):
-        if self.kind in (PayoffKind.CALL, PayoffKind.PUT):
+        if _choice(self.kind, PayoffKind, "payoff kind") is not PayoffKind.FUTURE:
             object.__setattr__(self, "strike", _real(self.strike, "strike", _POSITIVE))
         elif self.strike is not None:
             raise UsageError("future payoff carries no strike")
@@ -80,7 +80,7 @@ class Payoff:
 
 def payoff_eval(p: Payoff, vix2):
     """Evaluate the payoff at VIX^2 value(s) ``vix2 >= 0``."""
-    x = np.asarray(vix2, dtype=float)
+    x = _reals(vix2, "vix2")
     if np.any(x < 0):
         raise UsageError("payoff requires VIX^2 >= 0")
     vix = np.sqrt(x)
@@ -117,8 +117,7 @@ def black_scholes(kind: PayoffKind, x: float, y: float, z: float) -> float:
     ``C(x,y,z) = x*Phi(ln(x/y)/z + z/2) - y*Phi(ln(x/y)/z - z/2)`` and the
     symmetric put formula; ``z = 0`` degenerates to the intrinsic value.
     """
-    if kind not in (PayoffKind.CALL, PayoffKind.PUT):
-        raise UsageError("black_scholes prices calls and puts only")
+    _choice(kind, (PayoffKind.CALL, PayoffKind.PUT), "black_scholes kind")
     x, y, z = _real(x, "x", _POSITIVE), _real(y, "y", _POSITIVE), _real(z, "z", _NONNEGATIVE)
     if z == 0.0:
         intrinsic = x - y if kind is PayoffKind.CALL else y - x

@@ -87,7 +87,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import UsageError
+from .errors import UsageError, _whole
 from .model import CholeskyFactor, ModelParams, gaussian_spec
 from .schemes import SchemeKind, _weight_rows, geometric_projection
 
@@ -366,6 +366,7 @@ def batch_size(n: int) -> int:
     streams and the product's bits; they do not bound the estimators'
     memory, which holds one row block per worker at a time.
     """
+    n = _whole(n, 1, "grid size n")
     return max(1, min(32_768, _BLOCK_BUDGET // (n + 1)))
 
 

@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import UsageError, _choice
 from .model import GaussianSpec
 
 __all__ = [
@@ -46,15 +46,13 @@ def _quadrature_weights(kind: SchemeKind, n: int) -> tuple:
     are exact in floating point, so the extended-precision sum of
     ``a . mu`` in :func:`geometric_projection` is correctly rounded.
     """
-    if kind is SchemeKind.RECTANGLE:
+    if _choice(kind, SchemeKind, "scheme") is SchemeKind.RECTANGLE:
         a = np.ones(n + 1)
         a[0] = 0.0
         return a, n
-    if kind is SchemeKind.TRAPEZOID:
-        a = np.full(n + 1, 2.0)
-        a[0] = a[-1] = 1.0
-        return a, 2 * n
-    raise UsageError(f"unknown scheme kind: {kind!r}")
+    a = np.full(n + 1, 2.0)
+    a[0] = a[-1] = 1.0
+    return a, 2 * n
 
 
 def _weight_rows(kind: SchemeKind, n: int, steps) -> tuple:

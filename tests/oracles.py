@@ -356,7 +356,7 @@ def triangular_covariance(params, n):
     the diagonal, then all ``n(n+1)/2`` pairs from ``np.triu_indices``
     in one vectorized evaluation, mirrored.
     """
-    u = grid_for(params, n).points
+    u = grid_for(params, n)
     m = u.shape[0]
     cov = np.empty((m, m), dtype=float)
     cov[np.diag_indices(m)] = _variance_at(u, params)

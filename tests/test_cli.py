@@ -9,7 +9,8 @@ import typing
 
 import pytest
 
-from roughvix import UsageError, cli, errors
+from roughvix import PayoffKind, SchemeKind, UsageError, cli, errors
+from roughvix import estimators, experiments, model
 from roughvix.cli import RunConfig, main, parse_config, run, validate
 
 X0 = math.log(0.235**2)
@@ -274,6 +275,22 @@ def test_float_keys_share_the_library_bounds():
     hints = typing.get_type_hints(RunConfig)
     floats = [f for f in dataclasses.fields(RunConfig) if "float" in str(hints[f.name])]
     assert floats and all(f.metadata["check"] in shared for f in floats)
+
+
+def test_choice_keys_share_the_library_choices():
+    # The keys whose value the library takes read the library's own choices;
+    # estimator and format are the CLI's own.
+    fields = {f.name: f.metadata.get("choices") for f in dataclasses.fields(RunConfig)}
+    assert fields["x0_interp"] is model.X0_MODES
+    assert fields["plan_constants"] is estimators.PLAN_CONSTANTS
+    assert fields["family"] is experiments.FAMILIES
+    assert fields["preset"] is experiments.PRESET_NAMES
+    assert fields["payoff"] == tuple(kind.value for kind in PayoffKind)
+    assert fields["scheme"] == tuple(kind.value for kind in SchemeKind)
+    own = {"estimator", "format"}
+    assert {name for name, choices in fields.items() if choices} - own == {
+        "x0_interp", "plan_constants", "family", "preset", "payoff", "scheme"
+    }
 
 
 def test_strong_error_refuses_fewer_than_1000_samples(tmp_path, capsys):

@@ -1,7 +1,8 @@
-"""The package's exported names, the layering of its modules, its input rule."""
+"""The package's exported names, the layering of its modules, its input rules."""
 
 import ast
 import importlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,19 +11,25 @@ import numpy as np
 import pytest
 
 from roughvix import (
-    Grid,
+    MlmcPlan,
     ModelParams,
     Payoff,
     PayoffKind,
     SchemeKind,
     UsageError,
     X0Curve,
+    batch_size,
+    batch_sizes,
     black_scholes,
+    cholesky_factor,
     covariance_entry,
+    fit_loglog_slope,
     hyp2f1,
     mc_price,
     mlmc_plan,
     mse_cost_curve,
+    payoff_eval,
+    strong_error_curve,
     weak_error_curve,
 )
 
@@ -91,7 +98,7 @@ def test_importing_the_package_loads_no_quadrature():
     assert proc.stdout.split() == ["False"]
 
 
-# --- the input rule ---------------------------------------------------------
+# --- the input rules --------------------------------------------------------
 
 GOOD = dict(H=0.1, eta=0.5, T=0.5, Delta=1.0 / 12.0, x0=-2.9)
 PB = ModelParams(**GOOD)
@@ -106,7 +113,7 @@ NOT_A_NUMBER = {
     "eta as an array": lambda: ModelParams(**{**GOOD, "eta": np.array([0.5, 0.6])}),
     "H as a 0-d array": lambda: ModelParams(**{**GOOD, "H": np.array(0.1)}),
     "a knot as text": lambda: X0Curve(knots=("a",), values=(0.0,)),
-    "grid T as text": lambda: Grid("0.5", 1.0 / 12.0, 8),
+    "T as text": lambda: ModelParams(**{**GOOD, "T": "0.5"}),
     "strike as text": lambda: Payoff(PayoffKind.CALL, "0.1"),
     "strike as an array": lambda: Payoff(PayoffKind.CALL, np.array([0.1])),
     "forward as text": lambda: black_scholes(PayoffKind.CALL, "1", 1.0, 0.2),
@@ -138,3 +145,84 @@ def test_the_model_stores_its_numbers_as_floats():
     assert params == ModelParams(H=0.1, eta=1.0, T=0.5, Delta=0.25, x0=-3.0)
     assert hash(params) == hash(ModelParams(H=0.1, eta=1.0, T=0.5, Delta=0.25, x0=-3.0))
     assert type(Payoff(PayoffKind.PUT, 1).strike) is float
+
+
+# A choice given as text where an Enum member is taken, a scalar or text
+# where a list is taken, a grid size below 1 or as text, and text where an
+# array is taken.  Each is refused with UsageError naming the argument; each
+# was once taken, priced as something else, or refused with a raw TypeError,
+# a raw ValueError or a message about another argument.
+PLAN = dict(lam=None, c1=1.0, c2=1.0, epsilon=0.1, scheme=RECT)
+REFUSED = {
+    "payoff kind as text": (lambda: Payoff("call"), "unknown payoff kind"),
+    "payoff kind as text, with a strike": (lambda: Payoff("call", 0.1), "unknown payoff kind"),
+    "Black-Scholes kind as text": (
+        lambda: black_scholes("call", 1.0, 1.0, 0.2), "unknown black_scholes kind"
+    ),
+    "plan scheme as text": (lambda: mlmc_plan(0.01, 6, "rect", CALL, PB), "unknown scheme"),
+    "plan constants of a plain MC study": (
+        lambda: mse_cost_curve("mc-rect", (0.1,), 2, 0.1, PB, CALL, 0, constants="guess"),
+        "unknown constants 'guess'",
+    ),
+    "epsilons as a scalar": (
+        lambda: mse_cost_curve("mc-rect", 0.1, 2, 0.1, PB, CALL, 0), "epsilons must be a list"
+    ),
+    "epsilons as text": (
+        lambda: mse_cost_curve("mc-rect", "0.1", 2, 0.1, PB, CALL, 0), "epsilons must be a list"
+    ),
+    "n_values as a scalar": (
+        lambda: strong_error_curve(RECT, 8, 64, 2000, PB, 0), "n_values must be a list"
+    ),
+    "knots as a scalar": (
+        lambda: X0Curve(knots=1.0, values=(0.0,)), "x0 knots must be a list"
+    ),
+    "values as text": (lambda: X0Curve(knots=(1.0,), values="0"), "x0 values must be a list"),
+    "m_levels as a scalar": (
+        lambda: MlmcPlan(n0=6, m_levels=4, **PLAN), "m_levels must be a list"
+    ),
+    "batch width grid size -5": (
+        lambda: batch_size(-5), "grid size n must be an integer >= 1"
+    ),
+    "batch grid size 0": (lambda: batch_sizes(0, 10), "grid size n must be an integer >= 1"),
+    "batch grid size -5": (lambda: batch_sizes(-5, 10), "grid size n must be an integer >= 1"),
+    "batch grid size as text": (
+        lambda: batch_sizes("8", 10), "grid size n must be an integer >= 1"
+    ),
+    "VIX^2 as text": (lambda: payoff_eval(CALL, "0.04"), "vix2 must be an array of numbers"),
+    "2F1 x as text": (lambda: hyp2f1(0.4, 0.6, 1.6, "abc"), "x must be an array of numbers"),
+    "slope x as text": (
+        lambda: fit_loglog_slope(["a", "b", "c"], [1.0, 2.0, 3.0]),
+        "x must be an array of numbers",
+    ),
+    "covariance as text": (lambda: cholesky_factor("abc"), "cov must be an array of numbers"),
+    "curve date as text": (
+        lambda: X0Curve(knots=(0.5, 0.6), values=(1.0, 2.0))("0.55"), "u must be an array"
+    ),
+    "model date as text": (lambda: PB.x0_at("0.55"), "u must be an array of numbers"),
+}
+
+
+@pytest.mark.parametrize("call, message", REFUSED.values(), ids=REFUSED)
+def test_a_choice_list_or_array_of_the_wrong_kind_is_a_usage_error(call, message):
+    with pytest.raises(UsageError, match=re.escape(message)):
+        call()
+
+
+def test_a_list_may_be_any_iterable_but_text():
+    curve = X0Curve(knots=np.array([1.0, 2.0]), values=iter((0.0, 1.0)))
+    assert curve.knots == (1.0, 2.0) and curve.values == (0.0, 1.0)
+    for empty in ((), [], np.array([])):
+        with pytest.raises(UsageError, match="m_levels must not be empty"):
+            MlmcPlan(n0=6, m_levels=empty, **PLAN)
+    with pytest.raises(UsageError, match="m_levels must be a list"):
+        MlmcPlan(n0=6, m_levels=np.array(4), **PLAN)
+
+
+def test_a_choice_is_compared_member_by_member():
+    # Text equal to a member's value is not the member, on every Python.
+    assert Payoff(PayoffKind.CALL, 0.1).kind is PayoffKind.CALL
+    with pytest.raises(UsageError, match=r"choose from PayoffKind\.CALL, PayoffKind\.PUT"):
+        black_scholes(PayoffKind.FUTURE, 1.0, 1.0, 0.2)
+    with pytest.raises(UsageError, match="unknown x0 mode 'cubic'; choose from step, linear"):
+        X0Curve(knots=(1.0,), values=(0.0,), mode="cubic")
+    assert X0Curve(knots=(1.0,), values=(0.0,), mode=np.str_("linear")).mode == "linear"
