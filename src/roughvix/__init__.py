@@ -25,128 +25,28 @@ Building blocks:
 * :mod:`~roughvix.experiments` — strong-error, weak-error, and
   MSE-versus-cost studies with named presets.
 * :mod:`~roughvix.cli` — the ``roughvix`` command-line interface.
+
+A public name is one entry in its layer's ``__all__``: the package
+exports each layer's ``__all__``, lowest layer first, and nothing else
+but ``__version__``.  It does not import :mod:`~roughvix.cli`.
 """
 
-from .errors import (
-    DegenerateEstimateWarning,
-    FactorizationError,
-    HypothesisError,
-    NumericError,
-    RoughVixError,
-    UsageError,
-)
-from .estimators import (
-    Estimate,
-    LevelStat,
-    MlmcPlan,
-    lambda_constant,
-    level_statistics,
-    mc_price,
-    mlmc_plan,
-    mlmc_price,
-)
-from .experiments import (
-    ErrorCurve,
-    MseCostCurve,
-    fit_loglog_slope,
-    mse_cost_curve,
-    preset,
-    strong_error_curve,
-    weak_error_curve,
-)
-from .hypergeometric import hyp2f1
-from .model import (
-    CholeskyFactor,
-    GaussianSpec,
-    ModelParams,
-    X0Curve,
-    cholesky_factor,
-    covariance_entry,
-    covariance_matrix,
-    covariance_quadrature_oracle,
-    gaussian_spec,
-    grid_for,
-    lambda_integral,
-    mean_vector,
-)
-from .payoffs import (
-    CvMoments,
-    Payoff,
-    PayoffKind,
-    black_scholes,
-    cv_corrected_payoff,
-    cv_moments,
-    cv_price,
-    lipschitz_constant,
-    payoff_eval,
-)
-from .sampler import (
-    batch_size,
-    batch_sizes,
-    factor_for,
-    stream_for,
-)
-from .schemes import (
-    SchemeKind,
-)
+# Alphabetical, the order in which the layers have always loaded: a
+# process's peak memory has been seen to follow import order.
+from . import errors, estimators, experiments, hypergeometric, model, payoffs, sampler, schemes
+from .errors import *
+from .estimators import *
+from .experiments import *
+from .hypergeometric import *
+from .model import *
+from .payoffs import *
+from .sampler import *
+from .schemes import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "__version__",
-    # errors
-    "RoughVixError",
-    "UsageError",
-    "HypothesisError",
-    "NumericError",
-    "FactorizationError",
-    "DegenerateEstimateWarning",
-    # model
-    "ModelParams",
-    "X0Curve",
-    "GaussianSpec",
-    "grid_for",
-    "mean_vector",
-    "covariance_entry",
-    "covariance_matrix",
-    "covariance_quadrature_oracle",
-    "lambda_integral",
-    "gaussian_spec",
-    "CholeskyFactor",
-    "cholesky_factor",
-    "hyp2f1",
-    # sampler
-    "factor_for",
-    "stream_for",
-    "batch_size",
-    "batch_sizes",
-    # schemes
-    "SchemeKind",
-    # payoffs
-    "PayoffKind",
-    "Payoff",
-    "payoff_eval",
-    "lipschitz_constant",
-    "black_scholes",
-    "CvMoments",
-    "cv_moments",
-    "cv_price",
-    "cv_corrected_payoff",
-    # estimators
-    "Estimate",
-    "MlmcPlan",
-    "LevelStat",
-    "lambda_constant",
-    "mc_price",
-    "mlmc_plan",
-    "mlmc_price",
-    "level_statistics",
-    # experiments
-    "ErrorCurve",
-    "MseCostCurve",
-    "strong_error_curve",
-    "weak_error_curve",
-    "mse_cost_curve",
-    "fit_loglog_slope",
-    "preset",
+    "__version__", *errors.__all__, *hypergeometric.__all__, *model.__all__,
+    *schemes.__all__, *sampler.__all__, *payoffs.__all__, *estimators.__all__,
+    *experiments.__all__,
 ]

@@ -20,6 +20,11 @@ takes a bool for a number, or text for a number or a list.
 import math
 import numbers
 
+__all__ = [
+    "RoughVixError", "UsageError", "HypothesisError", "NumericError", "FactorizationError",
+    "DegenerateEstimateWarning",
+]
+
 
 class RoughVixError(Exception):
     """Base class for all errors raised by this package."""

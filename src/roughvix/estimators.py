@@ -116,7 +116,8 @@ class MlmcPlan:
     `m_levels`; the finest level :attr:`L` and the grids :attr:`n_levels`
     follow from them.  The other fields record where the counts came
     from: `lam` is the closed-form error constant when available (None
-    when constants came from a pilot run).
+    when constants came from a pilot run), and `constants_source` is
+    "closed-form" or "pilot", never "auto".
     """
 
     n0: int
@@ -130,6 +131,8 @@ class MlmcPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "n0", _whole(self.n0, 1, "n0"))
+        _choice(self.scheme, SchemeKind, "scheme")
+        _choice(self.constants_source, PLAN_CONSTANTS[1:], "constants_source")
         m_levels = _items(self.m_levels, "m_levels", lambda m: _whole(m, 1, "m_levels entry"))
         object.__setattr__(self, "m_levels", m_levels)
         if any(b > a for a, b in zip(m_levels, m_levels[1:])):
@@ -286,6 +289,13 @@ def _warn_if_degenerate(acc: _MomentAccumulator, spec: GaussianSpec, label: str)
         )
 
 
+def _stream_key(stream_key) -> tuple:
+    """`stream_key`, a list that may be empty, as a tuple; `stream_for` checks each item."""
+    if isinstance(stream_key, (tuple, list)) and not stream_key:
+        return ()
+    return _items(stream_key, "stream_key", lambda item: item)
+
+
 def mc_price(
     scheme: SchemeKind,
     n: int,
@@ -307,6 +317,7 @@ def mc_price(
     M = _whole(M, 2, "M, the sample count")
     if not isinstance(use_cv, (bool, np.bool_)):
         raise UsageError(f"use_cv must be a bool, got use_cv={use_cv!r}")
+    stream_key = _stream_key(stream_key)
     spec = gaussian_spec(params, n)
     cv_n = cv_price(payoff, cv_moments(spec, scheme)) if use_cv else None
     level = (spec, M, (*stream_key, DOMAIN_MC), False)
@@ -410,6 +421,7 @@ def mlmc_price(
     sample variance is exactly 0 under a law that is not flat warns with
     :class:`~roughvix.errors.DegenerateEstimateWarning`.
     """
+    stream_key = _stream_key(stream_key)
     specs = [gaussian_spec(params, n) for n in plan.n_levels]
     levels = [
         (spec, m, (*stream_key, DOMAIN_MLMC, level), level > 0)

@@ -41,6 +41,7 @@ __all__ = [
     "X0Curve",
     "ModelParams",
     "GaussianSpec",
+    "grid_for",
     "CholeskyFactor",
     "cholesky_factor",
     "mean_vector",

@@ -244,6 +244,24 @@ def test_every_estimate_refuses_a_stream_key_that_is_not_of_whole_numbers(key):
         mlmc_price(SMALL_PLAN, CALL, PB, seed=0, stream_key=key)
 
 
+@pytest.mark.parametrize("key", [5, None, "12", np.int64(5)], ids=repr)
+def test_every_estimate_refuses_a_stream_key_that_is_no_list(key):
+    with pytest.raises(UsageError, match="stream_key must be a list"):
+        mc_price(SchemeKind.RECTANGLE, 4, 10, CALL, False, PB, seed=0, stream_key=key)
+    with pytest.raises(UsageError, match="stream_key must be a list"):
+        mlmc_price(SMALL_PLAN, CALL, PB, seed=0, stream_key=key)
+
+
+def test_an_empty_stream_key_is_the_default_and_a_list_is_a_tuple():
+    mc = mc_price(SchemeKind.RECTANGLE, 4, 10, CALL, False, PB, seed=0)
+    assert mc_price(SchemeKind.RECTANGLE, 4, 10, CALL, False, PB, seed=0, stream_key=[]) == mc
+    ml = mlmc_price(SMALL_PLAN, CALL, PB, seed=0)
+    assert mlmc_price(SMALL_PLAN, CALL, PB, seed=0, stream_key=[]) == ml
+    assert mlmc_price(SMALL_PLAN, CALL, PB, seed=0, stream_key=[7]) == mlmc_price(
+        SMALL_PLAN, CALL, PB, seed=0, stream_key=(7,)
+    )
+
+
 def test_numpy_integer_seeds_and_keys_price_as_python_integers():
     for seed in (0, 2**64 - 1):
         expect = mc_price(SchemeKind.RECTANGLE, 4, 10, CALL, False, PB, seed=seed, stream_key=(7,))

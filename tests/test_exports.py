@@ -38,7 +38,7 @@ MODULES = [
     *(
         f"roughvix.{layer}"
         for layer in (
-            "model", "hypergeometric", "sampler", "schemes", "payoffs",
+            "errors", "model", "hypergeometric", "sampler", "schemes", "payoffs",
             "estimators", "experiments", "cli",
         )
     ),
@@ -85,17 +85,42 @@ def test_no_module_imports_a_layer_above_it(layer):
     assert [name for name in _package_imports(layer) if name not in below] == []
 
 
-def test_importing_the_package_loads_no_quadrature():
-    # Only the covariance oracle integrates, and it imports scipy.integrate
-    # when called.  A fresh interpreter, because the test process has it
-    # loaded for its IntegrationWarning filter.
-    probe = "import sys, roughvix; print('scipy.integrate' in sys.modules)"
+def test_the_package_exports_each_layers_names_once():
+    # A public name is one entry in its layer's __all__; the package reads
+    # them, lowest layer first, and leaves the command-line front end out.
+    package = importlib.import_module("roughvix")
+    layers = [importlib.import_module(f"roughvix.{layer}") for layer in LAYERS[:-1]]
+    assert package.__all__ == ["__version__", *(n for m in layers for n in m.__all__)]
+    assert len(set(package.__all__)) == len(package.__all__)
+    for module in layers:
+        for name in module.__all__:
+            value = getattr(package, name)
+            assert value is getattr(module, name), name
+            assert getattr(value, "__module__", module.__name__) == module.__name__, name
+
+
+def _loaded_by_import(modules):
+    """Whether a fresh ``import roughvix`` loads each of `modules`."""
+    probe = f"import sys, roughvix; print(*(m in sys.modules for m in {modules!r}))"
     proc = subprocess.run(
         [sys.executable, "-c", probe],
         cwd=PACKAGE.parent, capture_output=True, text=True, timeout=120, check=False,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False"]
+    return proc.stdout.split()
+
+
+def test_importing_the_package_loads_no_quadrature():
+    # Only the covariance oracle integrates, and it imports scipy.integrate
+    # when called.  A fresh interpreter, because the test process has it
+    # loaded for its IntegrationWarning filter.
+    assert _loaded_by_import(["scipy.integrate"]) == ["False"]
+
+
+def test_importing_the_package_loads_no_front_end():
+    # The CLI loads only when the command runs, so it stays out of the
+    # import that the benchmark's setup_s times.
+    assert _loaded_by_import(["roughvix.cli"]) == ["False"]
 
 
 # --- the input rules --------------------------------------------------------
@@ -160,6 +185,13 @@ REFUSED = {
         lambda: black_scholes("call", 1.0, 1.0, 0.2), "unknown black_scholes kind"
     ),
     "plan scheme as text": (lambda: mlmc_plan(0.01, 6, "rect", CALL, PB), "unknown scheme"),
+    "hand-built plan scheme as text": (
+        lambda: MlmcPlan(n0=6, m_levels=(4, 2), **{**PLAN, "scheme": "rect"}), "unknown scheme"
+    ),
+    "hand-built plan constants source 'auto'": (
+        lambda: MlmcPlan(n0=6, m_levels=(4, 2), **PLAN, constants_source="auto"),
+        "unknown constants_source 'auto'; choose from closed-form, pilot",
+    ),
     "plan constants of a plain MC study": (
         lambda: mse_cost_curve("mc-rect", (0.1,), 2, 0.1, PB, CALL, 0, constants="guess"),
         "unknown constants 'guess'",
