@@ -20,8 +20,8 @@ not ``n+1``.  Every covariance value comes from one closed-form row
 routine, the covariance of one date with a set of dates: the factor
 reads the diagonal and its ``r`` pivot rows, O(r n) entries, and the
 full matrix (:func:`covariance_matrix`, :attr:`GaussianSpec.cov`) is
-built a row at a time, only for checks against it.  Everything here is
-deterministic; sampling lives in :mod:`.sampler`.
+built a row at a time, only for checks against it, and never cached.
+Everything here is deterministic; sampling lives in :mod:`.sampler`.
 """
 
 from __future__ import annotations
@@ -244,7 +244,7 @@ class GaussianSpec:
     The law belongs to the parameter set `params` on its n-step grid,
     ``grid_for(params, n)``.  Arrays cover indices 0..n; the rectangle
     scheme reads entries 1..n, the trapezoid all of them.  The full
-    covariance :attr:`cov` is built only when read.
+    covariance :attr:`cov` is built on each read and never kept.
     """
 
     params: ModelParams
@@ -267,12 +267,14 @@ class GaussianSpec:
         factor.L.flags.writeable = False
         return factor
 
-    @cached_property
+    @property
     def cov(self) -> np.ndarray:
-        """Read-only full covariance matrix, built on first use.
+        """Read-only full covariance matrix, built anew on each read.
 
-        O(n^2) closed-form entries; sampling and the control variate do
-        not read it.
+        O(n^2) closed-form entries, never stored: the law cache holds no
+        dense matrix, and the caller frees it by dropping it.  Sampling and
+        the control variate do not read it; a caller that needs it twice
+        keeps the first read.
         """
         cov = covariance_matrix(self.params, self.n)
         cov.flags.writeable = False
@@ -439,11 +441,11 @@ def gaussian_spec(params: ModelParams, n: int) -> GaussianSpec:
 
     This is the package's one law cache: an entry holds the mean and,
     once :attr:`GaussianSpec.factor` is first read, its low-rank factor,
-    all read-only.  The full covariance :attr:`GaussianSpec.cov` is built
-    only when read.  The key is the (hashable) parameter set and the step
-    count.  The cache is capped at 64 laws; a law at n = 2000 holds about
-    0.3 MB, and reading ``.cov`` adds 32 MB, no more while it is built.
-    ``gaussian_spec.cache_clear()`` frees all of them.
+    all read-only.  It holds no dense matrix: :attr:`GaussianSpec.cov` is
+    built on each read and belongs to the caller.  The key is the
+    (hashable) parameter set and the step count.  The cache is capped at
+    64 laws; a law at n = 2000 holds about 0.3 MB, O(r n), whatever is
+    read from it.  ``gaussian_spec.cache_clear()`` frees all of them.
     """
     mean = mean_vector(params, n)
     mean.flags.writeable = False

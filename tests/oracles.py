@@ -138,29 +138,29 @@ def quadrature_weights(scheme: str, n_fine: int, n: int) -> np.ndarray:
     return w
 
 
-def _scaled_weights(spec, weights) -> np.ndarray:
+def _scaled_weights(mean, cov, weights) -> np.ndarray:
     """``w'_k = w_k exp(mu_k + C_kk / 2)``, so that ``E[sum w_k exp(X_k)] = sum w'``."""
-    mean = np.asarray(spec.mean)
-    diag = np.diag(np.asarray(spec.cov))
-    return np.asarray(weights, dtype=float) * np.exp(mean + 0.5 * diag)
+    diag = np.diag(np.asarray(cov))
+    return np.asarray(weights, dtype=float) * np.exp(np.asarray(mean) + 0.5 * diag)
 
 
-def exact_second_moment(spec, weights) -> float:
-    """Exact ``E[(sum_k w_k exp(X_k))^2]`` under the Gaussian law of `spec`.
+def exact_second_moment(mean, cov, weights) -> float:
+    """Exact ``E[(sum_k w_k exp(X_k))^2]`` for ``X ~ N(mean, cov)``.
 
     With ``w'_k = w_k exp(mu_k + C_kk / 2)`` the second moment is
     ``(sum w')^2 + w'^T expm1(C) w'``.  Weights may be signed, so
     differences of two rules (strong errors, level corrections) are
-    exact too.
+    exact too.  `cov` is the dense matrix, read once from
+    ``GaussianSpec.cov`` by the caller: each read builds it anew.
     """
-    wp = _scaled_weights(spec, weights)
-    return float(wp.sum() ** 2 + wp @ np.expm1(np.asarray(spec.cov)) @ wp)
+    wp = _scaled_weights(mean, cov, weights)
+    return float(wp.sum() ** 2 + wp @ np.expm1(np.asarray(cov)) @ wp)
 
 
-def exact_variance(spec, weights) -> float:
+def exact_variance(mean, cov, weights) -> float:
     """Exact ``Var(sum_k w_k exp(X_k))``: the second moment less ``(sum w')^2``."""
-    wp = _scaled_weights(spec, weights)
-    return float(wp @ np.expm1(np.asarray(spec.cov)) @ wp)
+    wp = _scaled_weights(mean, cov, weights)
+    return float(wp @ np.expm1(np.asarray(cov)) @ wp)
 
 
 def contract_normals(stream, shape) -> np.ndarray:

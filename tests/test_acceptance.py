@@ -165,13 +165,14 @@ def test_criterion_4_strong_rates_and_leading_constant(capsys):
             failures.append(f"H={hurst} trap slope {trap.fitted_slope:.3f}")
 
         spec = gaussian_spec(params, n_ref)
+        cov = spec.cov
         exact = {}
         for scheme, curve in (("rect", rect), ("trap", trap)):
             reference = quadrature_weights(scheme, n_ref, n_ref)
             exact[scheme] = [
                 math.sqrt(
                     exact_second_moment(
-                        spec, quadrature_weights(scheme, n_ref, n) - reference
+                        spec.mean, cov, quadrature_weights(scheme, n_ref, n) - reference
                     )
                 )
                 for n in n_values
@@ -327,6 +328,7 @@ def test_criterion_6_level_variance_decay(capsys):
     levels = np.arange(1, 6, dtype=float)
     n_top = n0 * 2**top_level
     spec = gaussian_spec(PARAMS_B, n_top)
+    cov = spec.cov
     results = []
     failures = []
     for scheme, asymptote in (
@@ -336,7 +338,8 @@ def test_criterion_6_level_variance_decay(capsys):
         exact_log2_v = [
             math.log2(
                 exact_variance(
-                    spec,
+                    spec.mean,
+                    cov,
                     quadrature_weights(scheme.value, n_top, n0 * 2**level)
                     - quadrature_weights(scheme.value, n_top, n0 * 2 ** (level - 1)),
                 )

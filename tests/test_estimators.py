@@ -32,6 +32,7 @@ from roughvix.payoffs import cv_corrected_payoff, cv_moments, cv_price
 from roughvix.sampler import DOMAIN_MC, DOMAIN_MLMC, vix2_runs
 
 from oracles import exact_scheme_mean, geometric_vix2, oracle_batches, sample_fine
+from platform_note import pin_message
 
 X0 = math.log(0.235**2)
 PA = ModelParams(H=0.3, eta=0.5, T=0.25, Delta=1.0 / 12.0, x0=X0)
@@ -405,7 +406,15 @@ def test_plan_pilot_frozen_bits(eps, payoff, params, c1, c2, m_rect, m_trap):
     for scheme, m_levels in ((SchemeKind.RECTANGLE, m_rect), (SchemeKind.TRAPEZOID, m_trap)):
         plan = mlmc_plan(eps, 6, scheme, payoff, params)
         assert plan.constants_source == "pilot"
-        assert (plan.c1.hex(), plan.c2.hex(), plan.m_levels) == (c1, c2, m_levels)
+        pinned = (c1, c2, m_levels)
+        assert (plan.c1.hex(), plan.c2.hex(), plan.m_levels) == pinned, pin_message()
+
+
+def test_pin_failures_name_their_platform():
+    # The message is built only when a pin fails, so build it here once.
+    message = pin_message()
+    assert "pinned under OpenBLAS's SkylakeX kernels" in message
+    assert "; numpy SIMD enabled: " in message
 
 
 def test_plan_floors_every_level_at_two_samples():
@@ -655,7 +664,7 @@ def test_seeded_prices_are_pinned():
     assert (est.value.hex(), est.std_error.hex()) == (
         "0x1.f39c4e075c93ap-4",
         "0x1.8eed5ce9b6132p-20",
-    )
+    ), pin_message()
     pinned = {
         SchemeKind.RECTANGLE: ("0x1.f375299ff7827p-4", "0x1.312fd4ad07e8ap-11"),
         SchemeKind.TRAPEZOID: ("0x1.f2167270463eap-4", "0x1.3d6c47ce15293p-11"),
@@ -663,7 +672,7 @@ def test_seeded_prices_are_pinned():
     for scheme, expected in pinned.items():
         plan = mlmc_plan(2e-3, 6, scheme, CALL, PB)
         est = mlmc_price(plan, CALL, PB, seed=3)
-        assert (est.value.hex(), est.std_error.hex()) == expected
+        assert (est.value.hex(), est.std_error.hex()) == expected, pin_message()
 
 
 def test_fig3_mlmc_prices_are_pinned():
@@ -676,7 +685,7 @@ def test_fig3_mlmc_prices_are_pinned():
     }
     for scheme, (seed, value, std_error) in pinned.items():
         est = mlmc_price(mlmc_plan(5e-4, 6, scheme, CALL, PB), CALL, PB, seed=seed)
-        assert (est.value.hex(), est.std_error.hex()) == (value, std_error)
+        assert (est.value.hex(), est.std_error.hex()) == (value, std_error), pin_message()
 
 
 @pytest.mark.parametrize("n", [250, 2000])

@@ -25,6 +25,7 @@ from roughvix.model import gaussian_spec
 from roughvix.sampler import DOMAIN_EXPERIMENT, vix2_runs
 
 from oracles import oracle_batches
+from platform_note import pin_message
 
 X0 = math.log(0.235**2)
 PA = ModelParams(H=0.3, eta=0.5, T=0.25, Delta=1.0 / 12.0, x0=X0)
@@ -186,8 +187,8 @@ def test_strong_error_curves_are_pinned():
     }
     for scheme, (errors, halfwidths) in pinned.items():
         curve = strong_error_curve(scheme, (8, 16, 32, 64), 128, 4000, PB, seed=5)
-        assert _hex(curve.errors) == errors
-        assert _hex(curve.ci_halfwidths) == halfwidths
+        assert _hex(curve.errors) == errors, pin_message()
+        assert _hex(curve.ci_halfwidths) == halfwidths, pin_message()
 
 
 # --- weak error -------------------------------------------------------------

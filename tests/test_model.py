@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -322,16 +323,33 @@ def test_gaussian_spec_shapes_and_cache():
     spec2 = gaussian_spec(PA, 12)
     assert spec1 is spec2
     assert spec1.mean.shape == (13,)
-    # The full covariance is built on first read, then kept read-only.
-    assert "cov" not in vars(spec1)
-    assert spec1.cov.shape == (13, 13)
-    assert spec1.cov is spec1.cov
-    np.testing.assert_array_equal(spec1.cov, covariance_matrix(PA, 12))
     assert not spec1.mean.flags.writeable
-    assert not spec1.cov.flags.writeable
+    # The full covariance is built read-only on each read and never kept:
+    # the caller owns it, and it is freed once the caller drops it.
+    cov = spec1.cov
+    assert cov.shape == (13, 13)
+    assert not cov.flags.writeable
+    np.testing.assert_array_equal(cov, covariance_matrix(PA, 12))
+    assert "cov" not in vars(spec1)
     with pytest.raises(dataclasses.FrozenInstanceError):
         spec1.cov = np.zeros((13, 13))
-    assert spec1.cov is spec2.cov
+    ref = weakref.ref(cov)
+    del cov
+    assert ref() is None
+
+
+def test_law_cache_pins_no_dense_matrix():
+    # Reading and dropping .cov leaves no O(n^2) memory behind in the
+    # law cache: at n = 1000 each matrix is 8 MB.
+    laws = [dataclasses.replace(PB, H=H) for H in (0.11, 0.12, 0.13)]
+    tracemalloc.start()
+    try:
+        for params in laws:
+            assert gaussian_spec(params, 1000).cov.shape == (1001, 1001)
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert current < 256 * 1024
 
 
 def test_nested_grid_covariance_restriction_is_exact():

@@ -127,6 +127,7 @@ def test_cv_moments_match_the_sampled_law():
     # full closed-form covariance, or the control variate would be biased.
     n = 250
     spec = gaussian_spec(PB, n)
+    cov = spec.cov
     trapezoid = np.full(n + 1, 2.0)
     trapezoid[0] = trapezoid[-1] = 1.0
     rectangle = np.ones(n + 1)
@@ -135,7 +136,7 @@ def test_cv_moments_match_the_sampled_law():
         (SchemeKind.RECTANGLE, rectangle, n),
         (SchemeKind.TRAPEZOID, trapezoid, 2 * n),
     ):
-        full = math.fsum((np.outer(a, a) * spec.cov).ravel().tolist()) / d**2
+        full = math.fsum((np.outer(a, a) * cov).ravel().tolist()) / d**2
         sampled = cv_moments(spec, scheme).sigma_n ** 2
         assert abs(sampled - full) <= 1e-12 * full
 
