@@ -151,9 +151,7 @@ class MlmcPlan:
     @property
     def cost(self) -> float:
         """Normalized cost ``sum_l M_l * n_l^2``."""
-        return float(
-            sum(m * n**2 for m, n in zip(self.m_levels, self.n_levels))
-        )
+        return float(sum(_cost(n, m) for m, n in zip(self.m_levels, self.n_levels)))
 
 
 @dataclass(frozen=True)
@@ -164,7 +162,16 @@ class LevelStat:
     n: int
     variance: float
     mean_correction: float
-    cost_per_sample: float
+
+    @property
+    def cost_per_sample(self) -> float:
+        """Normalized cost of one sample, ``n^2``."""
+        return float(_cost(self.n))
+
+
+def _cost(n: int, m: int = 1) -> int:
+    """Normalized cost of `m` samples at grid size `n`, ``n^2`` each, as an exact integer."""
+    return n * n * m
 
 
 def lambda_constant(params: ModelParams) -> float:
@@ -237,39 +244,39 @@ class _MomentAccumulator:
         return max(s2 - s1 * s1 / self._count, 0.0) / (self._count - 1)
 
 
-def _sample_moments(
-    scheme: SchemeKind,
-    payoff: Payoff,
-    levels,
-    seed: int,
-    cv_n: float | None = None,
-) -> list:
+def _sample_moments(scheme: SchemeKind, levels, seed: int, geometric: bool = False) -> list:
     """Mean/variance accumulators of each level's samples, from one kernel call.
 
-    A level is ``(spec, m, key, coupled)``: `m` samples of the law `spec`
-    on stream key `key`.  A sample is the payoff ``phi(fine)`` of the
-    scheme's VIX^2.  With the control-variate price `cv_n` it is the
-    corrected ``phi(fine) - phi(cv) + cv_n``; otherwise, when `coupled`,
-    it is the correction ``phi(fine) - phi(coarse)``, the coarse value
-    read from the same draw at every 2nd grid point.  :func:`mc_price`
-    (one level), the multilevel levels and :func:`level_statistics` (which
-    the pilot reads) sample through this one call of the batch kernel,
-    whose one pool forms every level's batches; each level's accumulator
-    takes its batches in batch order.
+    A level is a run ``(spec, m, key, coarse_steps)`` of
+    :func:`~roughvix.sampler.vix2_runs` and a recipe ``sample(fine, coarse,
+    cv)`` that turns the run's batch into the level's samples, calling
+    payoffs by this module's names (perfbench's tracer rebinds them).
+    :func:`mc_price` (one level), the multilevel levels and
+    :func:`level_statistics` sample through this one kernel call; each
+    level's accumulator takes its batches in batch order.
     """
     accs = [_MomentAccumulator() for _ in levels]
-    runs = [(spec, m, key, (2,) if coupled else ()) for spec, m, key, coupled in levels]
-    batches = vix2_runs(scheme, runs, seed, geometric=cv_n is not None)
+    batches = vix2_runs(scheme, [level[:4] for level in levels], seed, geometric)
     with closing(batches):
         for level, fine, coarse, cv in batches:
-            if cv_n is not None:
-                values = cv_corrected_payoff(payoff, fine, cv, cv_n)
-            elif coarse:
-                values = payoff_eval(payoff, fine) - payoff_eval(payoff, coarse[0])
-            else:
-                values = payoff_eval(payoff, fine)
-            accs[level].add(np.asarray(values))
+            accs[level].add(np.asarray(levels[level][4](fine, coarse, cv)))
     return accs
+
+
+def _multilevel(payoff: Payoff, params: ModelParams, grids, counts, prefix: tuple) -> list:
+    """The multilevel levels of :func:`_sample_moments`: `counts[l]` draws at `grids[l]`.
+
+    Level 0 samples ``phi(fine)``; level ``l >= 1`` samples ``phi(fine) -
+    phi(coarse)``, the coarse value read from the same draw at every 2nd
+    grid point.  Level ``l`` draws on stream key ``(*prefix, l)``.
+    """
+    plain = lambda fine, coarse, cv: payoff_eval(payoff, fine)
+    correction = lambda fine, coarse, cv: payoff_eval(payoff, fine) - payoff_eval(payoff, coarse[0])
+    return [
+        (gaussian_spec(params, n), m, (*prefix, level), (2,) if level else (),
+         correction if level else plain)
+        for level, (n, m) in enumerate(zip(grids, counts))
+    ]
 
 
 def _warn_if_degenerate(acc: _MomentAccumulator, spec: GaussianSpec, label: str):
@@ -319,15 +326,18 @@ def mc_price(
         raise UsageError(f"use_cv must be a bool, got use_cv={use_cv!r}")
     stream_key = _stream_key(stream_key)
     spec = gaussian_spec(params, n)
-    cv_n = cv_price(payoff, cv_moments(spec, scheme)) if use_cv else None
-    level = (spec, M, (*stream_key, DOMAIN_MC), False)
-    (acc,) = _sample_moments(scheme, payoff, [level], seed, cv_n)
+    if use_cv:
+        cv_n = cv_price(payoff, cv_moments(spec, scheme))
+        sample = lambda fine, coarse, cv: cv_corrected_payoff(payoff, fine, cv, cv_n)
+    else:
+        sample = lambda fine, coarse, cv: payoff_eval(payoff, fine)
+    level = (spec, M, (*stream_key, DOMAIN_MC), (), sample)
+    (acc,) = _sample_moments(scheme, [level], seed, geometric=use_cv)
     _warn_if_degenerate(acc, spec, "mc_price")
-    variance = acc.variance
     return Estimate(
         value=acc.mean,
-        std_error=math.sqrt(variance / M),
-        cost=float(n) ** 2 * M,
+        std_error=math.sqrt(acc.variance / M),
+        cost=float(_cost(spec.n, M)),
         samples_used=(M,),
         scheme=scheme,
         cv_used=bool(use_cv),
@@ -422,14 +432,10 @@ def mlmc_price(
     :class:`~roughvix.errors.DegenerateEstimateWarning`.
     """
     stream_key = _stream_key(stream_key)
-    specs = [gaussian_spec(params, n) for n in plan.n_levels]
-    levels = [
-        (spec, m, (*stream_key, DOMAIN_MLMC, level), level > 0)
-        for level, (spec, m) in enumerate(zip(specs, plan.m_levels))
-    ]
-    accs = _sample_moments(plan.scheme, payoff, levels, seed)
+    levels = _multilevel(payoff, params, plan.n_levels, plan.m_levels, (*stream_key, DOMAIN_MLMC))
+    accs = _sample_moments(plan.scheme, levels, seed)
     value = variance_total = 0.0
-    for level, (acc, spec, m) in enumerate(zip(accs, specs, plan.m_levels)):
+    for level, (acc, (spec, m, *_)) in enumerate(zip(accs, levels)):
         _warn_if_degenerate(acc, spec, f"mlmc_price level {level}")
         value += acc.mean
         variance_total += acc.variance / m
@@ -463,19 +469,10 @@ def level_statistics(
     n0 = _whole(n0, 1, "n0")
     grids = [n0 * 2**level for level in range(_whole(L, 0, "L") + 1)]
     probe_M = _whole(probe_M, 100, "probe_M, the sample count")
-    levels = [
-        (gaussian_spec(params, n), probe_M, (DOMAIN_PILOT, level), level > 0)
-        for level, n in enumerate(grids)
-    ]
-    accs = _sample_moments(scheme, payoff, levels, seed)
+    levels = _multilevel(payoff, params, grids, [probe_M] * len(grids), (DOMAIN_PILOT,))
+    accs = _sample_moments(scheme, levels, seed)
     return tuple(
-        LevelStat(
-            level=level,
-            n=n,
-            variance=acc.variance,
-            mean_correction=acc.mean,
-            cost_per_sample=float(n) ** 2,
-        )
+        LevelStat(level=level, n=n, variance=acc.variance, mean_correction=acc.mean)
         for level, (n, acc) in enumerate(zip(grids, accs))
     )
 

@@ -184,6 +184,8 @@ def strong_error_curve(
     M = _whole(M, 1_000, "M, the sample count")
 
     spec = gaussian_spec(params, n_ref)
+    # Unshifted sums, not the estimators' shifted accumulator: its shift moves
+    # the last bits of 1 of the 8 pinned errors and 3 of the 8 half-widths.
     sq_sums = {n: [] for n in n_values}
     quad_sums = {n: [] for n in n_values}
     run = (spec, M, (DOMAIN_EXPERIMENT, _EXP_STRONG), [n_ref // n for n in n_values])
@@ -434,7 +436,7 @@ def _mse_preset(paper_scale: bool) -> dict:
         **_CALL,
         "epsilons": (0.04, 0.02, 0.01, 0.005),
         "n_mse": 400 if paper_scale else 100,
-        "reference_price": 0.121971,
+        "reference_price": 0.121971,  # ref-b's reference, not the grid limit: docs/formats.md
         "n0": 6,
         "family": "ml-rect",
     }

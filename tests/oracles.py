@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import integrate, special
 
-from roughvix import SchemeKind, batch_sizes, grid_for, hyp2f1, stream_for
+from roughvix import SchemeKind, batch_sizes, grid_for, hyp2f1, payoff_eval, stream_for
 
 
 def euler_hyp2f1(a: float, b: float, c: float, x: float) -> float:
@@ -237,6 +237,19 @@ def geometric_vix2(values, scheme=SchemeKind.RECTANGLE):
     scheme's quadrature weights (:func:`quadrature_weights`)."""
     n = values.shape[0] - 1
     return np.exp(quadrature_weights(scheme.value, n, n) @ values)
+
+
+def payoff_level(payoff, spec, m, key, coupled):
+    """A level of ``_sample_moments``: `m` draws of `spec` on stream `key`
+    whose samples are ``phi(fine)`` or, when `coupled`, the correction
+    ``phi(fine) - phi(coarse)`` from the grid of every 2nd point."""
+    if not coupled:
+        return (spec, m, key, (), lambda fine, coarse, cv: payoff_eval(payoff, fine))
+
+    def correction(fine, coarse, cv):
+        return payoff_eval(payoff, fine) - payoff_eval(payoff, coarse[0])
+
+    return (spec, m, key, (2,), correction)
 
 
 def row_block_batches(kind, spec, total, seed, key, coarse_steps=(), geometric=False):

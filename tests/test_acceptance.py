@@ -61,6 +61,8 @@ CALL = Payoff(PayoffKind.CALL, strike=0.1)
 # so it carries the rectangle's grid bias (see _limit_price_a).
 REFERENCE_A = 0.13093742
 REFERENCE_A_CI = 5e-8
+# The ref-b reference price.  Its origin is not recorded, and it is not the
+# grid limit, which lies about 1.7e-5 lower (docs/formats.md, `ref-b`).
 REFERENCE_B = 0.121971
 REFERENCE_B_CI = 6e-7
 

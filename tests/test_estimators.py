@@ -31,7 +31,15 @@ from roughvix.estimators import Estimate, _sample_moments
 from roughvix.payoffs import cv_corrected_payoff, cv_moments, cv_price
 from roughvix.sampler import DOMAIN_MC, DOMAIN_MLMC, vix2_runs
 
-from oracles import exact_scheme_mean, geometric_vix2, oracle_batches, sample_fine
+from oracles import (
+    exact_scheme_mean,
+    exact_variance,
+    geometric_vix2,
+    oracle_batches,
+    payoff_level,
+    quadrature_weights,
+    sample_fine,
+)
 from platform_note import pin_message
 
 X0 = math.log(0.235**2)
@@ -651,10 +659,89 @@ def test_level_moments_accumulate_the_kernel_values(scheme, level):
         )
     )
     mean, var = _public_moments(draws)
-    levels = [(spec, m, (*key, DOMAIN_MLMC, level), level > 0)]
-    (acc,) = _sample_moments(scheme, CALL, levels, seed)
+    levels = [payoff_level(CALL, spec, m, (*key, DOMAIN_MLMC, level), level > 0)]
+    (acc,) = _sample_moments(scheme, levels, seed)
     assert acc.mean.hex() == mean.hex()
     assert acc.variance.hex() == var.hex()
+
+
+@pytest.mark.parametrize("n", [6, 48])
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+def test_vix2_recipe_meets_its_exact_mean_and_variance(scheme, n):
+    # On a flat curve the law's mean is x0 - Var/2 and the weights sum to 1,
+    # so E[VIX^2_n] = e^{x0} exactly; its variance is the oracle's
+    # w'^T expm1(C) w'.  The second level reads the same draws (same key)
+    # and samples (VIX^2 - e^{x0})^2, whose variance is mu4 - sigma^4: the
+    # standard error of a sample variance is sqrt((mu4 - sigma^4) / M).
+    spec, M, xi0 = gaussian_spec(PB, n), 200_000, math.exp(X0)
+    levels = [
+        (spec, M, (4,), (), lambda fine, coarse, cv: fine),
+        (spec, M, (4,), (), lambda fine, coarse, cv: (fine - xi0) ** 2),
+    ]
+    vix2, deviation = _sample_moments(scheme, levels, 21)
+    assert abs(vix2.mean - xi0) <= 4 * math.sqrt(vix2.variance / M)
+    exact = exact_variance(spec.mean, spec.cov, quadrature_weights(scheme.value, n, n))
+    assert abs(vix2.variance - exact) <= 4 * math.sqrt(deviation.variance / M)
+
+
+def test_a_call_of_two_recipes_gives_the_accumulators_of_one_call_each():
+    levels = [
+        (gaussian_spec(PB, 6), 9000, (1,), (), lambda fine, coarse, cv: fine),
+        payoff_level(CALL, gaussian_spec(PB, 24), 3000, (2,), coupled=True),
+    ]
+    for scheme in SchemeKind:
+        both = _sample_moments(scheme, levels, 4)
+        alone = [_sample_moments(scheme, [level], 4)[0] for level in levels]
+        bits = [[(a.count, a.mean.hex(), a.variance.hex()) for a in accs] for accs in (both, alone)]
+        assert bits[0] == bits[1]
+
+
+# A level shift x0 -> x0 + 2c multiplies every VIX^2 by e^{2c}, so a call
+# at strike K e^c prices at e^c times the call at K, draw by draw.  Only
+# rounding separates them, and the budget below was measured over c in
+# {0.3, -0.7, 1.1, -2.5}, both schemes, mc_price with and without the
+# control variate and mlmc_price.  Each VIX^2 carries a relative rounding
+# of a few ulps: the value moved by at most 5.3 ulps, and may move by 16.
+# The standard error comes from samples centred on their first batch's
+# mean, so a rounding of each sample relative to that mean moves it by
+# 1 + mean / spread times as much, the spread being the samples' standard
+# deviation: it moved by at most 1.9 ulps times that, and may move by 16.
+_SHIFT_ULPS = 16 * 2.0**-52
+
+
+def _assert_scaled(shifted, base, scale, spread):
+    assert shifted.value == pytest.approx(scale * base.value, rel=_SHIFT_ULPS, abs=0)
+    amplification = 1 + abs(base.value) / spread
+    assert shifted.std_error == pytest.approx(
+        scale * base.std_error, rel=_SHIFT_ULPS * amplification, abs=0
+    )
+
+
+@pytest.mark.parametrize("c", [0.3, -0.7, -2.5])
+@pytest.mark.parametrize("use_cv", [False, True])
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+def test_a_level_shift_scales_the_mc_price(scheme, use_cv, c):
+    M, K = 20_000, 0.2
+    shifted_params = ModelParams(H=PB.H, eta=PB.eta, T=PB.T, Delta=PB.Delta, x0=X0 + 2 * c)
+    base = mc_price(scheme, 64, M, Payoff(PayoffKind.CALL, K), use_cv, PB, seed=5)
+    shifted = mc_price(
+        scheme, 64, M, Payoff(PayoffKind.CALL, K * math.exp(c)), use_cv, shifted_params, seed=5
+    )
+    _assert_scaled(shifted, base, math.exp(c), base.std_error * math.sqrt(M))
+
+
+@pytest.mark.parametrize("c", [0.3, -0.7, -2.5])
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+def test_a_level_shift_scales_the_mlmc_price(scheme, c):
+    # A plan built by hand: a closed-form plan's constants scale with e^{x0}.
+    plan = MlmcPlan(
+        n0=6, m_levels=(20_000, 5_000, 1_250, 300), lam=None, c1=1.0, c2=1.0,
+        epsilon=1e-3, scheme=scheme, constants_source="pilot",
+    )
+    shifted_params = ModelParams(H=PB.H, eta=PB.eta, T=PB.T, Delta=PB.Delta, x0=X0 + 2 * c)
+    base = mlmc_price(plan, Payoff(PayoffKind.CALL, 0.2), PB, seed=5)
+    shifted = mlmc_price(plan, Payoff(PayoffKind.CALL, 0.2 * math.exp(c)), shifted_params, seed=5)
+    _assert_scaled(shifted, base, math.exp(c), base.std_error * math.sqrt(plan.m_levels[0]))
 
 
 def test_seeded_prices_are_pinned():

@@ -42,6 +42,8 @@ from roughvix import estimators, sampler
 from roughvix.estimators import _sample_moments
 from roughvix.sampler import DOMAIN_MLMC, batch_size, batch_sizes, vix2_runs
 
+from oracles import payoff_level
+
 X0 = math.log(0.235**2)
 PB = ModelParams(H=0.1, eta=0.5, T=0.5, Delta=1.0 / 12.0, x0=X0)
 CALL = Payoff(PayoffKind.CALL, strike=0.1)
@@ -85,7 +87,8 @@ def test_level_moments_are_the_same_at_every_worker_count(monkeypatch, scheme, l
 
     def run():
         spec = gaussian_spec(PB, n0 * 2**level)
-        (acc,) = _sample_moments(scheme, CALL, [(spec, m, (2, DOMAIN_MLMC, level), level > 0)], 12)
+        key = (2, DOMAIN_MLMC, level)
+        (acc,) = _sample_moments(scheme, [payoff_level(CALL, spec, m, key, level > 0)], 12)
         return acc.mean.hex(), acc.variance.hex()
 
     one, *threaded = _at_each_worker_count(monkeypatch, run)
@@ -284,8 +287,8 @@ def test_batches_of_many_row_blocks_with_a_coarse_grid_are_the_same_at_every_wor
     spec = gaussian_spec(PB, n)
 
     def run():
-        level = (spec, m, (2, DOMAIN_MLMC, 7), True)
-        (acc,) = _sample_moments(SchemeKind.TRAPEZOID, CALL, [level], 12)
+        level = payoff_level(CALL, spec, m, (2, DOMAIN_MLMC, 7), True)
+        (acc,) = _sample_moments(SchemeKind.TRAPEZOID, [level], 12)
         return acc.mean.hex(), acc.variance.hex()
 
     one, *threaded = _at_each_worker_count(monkeypatch, run)
@@ -744,8 +747,8 @@ def test_the_kernel_gives_the_same_bits_without_openblas_control(monkeypatch):
 
     def run():
         est = mc_price(SchemeKind.RECTANGLE, n, M, CALL, True, PB, seed=6)
-        level = (gaussian_spec(PB, 12), M, (2, DOMAIN_MLMC, 1), True)
-        (acc,) = _sample_moments(SchemeKind.TRAPEZOID, CALL, [level], 12)
+        level = payoff_level(CALL, gaussian_spec(PB, 12), M, (2, DOMAIN_MLMC, 1), True)
+        (acc,) = _sample_moments(SchemeKind.TRAPEZOID, [level], 12)
         return [x.hex() for x in (est.value, est.std_error, acc.mean, acc.variance)]
 
     held = run()
