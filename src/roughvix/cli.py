@@ -60,12 +60,12 @@ from .model import (
     covariance_quadrature_oracle,
 )
 from .payoffs import Payoff, PayoffKind
-from .sampler import DOMAIN_COV_CHECK, factor_for, stream_for
+from .sampler import DOMAIN_COV_CHECK, factor_for, platform, stream_for
 from .schemes import SchemeKind
 
 __all__ = ["RunConfig", "parse_config", "validate", "run", "main"]
 
-MANIFEST_SCHEMA_VERSION = 2
+MANIFEST_SCHEMA_VERSION = 3
 
 
 def _key(help: str, default=None, **flag) -> dataclasses.Field:
@@ -452,6 +452,7 @@ def _write_manifest(
         "wall_clock_seconds": wall,
         "summary": summary,
         "factor": factor,
+        "platform": platform(),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

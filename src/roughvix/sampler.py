@@ -23,7 +23,7 @@ depend only on the grid size, each with its own stream, so results are
 bit-identical across runs and whichever thread forms a batch.
 The product's bits depend on the batch width and its row blocks (BLAS
 picks its kernel by the product's shape), which the fixed partition
-keeps deterministic.
+keeps deterministic, on the platform that :func:`platform` names.
 
 The batch kernel
 ----------------
@@ -96,6 +96,7 @@ __all__ = [
     "stream_for",
     "batch_size",
     "batch_sizes",
+    "platform",
 ]
 
 # Target elements per batch, (n+1) x width.  It sets the batch partition,
@@ -117,15 +118,19 @@ _WORKERS = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
 
-# OpenBLAS's thread-count functions, (get, set) pairs in the order they
-# are looked up: numpy's bundled scipy-openblas (64- and 32-bit integer
-# builds), then a plain OpenBLAS.
-_OPENBLAS_THREAD_FUNCTIONS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
+# OpenBLAS builds, as the (prefix, suffix) of their function names, in lookup
+# order: numpy's bundled scipy-openblas (64- and 32-bit integers), then a plain one.
+_OPENBLAS_BUILDS = (
+    ("scipy_openblas", "64_"),
+    ("scipy_openblas", ""),
+    ("openblas", "64_"),
+    ("openblas", ""),
 )
+_OPENBLAS_FUNCTIONS = {  # the OpenBLAS functions called: name -> (argtypes, restype)
+    "get_num_threads": ((), ctypes.c_int),
+    "set_num_threads": ((ctypes.c_int,), None),
+    "get_config": ((), ctypes.c_char_p),
+}
 
 # Stream-key domains (first component of every spawn key).
 DOMAIN_MC = 1
@@ -186,13 +191,11 @@ def _draw_normals(stream: np.random.Generator, block: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _openblas_threads():
-    """OpenBLAS's ``(get, set)`` thread-count functions, or None without OpenBLAS.
+def _numpy_blas():
+    """numpy's multiarray extension, and its OpenBLAS's functions by name (None without).
 
-    The symbols are looked up in numpy's multiarray extension, whose
-    dependencies ``dlsym`` also searches, so they are those of the
-    OpenBLAS that numpy's products call; the first pair of
-    ``_OPENBLAS_THREAD_FUNCTIONS`` found is returned.
+    They are those of the first of ``_OPENBLAS_BUILDS`` found in the extension,
+    whose dependencies ``dlsym`` also searches: the OpenBLAS numpy's products call.
     """
     try:
         from numpy._core import _multiarray_umath as umath
@@ -201,15 +204,31 @@ def _openblas_threads():
     try:
         library = ctypes.CDLL(umath.__file__)
     except OSError:
-        return None
-    for get_name, set_name in _OPENBLAS_THREAD_FUNCTIONS:
-        get = getattr(library, get_name, None)
-        set_ = getattr(library, set_name, None)
-        if get is not None and set_ is not None:
-            get.argtypes, get.restype = (), ctypes.c_int
-            set_.argtypes, set_.restype = (ctypes.c_int,), None
-            return get, set_
-    return None
+        return umath, None
+    for prefix, suffix in _OPENBLAS_BUILDS:
+        found = {n: getattr(library, f"{prefix}_{n}{suffix}", None) for n in _OPENBLAS_FUNCTIONS}
+        if None not in found.values():
+            for name, (argtypes, restype) in _OPENBLAS_FUNCTIONS.items():
+                found[name].argtypes, found[name].restype = argtypes, restype
+            return umath, found
+    return umath, None
+
+
+def _openblas_threads():
+    """OpenBLAS's ``(get, set)`` thread-count functions, or None without OpenBLAS."""
+    openblas = _numpy_blas()[1]
+    return None if openblas is None else (openblas["get_num_threads"], openblas["set_num_threads"])
+
+
+def platform() -> dict:
+    """The platform a seed's last bits belong to (docs/formats.md), as a dict.
+
+    ``"openblas"`` is OpenBLAS's config string, which names the core it
+    picked, or None; ``"simd"`` lists numpy's enabled SIMD features.
+    """
+    umath, openblas = _numpy_blas()
+    config = None if openblas is None else openblas["get_config"]().decode().strip()
+    return {"openblas": config, "simd": [name for name, on in umath.__cpu_features__.items() if on]}
 
 
 class _OneBlasThread:

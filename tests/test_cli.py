@@ -12,6 +12,7 @@ import pytest
 from roughvix import PayoffKind, SchemeKind, UsageError, cli, errors
 from roughvix import estimators, experiments, model
 from roughvix.cli import RunConfig, main, parse_config, run, validate
+from roughvix.sampler import platform
 
 X0 = math.log(0.235**2)
 
@@ -399,7 +400,8 @@ def test_manifest_round_trips_the_exact_config(tmp_path):
     config = parse_config(args)
     assert main(args) == 0
     manifest = json.loads((tmp_path / "curve.csv.manifest.json").read_text())
-    assert manifest["schema_version"] == 2
+    assert manifest["schema_version"] == 3
+    assert manifest["platform"] == platform()
     assert RunConfig.from_dict(manifest["config"]) == config
     assert manifest["outputs"] == ["curve.csv"]
     assert "fitted_slope" in manifest["summary"]

@@ -744,6 +744,48 @@ def test_a_level_shift_scales_the_mlmc_price(scheme, c):
     _assert_scaled(shifted, base, math.exp(c), base.std_error * math.sqrt(plan.m_levels[0]))
 
 
+# Per sample, a call less a put at one strike is exactly VIX - K (one of the
+# two is 0) and the future is VIX, so at one seed, where the three prices
+# share their draws, call - put - (future - K) is rounding alone: that of
+# each price's mean (its shift plus the fsum of its batches' pairwise sums)
+# and, with the control variate, of the proxy's payoffs and closed-form
+# prices.  Measured over seeds 1, 5 and 9, M in {4000, 2e4, 1e5}, both
+# schemes, with and without the control variate: at most 1.1 ulps of the
+# future's value.  The test allows 4, against standard errors of 4e-6 to
+# 4e-4.
+@pytest.mark.parametrize("use_cv", [False, True])
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+def test_put_call_parity_holds_sample_by_sample(scheme, use_cv):
+    n, M, K = 48, 20_000, 0.2
+    call, put, future = (
+        mc_price(scheme, n, M, payoff, use_cv, PB, seed=5)
+        for payoff in (Payoff(PayoffKind.CALL, K), Payoff(PayoffKind.PUT, K), FUTURE)
+    )
+    gap = call.value - put.value - (future.value - K)
+    assert abs(gap) <= 4 * math.ulp(future.value)
+
+
+# (T, Delta, eta) -> (lam T, lam Delta, lam^-H eta) leaves the law unchanged,
+# so the seeded prices agree up to rounding.  The two covariances agree to
+# about 1e-14 of their largest entry, but the pivoted factor's smallest
+# columns carry that rounding amplified, so at n = 64 each draw's VIX^2 and
+# its control variate moved by up to 3e-9 relative, together.  The
+# corrected samples cancel most of it: measured over H in {0.1, 0.3, 0.45},
+# seeds 0 ... 11, both schemes and the lam and n below, the price moved by
+# at most 1.6e-12 relative.  The test allows 1e-11; a change of rank or of
+# pivot order moves it by about the standard error, 1e-4 relative.
+@pytest.mark.parametrize("n", [6, 64, 250])
+@pytest.mark.parametrize("lam", [0.01, 7.0])
+def test_a_self_similar_law_gives_the_same_price(lam, n):
+    scaled = ModelParams(
+        H=PB.H, eta=PB.eta * lam**-PB.H, T=lam * PB.T, Delta=lam * PB.Delta, x0=PB.x0
+    )
+    for scheme in SchemeKind:
+        base = mc_price(scheme, n, 4096, CALL, True, PB, seed=11)
+        moved = mc_price(scheme, n, 4096, CALL, True, scaled, seed=11)
+        assert moved.value == pytest.approx(base.value, rel=1e-11, abs=0)
+
+
 def test_seeded_prices_are_pinned():
     # The seeded ref-b price with the control variate, and the fig3 plans
     # at eps = 2e-3 without it (docs/formats.md lists their past values).

@@ -43,6 +43,7 @@ from roughvix.estimators import _sample_moments
 from roughvix.sampler import DOMAIN_MLMC, batch_size, batch_sizes, vix2_runs
 
 from oracles import payoff_level
+from platform_note import pin_message
 
 X0 = math.log(0.235**2)
 PB = ModelParams(H=0.1, eta=0.5, T=0.5, Delta=1.0 / 12.0, x0=X0)
@@ -741,6 +742,26 @@ def test_the_hold_survives_many_threads_entering_at_once(monkeypatch):
     assert count == [5]
 
 
+def test_without_openblas_the_platform_names_none_and_the_hold_does_nothing(
+    monkeypatch, blas_count
+):
+    # The lookup run again over a table of builds that numpy does not link.
+    simd = sampler.platform()["simd"]
+    monkeypatch.setattr(sampler, "_OPENBLAS_BUILDS", (("no_such_openblas", ""),))
+    sampler._numpy_blas.cache_clear()
+    try:
+        assert sampler.platform() == {"openblas": None, "simd": simd}
+        assert sampler._openblas_threads() is None
+        spec = gaussian_spec(PB, 6)
+        run = (spec, 2 * batch_size(6), (DOMAIN_MLMC,), ())
+        inside = [blas_count() for _ in vix2_runs(SchemeKind.RECTANGLE, [run], 1)]
+        assert inside == [2, 2]
+    finally:
+        monkeypatch.undo()
+        sampler._numpy_blas.cache_clear()
+    assert sampler._openblas_threads() is not None
+
+
 def test_the_kernel_gives_the_same_bits_without_openblas_control(monkeypatch):
     n = 250
     M = 3 * batch_size(n) + 179
@@ -753,7 +774,7 @@ def test_the_kernel_gives_the_same_bits_without_openblas_control(monkeypatch):
 
     held = run()
     monkeypatch.setattr(sampler, "_openblas_threads", lambda: None)
-    assert run() == held
+    assert run() == held, pin_message()
 
 
 def _seeded_outputs():
