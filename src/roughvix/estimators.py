@@ -206,15 +206,15 @@ def lambda_constant(params: ModelParams) -> float:
 class _MomentAccumulator:
     """Streaming mean/variance with a fixed shift and extended-precision totals.
 
-    The shift (first batch mean) removes the catastrophic cancellation that
-    a direct sum-of-squares accumulation would suffer when the variance is
-    many orders of magnitude below the mean, as happens with the control
-    variate.  Totals are combined with ``math.fsum`` so the result does not
-    depend on the number of batches.
+    The shift, by default the first batch's mean, removes the catastrophic
+    cancellation that a direct sum-of-squares accumulation would suffer
+    when the variance is many orders of magnitude below the mean, as
+    happens with the control variate.  Totals are combined with
+    ``math.fsum`` so the result does not depend on the number of batches.
     """
 
-    def __init__(self):
-        self._shift = None
+    def __init__(self, shift: float | None = None):
+        self._shift = shift
         self._linear = []
         self._square = []
         self._count = 0
@@ -244,22 +244,29 @@ class _MomentAccumulator:
         return max(s2 - s1 * s1 / self._count, 0.0) / (self._count - 1)
 
 
-def _sample_moments(scheme: SchemeKind, levels, seed: int, geometric: bool = False) -> list:
-    """Mean/variance accumulators of each level's samples, from one kernel call.
+def _sample_moments(scheme: SchemeKind, levels, seed: int, geometric: bool = False,
+                    shift: float | None = None) -> list:
+    """Mean/variance accumulators of each level's sample columns, from one kernel call.
 
     A level is a run ``(spec, m, key, coarse_steps)`` of
     :func:`~roughvix.sampler.vix2_runs` and a recipe ``sample(fine, coarse,
-    cv)`` that turns the run's batch into the level's samples, calling
-    payoffs by this module's names (perfbench's tracer rebinds them).
-    :func:`mc_price` (one level), the multilevel levels and
-    :func:`level_statistics` sample through this one kernel call; each
-    level's accumulator takes its batches in batch order.
+    cv)`` that turns the run's batch into the level's samples as k >= 1
+    columns, equal-length 1-D arrays, calling payoffs by this module's
+    names (perfbench's tracer rebinds them).  :func:`mc_price` (one level),
+    the multilevel levels, :func:`level_statistics` and the strong-error
+    study sample through this one kernel call.  Each level gets a list of
+    accumulators, one per column in column order, each subtracting `shift`
+    (None: its first batch's mean) and taking its batches in batch order.
     """
-    accs = [_MomentAccumulator() for _ in levels]
+    accs = [[] for _ in levels]
     batches = vix2_runs(scheme, [level[:4] for level in levels], seed, geometric)
     with closing(batches):
         for level, fine, coarse, cv in batches:
-            accs[level].add(np.asarray(levels[level][4](fine, coarse, cv)))
+            columns = levels[level][4](fine, coarse, cv)
+            if not accs[level]:
+                accs[level] = [_MomentAccumulator(shift) for _ in columns]
+            for acc, column in zip(accs[level], columns):
+                acc.add(column)
     return accs
 
 
@@ -270,8 +277,10 @@ def _multilevel(payoff: Payoff, params: ModelParams, grids, counts, prefix: tupl
     phi(coarse)``, the coarse value read from the same draw at every 2nd
     grid point.  Level ``l`` draws on stream key ``(*prefix, l)``.
     """
-    plain = lambda fine, coarse, cv: payoff_eval(payoff, fine)
-    correction = lambda fine, coarse, cv: payoff_eval(payoff, fine) - payoff_eval(payoff, coarse[0])
+    plain = lambda fine, coarse, cv: (payoff_eval(payoff, fine),)
+    correction = lambda fine, coarse, cv: (
+        payoff_eval(payoff, fine) - payoff_eval(payoff, coarse[0]),
+    )
     return [
         (gaussian_spec(params, n), m, (*prefix, level), (2,) if level else (),
          correction if level else plain)
@@ -328,11 +337,11 @@ def mc_price(
     spec = gaussian_spec(params, n)
     if use_cv:
         cv_n = cv_price(payoff, cv_moments(spec, scheme))
-        sample = lambda fine, coarse, cv: cv_corrected_payoff(payoff, fine, cv, cv_n)
+        sample = lambda fine, coarse, cv: (cv_corrected_payoff(payoff, fine, cv, cv_n),)
     else:
-        sample = lambda fine, coarse, cv: payoff_eval(payoff, fine)
+        sample = lambda fine, coarse, cv: (payoff_eval(payoff, fine),)
     level = (spec, M, (*stream_key, DOMAIN_MC), (), sample)
-    (acc,) = _sample_moments(scheme, [level], seed, geometric=use_cv)
+    ((acc,),) = _sample_moments(scheme, [level], seed, geometric=use_cv)
     _warn_if_degenerate(acc, spec, "mc_price")
     return Estimate(
         value=acc.mean,
@@ -435,7 +444,7 @@ def mlmc_price(
     levels = _multilevel(payoff, params, plan.n_levels, plan.m_levels, (*stream_key, DOMAIN_MLMC))
     accs = _sample_moments(plan.scheme, levels, seed)
     value = variance_total = 0.0
-    for level, (acc, (spec, m, *_)) in enumerate(zip(accs, levels)):
+    for level, ((acc,), (spec, m, *_)) in enumerate(zip(accs, levels)):
         _warn_if_degenerate(acc, spec, f"mlmc_price level {level}")
         value += acc.mean
         variance_total += acc.variance / m
@@ -446,7 +455,7 @@ def mlmc_price(
         samples_used=plan.m_levels,
         scheme=plan.scheme,
         cv_used=False,
-        bias_proxy=abs(accs[-1].mean) if plan.L >= 1 else None,
+        bias_proxy=abs(accs[-1][0].mean) if plan.L >= 1 else None,
     )
 
 
@@ -473,7 +482,7 @@ def level_statistics(
     accs = _sample_moments(scheme, levels, seed)
     return tuple(
         LevelStat(level=level, n=n, variance=acc.variance, mean_correction=acc.mean)
-        for level, (n, acc) in enumerate(zip(grids, accs))
+        for level, (n, (acc,)) in enumerate(zip(grids, accs))
     )
 
 

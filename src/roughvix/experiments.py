@@ -18,7 +18,6 @@ scale used by default, and the original large-scale protocol behind
 from __future__ import annotations
 
 import math
-from contextlib import closing
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -27,9 +26,10 @@ import numpy as np
 from .errors import HypothesisError, UsageError
 from .errors import _FINITE, _NONNEGATIVE, _POSITIVE, _choice, _items, _real, _reals, _whole
 from .estimators import PLAN_CONSTANTS, lambda_constant, mc_price, mlmc_plan, mlmc_price
+from .estimators import _sample_moments
 from .model import ModelParams, gaussian_spec
 from .payoffs import Payoff
-from .sampler import DOMAIN_EXPERIMENT, vix2_runs
+from .sampler import DOMAIN_EXPERIMENT
 from .schemes import SchemeKind
 
 __all__ = [
@@ -183,28 +183,16 @@ def strong_error_curve(
             )
     M = _whole(M, 1_000, "M, the sample count")
 
-    spec = gaussian_spec(params, n_ref)
-    # Unshifted sums, not the estimators' shifted accumulator: its shift moves
-    # the last bits of 1 of the 8 pinned errors and 3 of the 8 half-widths.
-    sq_sums = {n: [] for n in n_values}
-    quad_sums = {n: [] for n in n_values}
-    run = (spec, M, (DOMAIN_EXPERIMENT, _EXP_STRONG), [n_ref // n for n in n_values])
-    with closing(vix2_runs(scheme, [run], seed)) as batches:
-        for _, v_ref, coarse, _ in batches:
-            for n, v in zip(n_values, coarse):
-                diff = v_ref - v
-                sq = diff * diff
-                sq_sums[n].append(float(np.sum(sq)))
-                quad_sums[n].append(float(np.sum(sq * sq)))
-
+    squared_distances = lambda fine, coarse, cv: [d * d for d in (fine - v for v in coarse)]
+    level = (gaussian_spec(params, n_ref), M, (DOMAIN_EXPERIMENT, _EXP_STRONG),
+             [n_ref // n for n in n_values], squared_distances)
+    # A shift of 0, not the estimators' first-batch mean: a shift moves the last
+    # bits of 1 of the 8 pinned errors and 3 of the 8 half-widths (ROADMAP item 18).
+    (columns,) = _sample_moments(scheme, [level], seed, shift=0.0)
     errors, halfwidths = [], []
-    for n in n_values:
-        s2 = math.fsum(sq_sums[n])
-        s4 = math.fsum(quad_sums[n])
-        mean_sq = s2 / M
-        var_sq = max(s4 - s2 * s2 / M, 0.0) / (M - 1)
-        err = math.sqrt(mean_sq)
-        hw_mean_sq = Z95 * math.sqrt(var_sq / M)
+    for acc in columns:
+        err = math.sqrt(acc.mean)
+        hw_mean_sq = Z95 * math.sqrt(acc.variance / M)
         halfwidths.append(hw_mean_sq / (2.0 * err) if err > 0 else 0.0)
         errors.append(err)
 

@@ -241,13 +241,13 @@ def geometric_vix2(values, scheme=SchemeKind.RECTANGLE):
 
 def payoff_level(payoff, spec, m, key, coupled):
     """A level of ``_sample_moments``: `m` draws of `spec` on stream `key`
-    whose samples are ``phi(fine)`` or, when `coupled`, the correction
-    ``phi(fine) - phi(coarse)`` from the grid of every 2nd point."""
+    whose one sample column is ``phi(fine)`` or, when `coupled`, the
+    correction ``phi(fine) - phi(coarse)`` from the grid of every 2nd point."""
     if not coupled:
-        return (spec, m, key, (), lambda fine, coarse, cv: payoff_eval(payoff, fine))
+        return (spec, m, key, (), lambda fine, coarse, cv: (payoff_eval(payoff, fine),))
 
     def correction(fine, coarse, cv):
-        return payoff_eval(payoff, fine) - payoff_eval(payoff, coarse[0])
+        return (payoff_eval(payoff, fine) - payoff_eval(payoff, coarse[0]),)
 
     return (spec, m, key, (2,), correction)
 

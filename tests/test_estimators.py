@@ -660,7 +660,7 @@ def test_level_moments_accumulate_the_kernel_values(scheme, level):
     )
     mean, var = _public_moments(draws)
     levels = [payoff_level(CALL, spec, m, (*key, DOMAIN_MLMC, level), level > 0)]
-    (acc,) = _sample_moments(scheme, levels, seed)
+    ((acc,),) = _sample_moments(scheme, levels, seed)
     assert acc.mean.hex() == mean.hex()
     assert acc.variance.hex() == var.hex()
 
@@ -675,25 +675,33 @@ def test_vix2_recipe_meets_its_exact_mean_and_variance(scheme, n):
     # standard error of a sample variance is sqrt((mu4 - sigma^4) / M).
     spec, M, xi0 = gaussian_spec(PB, n), 200_000, math.exp(X0)
     levels = [
-        (spec, M, (4,), (), lambda fine, coarse, cv: fine),
-        (spec, M, (4,), (), lambda fine, coarse, cv: (fine - xi0) ** 2),
+        (spec, M, (4,), (), lambda fine, coarse, cv: (fine,)),
+        (spec, M, (4,), (), lambda fine, coarse, cv: ((fine - xi0) ** 2,)),
     ]
-    vix2, deviation = _sample_moments(scheme, levels, 21)
+    (vix2,), (deviation,) = _sample_moments(scheme, levels, 21)
     assert abs(vix2.mean - xi0) <= 4 * math.sqrt(vix2.variance / M)
     exact = exact_variance(spec.mean, spec.cov, quadrature_weights(scheme.value, n, n))
     assert abs(vix2.variance - exact) <= 4 * math.sqrt(deviation.variance / M)
 
 
 def test_a_call_of_two_recipes_gives_the_accumulators_of_one_call_each():
-    levels = [
-        (gaussian_spec(PB, 6), 9000, (1,), (), lambda fine, coarse, cv: fine),
-        payoff_level(CALL, gaussian_spec(PB, 24), 3000, (2,), coupled=True),
-    ]
+    # Two levels in one call, and one level whose recipe returns two columns:
+    # the accumulators, level by level and column by column, are those of a
+    # call of each recipe on its own level, with the same draws.
+    run = (gaussian_spec(PB, 24), 3000, (2,), (2,))
+    plain = lambda fine, coarse, cv: (payoff_eval(CALL, fine),)
+    correction = payoff_level(CALL, *run[:3], coupled=True)[4]
+    columns = lambda *batch: (*plain(*batch), *correction(*batch))
+    two_levels = [(gaussian_spec(PB, 6), 9000, (1,), (), lambda fine, coarse, cv: (fine,)),
+                  (*run, correction)]
+    cases = [(two_levels, two_levels), ([(*run, columns)], [(*run, plain), (*run, correction)])]
     for scheme in SchemeKind:
-        both = _sample_moments(scheme, levels, 4)
-        alone = [_sample_moments(scheme, [level], 4)[0] for level in levels]
-        bits = [[(a.count, a.mean.hex(), a.variance.hex()) for a in accs] for accs in (both, alone)]
-        assert bits[0] == bits[1]
+        for together, apart in cases:
+            one_call = [acc for accs in _sample_moments(scheme, together, 4) for acc in accs]
+            own_calls = [acc for level in apart for (acc,) in _sample_moments(scheme, [level], 4)]
+            bits = [[(a.count, a.mean.hex(), a.variance.hex()) for a in accs]
+                    for accs in (one_call, own_calls)]
+            assert bits[0] == bits[1]
 
 
 # A level shift x0 -> x0 + 2c multiplies every VIX^2 by e^{2c}, so a call

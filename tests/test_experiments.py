@@ -20,7 +20,7 @@ from roughvix import (
     strong_error_curve,
     weak_error_curve,
 )
-from roughvix.experiments import PRESET_NAMES
+from roughvix.experiments import PRESET_NAMES, Z95
 from roughvix.model import gaussian_spec
 from roughvix.sampler import DOMAIN_EXPERIMENT, vix2_runs
 
@@ -189,6 +189,32 @@ def test_strong_error_curves_are_pinned():
         curve = strong_error_curve(scheme, (8, 16, 32, 64), 128, 4000, PB, seed=5)
         assert _hex(curve.errors) == errors, pin_message()
         assert _hex(curve.ci_halfwidths) == halfwidths, pin_message()
+
+
+def test_strong_curve_points_are_the_unshifted_sums_of_their_columns():
+    # Each coarse grid is one sample column, summed without a shift: its
+    # point is ``sqrt(s2 / M)`` and the half-width of ``s2 / M`` over twice
+    # that, from ``max(s4 - s2^2 / M, 0) / (M - 1)``, as a loop over the same
+    # kernel call gives them, for a curve of one grid and of four.
+    M, key = 4000, (DOMAIN_EXPERIMENT, 1)
+    for scheme in SchemeKind:
+        for n_values in [(16,), (8, 16, 32, 64)]:
+            run = (gaussian_spec(PB, 128), M, key, [128 // n for n in n_values])
+            sums = [([], []) for _ in n_values]
+            for _, fine, coarse, _ in vix2_runs(scheme, [run], 5):
+                for (s2, s4), v in zip(sums, coarse, strict=True):
+                    sq = (fine - v) * (fine - v)
+                    s2.append(float(np.sum(sq)))
+                    s4.append(float(np.sum(sq * sq)))
+            errors, halfwidths = [], []
+            for s2, s4 in sums:
+                s2, s4 = math.fsum(s2), math.fsum(s4)
+                errors.append(math.sqrt(s2 / M))
+                variance = max(s4 - s2 * s2 / M, 0.0) / (M - 1)
+                halfwidths.append(Z95 * math.sqrt(variance / M) / (2.0 * errors[-1]))
+            curve = strong_error_curve(scheme, n_values, 128, M, PB, seed=5)
+            assert _hex(curve.errors) == _hex(errors)
+            assert _hex(curve.ci_halfwidths) == _hex(halfwidths)
 
 
 # --- weak error -------------------------------------------------------------

@@ -89,7 +89,7 @@ def test_level_moments_are_the_same_at_every_worker_count(monkeypatch, scheme, l
     def run():
         spec = gaussian_spec(PB, n0 * 2**level)
         key = (2, DOMAIN_MLMC, level)
-        (acc,) = _sample_moments(scheme, [payoff_level(CALL, spec, m, key, level > 0)], 12)
+        ((acc,),) = _sample_moments(scheme, [payoff_level(CALL, spec, m, key, level > 0)], 12)
         return acc.mean.hex(), acc.variance.hex()
 
     one, *threaded = _at_each_worker_count(monkeypatch, run)
@@ -289,7 +289,7 @@ def test_batches_of_many_row_blocks_with_a_coarse_grid_are_the_same_at_every_wor
 
     def run():
         level = payoff_level(CALL, spec, m, (2, DOMAIN_MLMC, 7), True)
-        (acc,) = _sample_moments(SchemeKind.TRAPEZOID, [level], 12)
+        ((acc,),) = _sample_moments(SchemeKind.TRAPEZOID, [level], 12)
         return acc.mean.hex(), acc.variance.hex()
 
     one, *threaded = _at_each_worker_count(monkeypatch, run)
@@ -769,7 +769,7 @@ def test_the_kernel_gives_the_same_bits_without_openblas_control(monkeypatch):
     def run():
         est = mc_price(SchemeKind.RECTANGLE, n, M, CALL, True, PB, seed=6)
         level = payoff_level(CALL, gaussian_spec(PB, 12), M, (2, DOMAIN_MLMC, 1), True)
-        (acc,) = _sample_moments(SchemeKind.TRAPEZOID, [level], 12)
+        ((acc,),) = _sample_moments(SchemeKind.TRAPEZOID, [level], 12)
         return [x.hex() for x in (est.value, est.std_error, acc.mean, acc.variance)]
 
     held = run()
