@@ -9,9 +9,9 @@ exactly — no time-stepping bias beyond the integral discretization.
 
 Building blocks:
 
-* :mod:`~roughvix.model` — grids, mean vector, covariance matrix, its
-  low-rank pivoted Cholesky factor, the one cache of the law, and a
-  quadrature oracle for validating the closed form.
+* :mod:`~roughvix.model` — grids, and the law read one way, the cached
+  ``gaussian_spec(params, n)`` with its ``.mean``, ``.factor`` (low-rank
+  pivoted Cholesky) and ``.cov``; a quadrature oracle for the closed form.
 * :mod:`~roughvix.schemes` — the rectangle and trapezoid quadrature rules
   as integer weight rows, for the fine grid and its restricted coarse
   grids, and the control variate's projection onto the normals.

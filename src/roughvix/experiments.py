@@ -310,6 +310,7 @@ def mse_cost_curve(
     """
     estimator_family = _choice(estimator_family, FAMILIES, "estimator family")
     constants = _choice(constants, PLAN_CONSTANTS, "constants")
+    n0 = _whole(n0, 1, "n0")
     epsilons = _items(epsilons, "epsilons", lambda e: _real(e, "epsilon", _POSITIVE))
     N_mse = _whole(N_mse, 2, "N_mse")
     reference_price = _real(reference_price, "reference_price", _FINITE)

@@ -10,18 +10,17 @@ mean and covariance:
 - ``C(u, v) = eta^2 * int_0^T (u-s)^{H-1/2} (v-s)^{H-1/2} ds`` for u != v,
   which has a closed form in terms of the Gauss hypergeometric function.
 
-The law on a grid is built once per ``(params, n)`` and cached by
-:func:`gaussian_spec`: its mean and the low-rank pivoted Cholesky factor
-that :mod:`.sampler` draws from.  The rough-kernel covariance has a
-numerical rank of about 15 whatever n, so the factorization stops once
-every residual variance is at rounding level (Harbrecht, Peters &
-Schneider 2012, Appl. Numer. Math. 62) and a draw needs ``r`` normals,
-not ``n+1``.  Every covariance value comes from one closed-form row
-routine, the covariance of one date with a set of dates: the factor
-reads the diagonal and its ``r`` pivot rows, O(r n) entries, and the
-full matrix (:func:`covariance_matrix`, :attr:`GaussianSpec.cov`) is
-built a row at a time, only for checks against it, and never cached.
-Everything here is deterministic; sampling lives in :mod:`.sampler`.
+The law on a grid is read one way, the cached ``gaussian_spec(params, n)``:
+its ``.mean``, its ``.cov`` and its ``.factor``, the low-rank pivoted
+Cholesky factor that :mod:`.sampler` draws from (``factor_for``).  The
+rough-kernel covariance has a numerical rank of about 15 whatever n, so
+the factorization stops once every residual variance is at rounding
+level (Harbrecht, Peters & Schneider 2012, Appl. Numer. Math. 62) and a
+draw needs ``r`` normals, not ``n+1``.  Every covariance value comes
+from one closed-form row routine, the covariance of one date with a set
+of dates: the factor reads the diagonal and its ``r`` pivot rows, O(r n)
+entries, and ``.cov`` is built a row at a time, only for checks against
+it, and never cached.  Everything here is deterministic.
 """
 
 from __future__ import annotations
@@ -43,10 +42,7 @@ __all__ = [
     "GaussianSpec",
     "grid_for",
     "CholeskyFactor",
-    "cholesky_factor",
-    "mean_vector",
     "covariance_entry",
-    "covariance_matrix",
     "covariance_quadrature_oracle",
     "lambda_integral",
     "gaussian_spec",
@@ -181,35 +177,23 @@ class CholeskyFactor:
         return self.L.shape[1]
 
 
-def cholesky_factor(cov: np.ndarray) -> CholeskyFactor:
+def _pivoted_cholesky(residual: np.ndarray, row, source_key: tuple) -> CholeskyFactor:
     """Pivoted Cholesky factor of a symmetric PSD matrix, stopped at rounding level.
 
-    Each step takes the largest residual variance as pivot and subtracts
-    its column's contribution from the residual diagonal.  It stops when
-    that variance is at most ``RANK_TOL * max diag(cov)``.  The entries
-    of the remaining Schur complement are bounded by its diagonal
-    (Cauchy–Schwarz), so dropping it leaves ``max|L L^T - cov|`` at that
-    level.  A zero matrix (e.g. zero vol-of-vol) gives a factor with no
-    columns.
+    The matrix C is read through its diagonal `residual`, updated in place,
+    and ``row(p)``, its row ``p``, at the r pivots only.  Each step takes
+    the largest residual variance as pivot and subtracts its column's
+    contribution from the residual diagonal.  It stops when that variance
+    is at most ``RANK_TOL * max diag(C)``.  The entries of the remaining
+    Schur complement are bounded by its diagonal (Cauchy–Schwarz), so
+    dropping it leaves ``max|L L^T - C|`` at that level.  A zero matrix
+    (e.g. zero vol-of-vol) gives a factor with no columns.
 
     Raises
     ------
     FactorizationError
-        If a residual variance falls below ``-1e-10 * max diag(cov)``,
-        i.e. the matrix is indefinite beyond rounding.
-    """
-    cov = _reals(cov, "cov")
-    return _pivoted_cholesky(np.diag(cov).copy(), lambda p: cov[p])
-
-
-def _pivoted_cholesky(
-    residual: np.ndarray, row, source_key: tuple | None = None
-) -> CholeskyFactor:
-    """The loop of :func:`cholesky_factor`, reading the matrix only through `row`.
-
-    `residual` is the diagonal, updated in place; ``row(p)`` returns row
-    ``p`` of the matrix.  Only the diagonal and the r pivot rows are read.
-    `source_key`, if given, labels the matrix in a :class:`FactorizationError`.
+        If a residual variance falls below ``-1e-10 * max diag(C)``, i.e.
+        C is indefinite beyond rounding; the message names `source_key`.
     """
     dim = residual.shape[0]
     scale = float(np.max(residual, initial=0.0))
@@ -218,11 +202,10 @@ def _pivoted_cholesky(
     while True:
         worst = int(np.argmin(residual))
         if residual[worst] < -_INDEFINITE_TOL * scale:
-            key = "" if source_key is None else f", key={source_key}"
             raise FactorizationError(
                 f"covariance matrix is not positive semidefinite: residual "
                 f"variance {residual[worst]:.3e} at index {worst} after {rank} "
-                f"pivots (max diagonal {scale:.3e}{key})"
+                f"pivots (max diagonal {scale:.3e}, key={source_key})"
             )
         pivot = int(np.argmax(residual))
         if rank == dim or residual[pivot] <= RANK_TOL * scale:
@@ -243,8 +226,7 @@ class GaussianSpec:
 
     The law belongs to the parameter set `params` on its n-step grid,
     ``grid_for(params, n)``.  Arrays cover indices 0..n; the rectangle
-    scheme reads entries 1..n, the trapezoid all of them.  The full
-    covariance :attr:`cov` is built on each read and never kept.
+    scheme reads entries 1..n, the trapezoid all of them.
     """
 
     params: ModelParams
@@ -256,8 +238,8 @@ class GaussianSpec:
         """Read-only pivoted Cholesky factor of the covariance, built on first use.
 
         It evaluates the closed-form diagonal and the r pivot rows only,
-        with the same routine as :func:`covariance_matrix`, so it equals
-        ``cholesky_factor(self.cov)`` bit for bit.  A
+        with the row routine of :attr:`cov`, so it is that matrix's
+        :func:`_pivoted_cholesky` factor bit for bit.  A
         :class:`~roughvix.errors.FactorizationError` is not cached: every
         access retries the factorization and raises again.
         """
@@ -274,9 +256,14 @@ class GaussianSpec:
         O(n^2) closed-form entries, never stored: the law cache holds no
         dense matrix, and the caller frees it by dropping it.  Sampling and
         the control variate do not read it; a caller that needs it twice
-        keeps the first read.
+        keeps the first read.  Row ``p`` from the diagonal on is the
+        covariance of ``u_p`` with ``u_p, ..., u_n``, mirrored into column
+        ``p``; the build holds the matrix and one row.
         """
-        cov = covariance_matrix(self.params, self.n)
+        u = grid_for(self.params, self.n)
+        cov = np.empty((u.size, u.size), dtype=float)
+        for p in range(u.size):
+            cov[p, p:] = cov[p:, p] = _covariance_row(u[p:], 0, self.params)
         cov.flags.writeable = False
         return cov
 
@@ -290,16 +277,6 @@ def grid_for(params: ModelParams, n: int) -> np.ndarray:
     points = np.linspace(params.T, params.T + params.Delta, n + 1)
     points.flags.writeable = False
     return points
-
-
-def mean_vector(params: ModelParams, n: int) -> np.ndarray:
-    """Exact mean ``x0(u) - C(u, u)/2`` of ``(X_T^{u_i})`` on the n-step grid.
-
-    The grid is ``grid_for(params, n)`` over the VIX window of `params`;
-    the vector covers all n+1 points.
-    """
-    u = grid_for(params, n)
-    return params.x0_at(u) - 0.5 * _variance_at(u, params)
 
 
 def _variance_at(u, params: ModelParams):
@@ -350,20 +327,6 @@ def covariance_entry(u_i: float, u_j: float, params: ModelParams) -> float:
     window = (lambda u: params.T <= u <= end, f"in [T, T+Delta] = [{params.T}, {end}]")
     u = [_real(u_i, "u_i", window), _real(u_j, "u_j", window)]
     return float(_covariance_row(np.asarray(u), 0, params)[1])
-
-
-def covariance_matrix(params: ModelParams, n: int) -> np.ndarray:
-    """Full ``(n+1) x (n+1)`` covariance matrix on the n-step grid of `params`.
-
-    Row ``p`` from the diagonal on is the covariance row of ``u_p`` on
-    ``u_p, ..., u_n``, mirrored into column ``p``, so the result is
-    symmetric by construction; the build holds the matrix and one row.
-    """
-    u = grid_for(params, n)
-    cov = np.empty((u.size, u.size), dtype=float)
-    for p in range(u.size):
-        cov[p, p:] = cov[p:, p] = _covariance_row(u[p:], 0, params)
-    return cov
 
 
 _QUAD_OPTS = dict(epsabs=1e-15, epsrel=1e-13, limit=300)
@@ -435,18 +398,19 @@ def lambda_integral(params: ModelParams) -> float:
     return Delta ** (H - 0.5) * _antiderivative_pair(T, Delta, H) / (H + 0.5)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)
 def gaussian_spec(params: ModelParams, n: int) -> GaussianSpec:
-    """Cached Gaussian law of `params` on the n-step grid.
+    """Gaussian law of `params` on the n-step grid, from the package's one law cache.
 
-    This is the package's one law cache: an entry holds the mean and,
-    once :attr:`GaussianSpec.factor` is first read, its low-rank factor,
-    all read-only.  It holds no dense matrix: :attr:`GaussianSpec.cov` is
-    built on each read and belongs to the caller.  The key is the
-    (hashable) parameter set and the step count.  The cache is capped at
-    64 laws; a law at n = 2000 holds about 0.3 MB, O(r n), whatever is
-    read from it.  ``gaussian_spec.cache_clear()`` frees all of them.
+    An entry holds the exact mean ``x0(u) - C(u, u)/2`` on
+    ``grid_for(params, n)`` and, once :attr:`GaussianSpec.factor` is first
+    read, its low-rank factor, all read-only, but no dense matrix.  The key
+    is the parameter set and the typed step count, so ``True`` is refused
+    even with n = 1 cached.  The cache is capped at 64 laws; a law at
+    n = 2000 holds about 0.3 MB, O(r n), whatever is read from it.
+    ``gaussian_spec.cache_clear()`` frees all of them.
     """
-    mean = mean_vector(params, n)
+    u = grid_for(params, n)
+    mean = params.x0_at(u) - 0.5 * _variance_at(u, params)
     mean.flags.writeable = False
     return GaussianSpec(params=params, n=int(n), mean=mean)

@@ -14,6 +14,7 @@ import numpy as np
 from scipy import integrate, special
 
 from roughvix import SchemeKind, batch_sizes, grid_for, hyp2f1, payoff_eval, stream_for
+from roughvix.model import _pivoted_cholesky
 
 
 def euler_hyp2f1(a: float, b: float, c: float, x: float) -> float:
@@ -378,3 +379,13 @@ def triangular_covariance(params, n):
     cov[iu, ju] = vals
     cov[ju, iu] = vals
     return cov
+
+
+def dense_factor(cov):
+    """The engine's pivoted Cholesky loop run on a dense matrix's rows.
+
+    The same loop as a law's factor, fed from an array instead of the
+    closed-form rows; a failure names the key ``("dense",)``.
+    """
+    cov = np.asarray(cov, dtype=float)
+    return _pivoted_cholesky(np.diag(cov).copy(), lambda p: cov[p], source_key=("dense",))

@@ -20,9 +20,7 @@ from roughvix import (
     SchemeKind,
     batch_sizes,
     black_scholes,
-    cholesky_factor,
     covariance_entry,
-    covariance_matrix,
     covariance_quadrature_oracle,
     cv_corrected_payoff,
     cv_moments,
@@ -44,6 +42,7 @@ from roughvix.sampler import DOMAIN_MC
 
 from oracles import (
     GaussianSample,
+    dense_factor,
     exact_second_moment,
     exact_variance,
     geometric_vix2,
@@ -461,7 +460,7 @@ def test_criterion_9_property_suite(capsys):
     checks = []
 
     # Covariance matrix structure.
-    cov = covariance_matrix(PARAMS_B, 32)
+    cov = gaussian_spec(PARAMS_B, 32).cov
     checks.append(("covariance symmetry", bool(np.array_equal(cov, cov.T))))
     eigmin = float(np.linalg.eigvalsh(cov).min())
     checks.append(("covariance PSD", eigmin >= -1e-12 * float(np.trace(cov))))
@@ -471,7 +470,7 @@ def test_criterion_9_property_suite(capsys):
     )
 
     # Cholesky reconstruction.
-    factor = cholesky_factor(cov)
+    factor = dense_factor(cov)
     recon = float(np.max(np.abs(factor.L @ factor.L.T - cov)))
     checks.append(
         ("Cholesky reconstruction", recon <= 1e-10 * float(np.max(np.abs(cov))))

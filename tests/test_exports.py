@@ -21,7 +21,6 @@ from roughvix import (
     batch_size,
     batch_sizes,
     black_scholes,
-    cholesky_factor,
     covariance_entry,
     fit_loglog_slope,
     hyp2f1,
@@ -196,6 +195,10 @@ REFUSED = {
         lambda: mse_cost_curve("mc-rect", (0.1,), 2, 0.1, PB, CALL, 0, constants="guess"),
         "unknown constants 'guess'",
     ),
+    "base grid n0 of a plain MC study": (
+        lambda: mse_cost_curve("mc-rect", (0.1,), 2, 0.1, PB, CALL, 0, n0=-3),
+        "n0 must be an integer >= 1",
+    ),
     "epsilons as a scalar": (
         lambda: mse_cost_curve("mc-rect", 0.1, 2, 0.1, PB, CALL, 0), "epsilons must be a list"
     ),
@@ -226,7 +229,6 @@ REFUSED = {
         lambda: fit_loglog_slope(["a", "b", "c"], [1.0, 2.0, 3.0]),
         "x must be an array of numbers",
     ),
-    "covariance as text": (lambda: cholesky_factor("abc"), "cov must be an array of numbers"),
     "curve date as text": (
         lambda: X0Curve(knots=(0.5, 0.6), values=(1.0, 2.0))("0.55"), "u must be an array"
     ),

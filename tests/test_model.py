@@ -16,17 +16,15 @@ from roughvix import (
     SchemeKind,
     UsageError,
     X0Curve,
-    cholesky_factor,
     covariance_entry,
-    covariance_matrix,
     covariance_quadrature_oracle,
+    factor_for,
     gaussian_spec,
     grid_for,
     lambda_integral,
     mc_price,
-    mean_vector,
 )
-from oracles import covariance_pairs, lambda_integral_quad, triangular_covariance
+from oracles import covariance_pairs, dense_factor, lambda_integral_quad, triangular_covariance
 
 X0 = math.log(0.235**2)
 PA = ModelParams(H=0.3, eta=0.5, T=0.25, Delta=1.0 / 12.0, x0=X0)
@@ -144,7 +142,7 @@ def test_grid_step_count_must_be_a_whole_number():
 
 def test_mean_vector_frozen_and_formula():
     points = grid_for(PA, 4)
-    mean = mean_vector(PA, 4)
+    mean = gaussian_spec(PA, 4).mean
     # Frozen value at the right endpoint u = T + Delta.
     assert mean[-1] == pytest.approx(-2.957198248749224, rel=1e-15)
     # Direct formula at the left endpoint u = T.
@@ -159,7 +157,9 @@ def test_mean_vector_frozen_and_formula():
 def test_mean_vector_with_curve_matches_constant():
     flat_curve = X0Curve(knots=(PA.T,), values=(X0,))
     params = ModelParams(H=PA.H, eta=PA.eta, T=PA.T, Delta=PA.Delta, x0=flat_curve)
-    np.testing.assert_allclose(mean_vector(params, 6), mean_vector(PA, 6), rtol=0, atol=0)
+    np.testing.assert_allclose(
+        gaussian_spec(params, 6).mean, gaussian_spec(PA, 6).mean, rtol=0, atol=0
+    )
 
 
 # --- covariance -------------------------------------------------------------
@@ -206,7 +206,7 @@ def test_closed_form_matches_quadrature(H):
 
 def test_covariance_matrix_properties():
     points = grid_for(PB, 16)
-    cov = covariance_matrix(PB, 16)
+    cov = gaussian_spec(PB, 16).cov
     assert cov.shape == (17, 17)
     np.testing.assert_allclose(cov, cov.T, rtol=0, atol=0)
     # PSD up to roundoff.
@@ -251,7 +251,7 @@ def test_covariance_matrix_has_the_bits_of_the_triangular_build(H, T, Delta, n):
     # Row by row or all pairs at once, each entry is the same elementwise
     # closed form on the same ordered pair of dates.
     params = ModelParams(H=H, eta=0.5, T=T, Delta=Delta, x0=X0)
-    cov = covariance_matrix(params, n)
+    cov = gaussian_spec(params, n).cov
     reference = triangular_covariance(params, n)
     assert np.array_equal(cov.view(np.int64), reference.view(np.int64))
 
@@ -271,10 +271,11 @@ def test_covariance_entry_has_the_bits_of_the_pair_evaluation(params):
 def test_covariance_matrix_holds_no_temporaries_of_its_size():
     # The matrix is built a row at a time, so at n = 1000 the peak is its
     # own 8 MB and a few rows of 1001 entries.
-    covariance_matrix(PB, 6)
+    gaussian_spec(PB, 6).cov
+    spec = gaussian_spec(PB, 1000)
     tracemalloc.start()
     try:
-        cov = covariance_matrix(PB, 1000)
+        cov = spec.cov
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -329,13 +330,27 @@ def test_gaussian_spec_shapes_and_cache():
     cov = spec1.cov
     assert cov.shape == (13, 13)
     assert not cov.flags.writeable
-    np.testing.assert_array_equal(cov, covariance_matrix(PA, 12))
+    np.testing.assert_array_equal(cov, triangular_covariance(PA, 12))
     assert "cov" not in vars(spec1)
     with pytest.raises(dataclasses.FrozenInstanceError):
         spec1.cov = np.zeros((13, 13))
     ref = weakref.ref(cov)
     del cov
     assert ref() is None
+
+
+def test_a_bool_grid_size_is_refused_whatever_the_cache_holds():
+    # True == 1 and hashes alike, so an untyped cache would answer n = True
+    # with the cached n = 1 law.
+    assert gaussian_spec(PB, 1).factor.rank >= 1
+    call = Payoff(PayoffKind.CALL, strike=0.1)
+    for build in (
+        lambda: gaussian_spec(PB, True),
+        lambda: factor_for(PB, True),
+        lambda: mc_price(SchemeKind.RECTANGLE, True, 100, call, False, PB, seed=0),
+    ):
+        with pytest.raises(UsageError, match="must be an integer >= 1, got True"):
+            build()
 
 
 def test_law_cache_pins_no_dense_matrix():
@@ -386,12 +401,11 @@ _FACTOR_LAWS = sorted(
 @pytest.mark.parametrize("H, T, Delta, n", _FACTOR_LAWS)
 def test_factor_from_rows_equals_factor_of_full_matrix(H, T, Delta, n):
     # The law's factor reads only the diagonal and the pivot rows, through
-    # the same row routine as covariance_matrix, so it is the same factor
-    # bit for bit.
+    # the same row routine as .cov, so it is the same factor bit for bit.
     params = ModelParams(H=H, eta=0.5, T=T, Delta=Delta, x0=X0)
     gaussian_spec.cache_clear()
     spec = gaussian_spec(params, n)
-    reference = cholesky_factor(covariance_matrix(params, n))
+    reference = dense_factor(spec.cov)
     assert np.array_equal(spec.factor.L, reference.L)
     assert "cov" not in vars(spec)
 

@@ -15,8 +15,6 @@ from roughvix import (
     UsageError,
     batch_size,
     batch_sizes,
-    cholesky_factor,
-    covariance_matrix,
     cv_moments,
     factor_for,
     gaussian_spec,
@@ -34,7 +32,7 @@ from roughvix.sampler import (
 )
 from roughvix.schemes import geometric_projection
 
-from oracles import contract_normals, row_block_batches, single_product
+from oracles import contract_normals, dense_factor, row_block_batches, single_product
 
 X0 = math.log(0.235**2)
 PB = ModelParams(H=0.1, eta=0.5, T=0.5, Delta=1.0 / 12.0, x0=X0)
@@ -49,8 +47,8 @@ def test_cholesky_reconstructs_the_matrix():
     # at every n, so the pivoted factor is thin and still reproduces the
     # matrix at rounding level.
     for n in (32, 250, 1000):
-        cov = covariance_matrix(PB, n)
-        factor = cholesky_factor(cov)
+        spec = gaussian_spec(PB, n)
+        cov, factor = spec.cov, spec.factor
         assert factor.L.shape == (n + 1, factor.rank)
         assert factor.rank <= 20
         recon = factor.L @ factor.L.T
@@ -71,27 +69,27 @@ def test_cholesky_reconstructs_the_matrix():
 )
 def test_factor_reconstructs_across_the_domain(H, T, Delta):
     params = ModelParams(H=H, eta=0.5, T=T, Delta=Delta, x0=X0)
-    cov = covariance_matrix(params, 1000)
-    factor = cholesky_factor(cov)
+    spec = gaussian_spec(params, 1000)
+    cov, factor = spec.cov, spec.factor
     recon = factor.L @ factor.L.T
     assert np.max(np.abs(recon - cov)) <= 1e-10 * np.max(np.abs(cov))
 
 
 def test_well_conditioned_matrix_factors_at_full_rank():
     cov = np.array([[2.0, 0.5, 0.1], [0.5, 1.5, 0.3], [0.1, 0.3, 1.0]])
-    factor = cholesky_factor(cov)
+    factor = dense_factor(cov)
     assert factor.rank == 3
     np.testing.assert_allclose(factor.L @ factor.L.T, cov, rtol=0, atol=1e-15)
     # More than 32 pivots: the factor's row buffer grows past its first size.
     a = np.random.default_rng(40).standard_normal((40, 40))
     cov = a @ a.T + 40.0 * np.eye(40)
-    factor = cholesky_factor(cov)
+    factor = dense_factor(cov)
     assert factor.rank == 40
     assert np.max(np.abs(factor.L @ factor.L.T - cov)) <= 1e-15 * np.max(cov)
 
 
 def test_zero_matrix_factors_to_zero():
-    factor = cholesky_factor(np.zeros((4, 4)))
+    factor = dense_factor(np.zeros((4, 4)))
     assert factor.L.shape == (4, 0)
     assert factor.rank == 0
 
@@ -99,7 +97,7 @@ def test_zero_matrix_factors_to_zero():
 def test_rank_one_matrix_gives_rank_one():
     v = np.array([1.0, 2.0, 3.0])
     rank_one = np.outer(v, v)
-    factor = cholesky_factor(rank_one)
+    factor = dense_factor(rank_one)
     assert factor.rank == 1
     recon = factor.L @ factor.L.T
     assert np.max(np.abs(recon - rank_one)) <= 1e-15 * np.max(rank_one)
@@ -108,14 +106,11 @@ def test_rank_one_matrix_gives_rank_one():
 def test_indefinite_matrix_is_rejected():
     indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
     with pytest.raises(FactorizationError):
-        cholesky_factor(indefinite)
+        dense_factor(indefinite)
 
 
 def test_factorization_error_names_only_a_law():
-    # A bare matrix has no key to name; a law's failure names (params, n).
-    with pytest.raises(FactorizationError) as dense:
-        cholesky_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
-    assert "key=" not in str(dense.value)
+    # A law's failure names (params, n).
     bad = ModelParams(H=0.99, eta=0.5, T=1e-6, Delta=1.0 / 12.0, x0=X0)
     with pytest.raises(FactorizationError, match=r"key=\(ModelParams\(H=0\.99, .*\), 1000\)"):
         factor_for(bad, 1000)
