@@ -9,12 +9,12 @@ exactly — no time-stepping bias beyond the integral discretization.
 
 Building blocks:
 
-* :mod:`~roughvix.model` — grids, and the law read one way, the cached
-  ``gaussian_spec(params, n)`` with its ``.mean``, ``.factor`` (low-rank
-  pivoted Cholesky) and ``.cov``; a quadrature oracle for the closed form.
-* :mod:`~roughvix.schemes` — the rectangle and trapezoid quadrature rules
-  as integer weight rows, for the fine grid and its restricted coarse
-  grids, and the control variate's projection onto the normals.
+* :mod:`~roughvix.model` — a law, ``GaussianSpec(params, dates)``, with its
+  ``.mean``, ``.factor`` (low-rank pivoted Cholesky) and ``.cov``; its cached
+  uniform grid ``gaussian_spec(params, n)``; a quadrature covariance oracle.
+* :mod:`~roughvix.schemes` — the rectangle and trapezoid rules as integer
+  weight rows, stated once in ``_weight_rows`` for the fine grid and its
+  restricted coarse grids, and the control variate's projection.
 * :mod:`~roughvix.sampler` — deterministic counter-based streams and the
   batch kernel, which draws from the factor a block of grid rows at a
   time and applies the rules to give every grid's VIX^2.

@@ -194,9 +194,15 @@ def lambda_constant(params: ModelParams) -> float:
         )
     H, eta, T, Delta = params.H, params.eta, params.T, params.Delta
     x0 = params.x0_constant_value
-    t1 = math.exp(eta**2 * T ** (2 * H) / (2 * H))
-    t2 = math.exp(eta**2 * ((T + Delta) ** (2 * H) - Delta ** (2 * H)) / (2 * H))
-    t3 = math.exp(eta**2 * lambda_integral(params))
+    try:
+        t1 = math.exp(eta**2 * T ** (2 * H) / (2 * H))
+        t2 = math.exp(eta**2 * ((T + Delta) ** (2 * H) - Delta ** (2 * H)) / (2 * H))
+        t3 = math.exp(eta**2 * lambda_integral(params))
+    except OverflowError:
+        raise HypothesisError(
+            f"the closed-form error constant overflows a float at eta={eta}; "
+            "use pilot estimation instead"
+        ) from None
     bracket = t1 + t2 - 2.0 * t3
     if bracket < -1e-9 * max(t1, t2):
         raise NumericError(f"error-constant bracket is negative: {bracket}")

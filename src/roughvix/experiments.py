@@ -105,14 +105,14 @@ class MseCostCurve:
 def fit_loglog_slope(x, y) -> tuple:
     """Ordinary least squares of ln(y) on ln(x).
 
-    Returns ``(slope, intercept, r2)``.  Requires at least three strictly
-    positive points and non-degenerate x values.
+    Returns ``(slope, intercept, r2)``.  Requires at least three finite,
+    strictly positive points and non-degenerate x values.
     """
     x, y = _reals(x, "x"), _reals(y, "y")
     if x.shape != y.shape or x.ndim != 1 or x.size < 3:
         raise UsageError("need at least 3 paired points")
-    if np.any(x <= 0) or np.any(y <= 0):
-        raise UsageError("log-log fit requires strictly positive x and y")
+    if not np.all((0 < x) & (x < np.inf) & (0 < y) & (y < np.inf)):
+        raise UsageError("log-log fit requires finite, strictly positive x and y")
     lx, ly = np.log(x), np.log(y)
     if np.allclose(lx, lx[0]):
         raise UsageError("x values are degenerate; slope is undefined")

@@ -10,9 +10,9 @@ mean and covariance:
 - ``C(u, v) = eta^2 * int_0^T (u-s)^{H-1/2} (v-s)^{H-1/2} ds`` for u != v,
   which has a closed form in terms of the Gauss hypergeometric function.
 
-The law on a grid is read one way, the cached ``gaussian_spec(params, n)``:
-its ``.mean``, its ``.cov`` and its ``.factor``, the low-rank pivoted
-Cholesky factor that :mod:`.sampler` draws from (``factor_for``).  The
+A law is its dates, ``GaussianSpec(params, dates)``, and the cached
+``gaussian_spec(params, n)`` is its uniform grid; :mod:`.sampler` draws from
+its ``.factor``, a low-rank pivoted Cholesky factor (``factor_for``).  The
 rough-kernel covariance has a numerical rank of about 15 whatever n, so
 the factorization stops once every residual variance is at rounding
 level (Harbrecht, Peters & Schneider 2012, Appl. Numer. Math. 62) and a
@@ -26,7 +26,7 @@ it, and never cached.  Everything here is deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 
 import numpy as np
@@ -222,16 +222,31 @@ def _pivoted_cholesky(residual: np.ndarray, row, source_key: tuple) -> CholeskyF
 
 @dataclass(frozen=True, eq=False)
 class GaussianSpec:
-    """Mean vector and covariance factor of ``(X_T^{u_i})`` on a grid.
+    """Mean vector and covariance factor of ``(X_T^{u_i})`` at its dates ``u``.
 
-    The law belongs to the parameter set `params` on its n-step grid,
-    ``grid_for(params, n)``.  Arrays cover indices 0..n; the rectangle
-    scheme reads entries 1..n, the trapezoid all of them.
+    A law is `params` and its `dates`, a 1-D array of two or more dates
+    in ``[T, T + Delta]``, indexed 0..n with ``n = dates.size - 1``.  The
+    mean ``x0(u) - C(u, u)/2`` is worked out here; both are read-only.
+    :func:`gaussian_spec` is the cached law on the uniform grid.
     """
 
     params: ModelParams
-    n: int
-    mean: np.ndarray
+    dates: np.ndarray
+    mean: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        T, end = self.params.T, self.params.T + self.params.Delta
+        dates = _reals(self.dates, "dates").copy()
+        if dates.ndim != 1 or dates.size < 2 or not np.all((T <= dates) & (dates <= end)):
+            raise UsageError(f"dates must be 1-D, at least 2, in [T, T+Delta] = [{T}, {end}]")
+        mean = self.params.x0_at(dates) - 0.5 * _variance_at(dates, self.params)
+        for name, value in (("dates", dates), ("mean", mean)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    @property
+    def n(self) -> int:
+        return self.dates.size - 1
 
     @cached_property
     def factor(self) -> CholeskyFactor:
@@ -243,7 +258,7 @@ class GaussianSpec:
         :class:`~roughvix.errors.FactorizationError` is not cached: every
         access retries the factorization and raises again.
         """
-        u, params = grid_for(self.params, self.n), self.params
+        u, params = self.dates, self.params
         row = partial(_covariance_row, u, params=params)
         factor = _pivoted_cholesky(_variance_at(u, params), row, source_key=(params, self.n))
         factor.L.flags.writeable = False
@@ -260,7 +275,7 @@ class GaussianSpec:
         covariance of ``u_p`` with ``u_p, ..., u_n``, mirrored into column
         ``p``; the build holds the matrix and one row.
         """
-        u = grid_for(self.params, self.n)
+        u = self.dates
         cov = np.empty((u.size, u.size), dtype=float)
         for p in range(u.size):
             cov[p, p:] = cov[p:, p] = _covariance_row(u[p:], 0, self.params)
@@ -402,15 +417,12 @@ def lambda_integral(params: ModelParams) -> float:
 def gaussian_spec(params: ModelParams, n: int) -> GaussianSpec:
     """Gaussian law of `params` on the n-step grid, from the package's one law cache.
 
-    An entry holds the exact mean ``x0(u) - C(u, u)/2`` on
-    ``grid_for(params, n)`` and, once :attr:`GaussianSpec.factor` is first
+    ``GaussianSpec(params, grid_for(params, n))``: an entry holds the
+    grid, the exact mean and, once :attr:`GaussianSpec.factor` is first
     read, its low-rank factor, all read-only, but no dense matrix.  The key
     is the parameter set and the typed step count, so ``True`` is refused
     even with n = 1 cached.  The cache is capped at 64 laws; a law at
     n = 2000 holds about 0.3 MB, O(r n), whatever is read from it.
     ``gaussian_spec.cache_clear()`` frees all of them.
     """
-    u = grid_for(params, n)
-    mean = params.x0_at(u) - 0.5 * _variance_at(u, params)
-    mean.flags.writeable = False
-    return GaussianSpec(params=params, n=int(n), mean=mean)
+    return GaussianSpec(params, grid_for(params, n))

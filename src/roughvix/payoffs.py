@@ -36,7 +36,7 @@ from scipy.special import erfc
 from .errors import HypothesisError, UsageError
 from .errors import _NONNEGATIVE, _POSITIVE, _choice, _real, _reals
 from .model import GaussianSpec
-from .schemes import SchemeKind, geometric_projection
+from .schemes import SchemeKind, _weight_rows, geometric_projection
 
 __all__ = [
     "PayoffKind",
@@ -153,7 +153,8 @@ def cv_moments(spec: GaussianSpec, scheme: SchemeKind = SchemeKind.RECTANGLE) ->
     and the samples share one projection.  For the rectangle (the
     default) this is the plain average over right points 1..n.
     """
-    mu, projection = geometric_projection(scheme, spec)
+    (a,), (d,) = _weight_rows(scheme, spec.n, (1,))
+    mu, projection = geometric_projection(a, d, spec)
     var = math.fsum((projection * projection).tolist())
     return CvMoments(mu_n=mu, sigma_n=math.sqrt(var))
 
@@ -164,10 +165,14 @@ def cv_price(p: Payoff, m: CvMoments) -> float:
     With ``Z ~ N(mu_n, sigma_n^2)``, the claim ``phi(exp(Z))`` prices in
     closed form: calls as ``C_BS(exp(mu_n/2 + sigma_n^2/8), k, sigma_n/2)``,
     puts symmetrically, and the future as ``exp(mu_n/2 + sigma_n^2/8)``.
+    A forward that underflows to 0 prices a call at 0 and a put at its
+    strike, by put-call parity.
     """
     forward = math.exp(0.5 * m.mu_n + 0.125 * m.sigma_n**2)
     if p.kind is PayoffKind.FUTURE:
         return forward
+    if forward == 0.0:
+        return 0.0 if p.kind is PayoffKind.CALL else p.strike
     return black_scholes(p.kind, forward, p.strike, 0.5 * m.sigma_n)
 
 

@@ -2,12 +2,12 @@
 
 A draw is the one product ``[F | mean] @ [G; 1]``, i.e. ``mean + F @ G``,
 with ``G`` a vector of ``r`` independent standard normals and ``F`` the
-``(n+1) x r`` pivoted Cholesky factor of the covariance, which
-:mod:`.model` builds and caches with the rest of the law
-(:attr:`~roughvix.model.GaussianSpec.factor`).  A linear functional of
-the draw, such as the control variate's log average, can be taken from
-its normals in ``r`` steps.  Fine and coarse grids are coupled by index
-restriction: the coarse vector is exactly the fine vector at every
+``(n+1) x r`` pivoted Cholesky factor of the covariance of a law
+``GaussianSpec(params, dates)``, built with it (:mod:`.model`); the cached
+``gaussian_spec(params, n)`` is the law on the uniform grid.  A linear
+functional of the draw, such as the control variate's log average, comes
+from its normals in ``r`` steps.  Fine and coarse grids are coupled by
+index restriction: the coarse vector is exactly the fine vector at every
 ``s``-th grid point.
 
 Reproducibility contract
@@ -27,26 +27,26 @@ keeps deterministic, on the platform that :func:`platform` names.
 
 The batch kernel
 ----------------
-Every sampled estimate runs through :func:`vix2_runs`, which turns
-batches of draws into VIX^2 on the fine grid and its coarse grids with
-the quadrature rules of :mod:`.schemes`, for one or more runs (a
-multilevel estimate's levels) in one call.  A batch of ``m`` draws takes
-its normals from one ``(r+1, m)`` block whose last row is ones
-(:func:`_draw_normals`).  The product is formed a block of rows at a
-time (:func:`_row_blocks`, at most ``2^19`` values) in one reused
-buffer, and each row block is exponentiated in place and weighted as
-soon as it is formed: the weight rows ``A`` of the fine grid and of each
-coarse grid (:func:`~roughvix.schemes._weight_rows`) add ``A[:, a:b] @
-(block - e0)`` to a ``grids x m`` accumulator, ``e0`` being the
-exponentiated grid row 0, and grid ``g``'s VIX^2 is ``e0 + acc[g] /
-d[g]``.  When ``m`` is a multiple of ``_TILE`` (4096) columns, each row
-block runs its product, exp, ``e0`` shift and weighting a tile of
-columns at a time, so the tile's normals and rows stay in cache; any
-other width is one tile.  Every column sees the same operations either
-way.  The integer rows sum to exactly their divisors, so a flat model
-gives exactly ``e0`` on every grid.  No ``(n+1, m)`` draw is ever held.
-The control variate's log average is linear in the draw, so the kernel
-takes it from the batch's normals as ``w . mu + (F^T w) . G``
+Every sampled estimate runs through :func:`vix2_runs`, which turns batches
+of draws into VIX^2 on the fine grid and its coarse grids with the
+quadrature rules of :mod:`.schemes`, for one or more runs (a multilevel
+estimate's levels) in one call.  A batch of ``m`` draws takes its normals
+from one ``(r+1, m)`` block whose last row is ones
+(:func:`_draw_normals`).  The product is formed a block of rows at a time
+(:func:`_row_blocks`, at most ``2^19`` values) in one reused buffer, and
+each row block is exponentiated in place and weighted as soon as it is
+formed: the weight rows ``A`` of the fine grid and of each coarse grid
+(:func:`~roughvix.schemes._weight_rows`, the one statement of the rules)
+add ``A[:, a:b] @ (block - e0)`` to a ``grids x m`` accumulator, ``e0``
+being the exponentiated grid row 0, and grid ``g``'s VIX^2 is ``e0 +
+acc[g] / d[g]``.  When ``m`` is a multiple of ``_TILE`` (4096) columns,
+each row block runs its product, exp, ``e0`` shift and weighting a tile of
+columns at a time, so the tile's normals and rows stay in cache; any other
+width is one tile.  Every column sees the same operations either way.  The
+integer rows sum to exactly their divisors, so a flat model gives exactly
+``e0`` on every grid.  No ``(n+1, m)`` draw is ever held.  The control
+variate's log average is linear in the draw, so the kernel takes it from
+the batch's normals as ``w . mu + (F^T w) . G``
 (:func:`~roughvix.schemes.geometric_projection`).
 
 Each batch is one task, from its normals to its VIX^2, on one pool of
@@ -311,7 +311,7 @@ def vix2_runs(kind: SchemeKind, runs, seed: int, geometric: bool = False):
         weight_rows, divisors = _weight_rows(kind, n, (1, *coarse_steps))
         widths = batch_sizes(n, total)
         factor_mean = np.column_stack((spec.factor.L, spec.mean))
-        projection = geometric_projection(kind, spec) if geometric else None
+        projection = geometric_projection(weight_rows[0], divisors[0], spec) if geometric else None
         tables.append((n, rank, weight_rows, divisors, factor_mean, projection))
         m, g = widths[0], len(divisors)
         tasks += [(run, key, index, (g, width)) for index, width in enumerate(widths)]

@@ -484,6 +484,19 @@ def test_usage_error_exit_code(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("constants, expected", [("auto", 3), ("closed-form", 2)])
+def test_an_overflowing_error_constant_exits_with_its_category(tmp_path, constants, expected):
+    # At eta = 20 the closed-form constant overflows a float: "auto" falls
+    # back to a pilot that finds degenerate constants (numeric), and
+    # "closed-form" refuses the law (usage).
+    code = main(
+        ["price", "--preset", "ref-b", "--estimator", "mlmc", "--no-cv", "--eta", "20",
+         "--epsilon", "1e-3", "--plan-constants", constants,
+         "--output", str(tmp_path / "x.csv")]
+    )
+    assert code == expected
+
+
 def test_covariance_check_passes_at_documented_tolerance(tmp_path):
     out = tmp_path / "cov.csv"
     code = main(

@@ -1,5 +1,6 @@
 """Plain and multilevel Monte Carlo estimators and their allocations."""
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -81,6 +82,22 @@ def test_error_constant_bracket_never_negative():
             x0=float(rng.uniform(-4.0, 0.0)),
         )
         assert lambda_constant(params) >= 0.0
+
+
+def test_an_error_constant_that_overflows_is_a_hypothesis_error():
+    # exp(eta^2 T^{2H}/(2H)) leaves the float range at eta ~ 12.8 on
+    # ref-b's window; below that the constant is as it was.
+    assert lambda_constant(dataclasses.replace(PB, eta=12.0)) == pytest.approx(
+        3.533587398732969e134, rel=1e-13
+    )
+    steep = dataclasses.replace(PB, eta=13.0)
+    with pytest.raises(HypothesisError, match="overflows a float at eta=13.0"):
+        lambda_constant(steep)
+    with pytest.raises(HypothesisError, match="overflows"):
+        mlmc_plan(1e-3, 6, SchemeKind.RECTANGLE, CALL, steep, constants="closed-form")
+    # "auto" falls back to the pilot, which finds no usable constants here.
+    with pytest.raises(NumericError, match="degenerate constants"):
+        mlmc_plan(1e-3, 6, SchemeKind.RECTANGLE, CALL, steep)
 
 
 # --- plain Monte Carlo ------------------------------------------------------
@@ -282,6 +299,22 @@ def test_numpy_integer_seeds_and_keys_price_as_python_integers():
     assert mlmc_price(SMALL_PLAN, CALL, PB, seed=np.int32(5)) == mlmc_price(
         SMALL_PLAN, CALL, PB, seed=5
     )
+
+
+@pytest.mark.parametrize("kind, value", [(PayoffKind.CALL, 0.0), (PayoffKind.PUT, 0.1)])
+def test_a_control_variate_whose_forward_underflows_prices_by_parity(kind, value):
+    # At eta = 100 every VIX^2 and the geometric forward exp(mu_n/2 +
+    # sigma_n^2/8) underflow to 0: a call is worth 0 and a put its strike.
+    payoff = Payoff(kind, strike=0.1)
+    params = dataclasses.replace(PB, eta=100.0)
+    assert cv_price(payoff, cv_moments(gaussian_spec(params, 16))) == value
+    estimates = []
+    for use_cv in (False, True):
+        with pytest.warns(DegenerateEstimateWarning, match="exactly 0"):
+            estimates.append(mc_price(SchemeKind.RECTANGLE, 16, 1000, payoff, use_cv, params, 0))
+    plain, cv = estimates
+    assert cv.value == plain.value == value
+    assert cv.cv_used and not plain.cv_used
 
 
 # --- allocations ------------------------------------------------------------

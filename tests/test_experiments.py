@@ -1,5 +1,6 @@
 """Experiment drivers: error curves, MSE-cost tables, slope fitting, presets."""
 
+import dataclasses
 import json
 import math
 
@@ -65,6 +66,10 @@ def test_fit_validation():
         fit_loglog_slope([0.0, 2.0, 3.0], [1.0, 2.0, 3.0])
     with pytest.raises(UsageError):
         fit_loglog_slope([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
+    with pytest.raises(UsageError, match="finite"):
+        fit_loglog_slope([1.0, 2.0, 3.0], [1.0, math.nan, 3.0])
+    with pytest.raises(UsageError, match="finite"):
+        fit_loglog_slope([1.0, math.inf, 3.0], [1.0, 2.0, 3.0])
 
 
 # --- strong error -----------------------------------------------------------
@@ -127,6 +132,13 @@ def test_strong_error_curve_shape_and_decay():
     assert curve.lambda_over_n == tuple(lam / n for n in (8, 16, 32))
     assert curve.protocol["n_ref"] == 128
     assert curve.protocol["scheme"] == "rect"
+
+
+def test_strong_error_curve_has_no_overlay_where_the_error_constant_overflows():
+    steep = dataclasses.replace(PB, eta=20.0)
+    curve = strong_error_curve(SchemeKind.RECTANGLE, (8, 16), 32, 1000, steep, seed=0)
+    assert curve.lambda_over_n is None
+    assert all(e > 0 for e in curve.errors)
 
 
 def test_strong_error_trapezoid_has_no_overlay_and_decays_faster():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from roughvix import (
+    GaussianSpec,
     HypothesisError,
     ModelParams,
     Payoff,
@@ -337,6 +338,45 @@ def test_gaussian_spec_shapes_and_cache():
     ref = weakref.ref(cov)
     del cov
     assert ref() is None
+
+
+@pytest.mark.parametrize("H", [0.1, 0.3])
+def test_a_law_on_graded_dates_is_the_closed_form_law(H):
+    # A law is its dates: on T + Delta (i/n)^2 its factor reproduces the
+    # closed-form matrix and its mean is x0 - C(u, u)/2.
+    params, n = dataclasses.replace(PB, H=H), 64
+    dates = params.T + params.Delta * (np.arange(n + 1) / n) ** 2
+    spec = GaussianSpec(params, dates)
+    assert spec.n == n and np.array_equal(spec.dates, dates)
+    assert not spec.dates.flags.writeable and not spec.mean.flags.writeable
+    lo, hi = np.minimum.outer(dates, dates).ravel(), np.maximum.outer(dates, dates).ravel()
+    cov = covariance_pairs(lo, hi, params).reshape(n + 1, n + 1)
+    L = spec.factor.L
+    assert np.max(np.abs(L @ L.T - cov)) <= 1e-10 * np.max(np.abs(cov))
+    np.testing.assert_array_equal(spec.mean, X0 - 0.5 * np.diag(cov))
+    dates[1] = params.T  # the law keeps its own copy
+    assert spec.dates[1] > params.T
+
+
+def test_the_cached_law_is_on_the_uniform_grid():
+    for params, n in ((PB, 250), (PA, 12), (PB, 1)):
+        spec = gaussian_spec(params, n)
+        assert spec.n == n
+        assert spec.dates.tobytes() == grid_for(params, n).tobytes()
+
+
+_END = PB.T + PB.Delta
+
+
+@pytest.mark.parametrize(
+    "dates",
+    [[PB.T - 1e-9, _END], [PB.T, _END + 1e-9], [PB.T, math.nan], [[PB.T, _END]], [PB.T],
+     ["0.5", "0.55"]],
+    ids=["before T", "after T+Delta", "nan", "2-D", "one date", "text"],
+)
+def test_a_law_refuses_dates_that_are_not_a_window_array(dates):
+    with pytest.raises(UsageError, match="dates must be"):
+        GaussianSpec(PB, dates)
 
 
 def test_a_bool_grid_size_is_refused_whatever_the_cache_holds():

@@ -25,7 +25,7 @@ from roughvix import (
     stream_for,
 )
 
-from roughvix.schemes import geometric_projection
+from roughvix.schemes import _weight_rows, geometric_projection
 
 from oracles import bs_price_quad, fraction_mean, geometric_vix2, sample_fine, scheme_vix2
 
@@ -232,7 +232,8 @@ def test_trapezoid_geometric_value_uses_trapezoid_weights():
     # whose factor is the identity, F^T w is the weight vector itself.
     values = np.random.default_rng(4).normal(-3.0, 0.5, size=7)
     law = SimpleNamespace(n=6, mean=values, factor=SimpleNamespace(L=np.eye(7)))
-    offset, projection = geometric_projection(SchemeKind.TRAPEZOID, law)
+    (a,), (d,) = _weight_rows(SchemeKind.TRAPEZOID, 6, (1,))
+    offset, projection = geometric_projection(a, d, law)
     np.testing.assert_allclose(projection, np.r_[0.5, np.ones(5), 0.5] / 6, rtol=1e-15)
     logs = (0.5 * values[0] + values[1:-1].sum() + 0.5 * values[-1]) / 6
     assert offset == pytest.approx(logs, rel=1e-14)

@@ -30,7 +30,7 @@ from roughvix.sampler import (
     _standard_normals,
     vix2_runs,
 )
-from roughvix.schemes import geometric_projection
+from roughvix.schemes import _weight_rows, geometric_projection
 
 from oracles import contract_normals, dense_factor, row_block_batches, single_product
 
@@ -143,7 +143,8 @@ def test_cv_moments_share_the_kernel_projection(scheme, n):
     # from geometric_projection; its closed-form price must come from the
     # same pair, bit for bit.
     spec = gaussian_spec(PB, n)
-    offset, projection = geometric_projection(scheme, spec)
+    (a,), (d,) = _weight_rows(scheme, n, (1,))
+    offset, projection = geometric_projection(a, d, spec)
     moments = cv_moments(spec, scheme)
     assert projection.shape == (spec.factor.rank,)
     assert moments.mu_n == offset

@@ -8,7 +8,7 @@ import pytest
 
 from roughvix import SchemeKind, UsageError, stream_for
 from roughvix.sampler import vix2_runs
-from roughvix.schemes import _quadrature_weights, _weight_rows
+from roughvix.schemes import _weight_rows
 
 from oracles import contract_normals, quadrature_weights
 
@@ -59,7 +59,7 @@ def test_weight_rows_are_the_restricted_rules(kind, n):
         assert row.sum() == d
         assert math.fsum(row) == d
         assert np.array_equal(row / d, quadrature_weights(kind.value, n, n // step))
-        a, d_coarse = _quadrature_weights(kind, n // step)
+        (a,), (d_coarse,) = _weight_rows(kind, n // step, (1,))
         assert d == d_coarse and np.array_equal(row[::step], a)
 
 
@@ -76,7 +76,7 @@ def test_weight_rows_reject_a_step_that_does_not_divide_the_grid():
 
 def test_rectangle_uses_right_endpoints():
     # The left endpoint must not contribute.
-    assert _quadrature_weights(SchemeKind.RECTANGLE, 3)[0][0] == 0.0
+    assert _weight_rows(SchemeKind.RECTANGLE, 3, (1,))[0][0, 0] == 0.0
     fine, _ = _kernel(SchemeKind.RECTANGLE, _law(np.log([9.0, 1.0, 2.0, 3.0])))
     np.testing.assert_allclose(fine, 2.0, rtol=1e-15)
 
